@@ -22,13 +22,14 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import qa_spatial, qa_temporal
-from .errors import DuplicateQid, SceneQaError
+from .errors import DuplicateQid, InputError, SceneQaError
 from .evaluate import Prediction, render_table, score_run
 from .metadata import (
     build_scene_metadata,
     derive_instance_boxes,
     load_frame_metadata,
     load_scene_metadata,
+    read_jsonl,
     save_scene_metadata,
 )
 from .ply_io import parse_ply
@@ -38,10 +39,6 @@ from .route_plan import gen_route_plan, load_trajectories
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EVAL = 3
-
-
-class InputError(SceneQaError):
-    """A parser/loader error annotated with the offending file."""
 
 
 def _load(path, loader):
@@ -66,19 +63,7 @@ def write_records_jsonl(path, records, header: dict):
 
 def read_records_jsonl(path):
     """Returns (header dict or None, list of validated QaRecords)."""
-    header = None
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "_header" in doc:
-                header = doc["_header"]
-                continue
-            records.append(record_from_dict(doc))
-    return header, records
+    return read_jsonl(path, record_from_dict)
 
 
 # --- generation pipeline ------------------------------------------------------
@@ -111,56 +96,52 @@ def discover_scenes(root) -> list[SceneInputs]:
     return scenes
 
 
-def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks) -> list:
-    """All requested records for one scene, in canonical order."""
-    scene = _load(inputs.scene_path, load_scene_metadata)
-    frames = _load(inputs.frames_path, load_frame_metadata)
-    g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
-
-    cloud = _load(inputs.cloud_path, parse_ply) if inputs.cloud_path else None
-
-    records = []
-    for task in TASKS:
-        if task not in tasks:
-            continue
-        if task in qa_spatial.SPATIAL_GENERATORS:
-            gen = qa_spatial.SPATIAL_GENERATORS[task]
-            if task == "room_size":
-                records.extend(gen(g, cfg, cloud))
-            else:
-                records.extend(gen(g, cfg))
-        elif task in qa_temporal.TEMPORAL_GENERATORS:
-            try:
-                seq = graph_mod.sample_frame_sequence(g, cfg.sample_frames)
-            except SceneQaError:
-                continue
-            records.extend(qa_temporal.TEMPORAL_GENERATORS[task](g, seq, cfg))
-        elif task == "route_plan" and inputs.trajectories_path:
-            trajectories = [t for sid, t in load_trajectories(inputs.trajectories_path)
-                            if sid == scene.scene_id]
-            recs, _ = gen_route_plan(g, trajectories, cfg)
-            records.extend(recs)
+def _route_plan(ctx, cfg: GenConfig):
+    records, _ = gen_route_plan(ctx.graph, ctx.trajectories, cfg)
     return records
 
 
-def _worker(args):
-    inputs, cfg_dict, tasks = args
-    cfg = GenConfig(**cfg_dict)
-    records = generate_scene_records(inputs, cfg, tasks)
-    return [record_to_dict(r) for r in records]
+def task_generators() -> dict:
+    """Task name -> ``gen(ctx, cfg)``, read from the registries at call time."""
+    return {**qa_spatial.SPATIAL_GENERATORS, **qa_temporal.TEMPORAL_GENERATORS,
+            "route_plan": _route_plan}
 
 
-def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1):
+def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
+                           dump_dir=None) -> list:
+    """All requested records for one scene, in canonical order, from one
+    scene context; with ``dump_dir`` the graph is written there too."""
+    scene = _load(inputs.scene_path, load_scene_metadata)
+    frames = _load(inputs.frames_path, load_frame_metadata)
+    g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
+    cloud = _load(inputs.cloud_path, parse_ply) if inputs.cloud_path else None
+    trajectories = ()
+    if "route_plan" in tasks and inputs.trajectories_path:
+        trajectories = [t for sid, t in load_trajectories(inputs.trajectories_path)
+                        if sid == scene.scene_id]
+    ctx = graph_mod.scene_context(g, cfg.sample_frames, cloud, trajectories)
+
+    if dump_dir is not None:
+        with open(Path(dump_dir) / f"{scene.scene_id}.json", "w", encoding="utf-8") as fh:
+            json.dump(graph_mod.graph_to_dict(g), fh, sort_keys=True, indent=1)
+            fh.write("\n")
+
+    generators = task_generators()
+    return [rec for task in TASKS if task in tasks for rec in generators[task](ctx, cfg)]
+
+
+def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
+                   dump_dir=None):
     """Fan out per scene, gather, and sort into the canonical record order."""
-    jobs = [(inp, dataclasses.asdict(cfg), tuple(tasks)) for inp in scene_inputs]
+    jobs = [(inp, cfg, tuple(tasks), dump_dir) for inp in scene_inputs]
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_worker, jobs)
+            chunks = pool.starmap(generate_scene_records, jobs)
     else:
-        chunks = [_worker(job) for job in jobs]
-    docs = [doc for chunk in chunks for doc in chunk]
-    docs.sort(key=lambda d: (d["scene_id"], TASK_ORDER[d["task"]], d["qid"]))
-    return [record_from_dict(d) for d in docs]
+        chunks = [generate_scene_records(*job) for job in jobs]
+    records = [rec for chunk in chunks for rec in chunk]
+    records.sort(key=lambda r: (r.scene_id, TASK_ORDER[r.task], r.qid))
+    return records
 
 
 # --- commands -------------------------------------------------------------------
@@ -168,7 +149,12 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1):
 def cmd_ingest(args) -> int:
     cloud = _load(args.ply, parse_ply)
     with open(args.label_map, "r", encoding="utf-8") as fh:
-        label_map = {int(k): v for k, v in json.load(fh).items()}
+        doc = json.load(fh)
+    try:
+        label_map = {int(k): v for k, v in doc.items()}
+    except (AttributeError, ValueError) as exc:
+        raise InputError(f"{args.label_map}: expected an object keyed by integer "
+                         f"label ids ({exc})") from None
     instances = derive_instance_boxes(cloud, label_map,
                                       min_points=args.min_points,
                                       oriented=args.oriented)
@@ -188,6 +174,8 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InputError(f"{args.config}: expected a JSON object of generator settings")
         tasks = doc.pop("tasks", tasks)
         workers = doc.pop("workers", workers)
         values.update(doc)
@@ -202,7 +190,12 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
     unknown = [t for t in tasks if t not in TASKS]
     if unknown:
         raise SceneQaError(f"unknown task(s): {', '.join(unknown)}")
-    return GenConfig(**values), tasks, workers
+    try:
+        cfg = GenConfig(**values)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{args.config or 'command line'}: invalid generator "
+                         f"config: {exc}") from None
+    return cfg, tasks, workers
 
 
 def cmd_gen(args) -> int:
@@ -217,38 +210,20 @@ def cmd_gen(args) -> int:
         scene_inputs = [SceneInputs(args.scene_metadata, args.frame_metadata,
                                     args.cloud, args.trajectories)]
 
-    records = run_generation(scene_inputs, cfg, tasks, workers)
+    if args.dump_graphs:
+        Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
+    records = run_generation(scene_inputs, cfg, tasks, workers, args.dump_graphs)
     header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
               "record_count": len(records)}
     write_records_jsonl(args.out, records, header)
-
-    if args.dump_graphs:
-        Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
-        for inp in scene_inputs:
-            scene = load_scene_metadata(inp.scene_path)
-            frames = load_frame_metadata(inp.frames_path)
-            g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
-            out = Path(args.dump_graphs) / f"{scene.scene_id}.json"
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(graph_mod.graph_to_dict(g), fh, sort_keys=True, indent=1)
-                fh.write("\n")
-
     print(f"wrote {len(records)} record(s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     _, records = read_records_jsonl(args.records)
-    preds = []
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "_header" in doc:
-                continue
-            preds.append(Prediction(doc["qid"], doc["raw_text"]))
+    _, preds = read_jsonl(args.predictions,
+                          lambda doc: Prediction(doc["qid"], doc["raw_text"]))
     report = score_run(records, preds, weight_by_question=args.weight_by_question)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -384,7 +359,7 @@ def main(argv=None) -> int:
     except DuplicateQid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    except (SceneQaError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (SceneQaError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

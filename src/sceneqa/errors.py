@@ -41,6 +41,10 @@ class TruncatedBody(SceneQaError):
         self.offset = offset
 
 
+class InputError(SceneQaError):
+    """An input file is malformed; the message names the file (and line)."""
+
+
 class SchemaViolation(SceneQaError):
     """A metadata document violates the schema; carries the offending field path."""
 

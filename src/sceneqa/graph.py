@@ -116,13 +116,34 @@ def sample_frame_sequence(g: SceneGraph, n: int = 32):
     return [ids[p] for p in picks]
 
 
-def unique_category_objects(g: SceneGraph):
-    """Objects whose category occurs exactly once, sorted by category."""
-    counts = {}
-    for o in g.scene.objects:
-        counts[o.category] = counts.get(o.category, 0) + 1
-    return sorted((o for o in g.scene.objects if counts[o.category] == 1),
-                  key=lambda o: o.category)
+@dataclass(frozen=True)
+class SceneContext:
+    """The per-scene facts every task generator reads, derived once per scene."""
+
+    graph: SceneGraph
+    frame_seq: tuple       # sampled frame ids; empty when the capture has < 2 frames
+    unique_objects: tuple  # objects whose category occurs once, sorted by category
+    cloud: object = None   # LabeledPointCloud, when the scene has one
+    trajectories: tuple = ()
+
+    @property
+    def scene_id(self) -> str:
+        return self.graph.scene_id
+
+    def unique_visible(self, frame_id: int) -> list:
+        """Category-unique objects visible in a frame, sorted by category."""
+        vis = self.graph.visible_in(frame_id)
+        return [o for o in self.unique_objects if o.instance_id in vis]
+
+
+def scene_context(g: SceneGraph, sample_frames: int, cloud=None,
+                  trajectories=()) -> SceneContext:
+    """Sample the frame sequence and index the category-unique objects."""
+    seq = sample_frame_sequence(g, sample_frames) if len(g.frames.frames) >= 2 else ()
+    counts = g.scene.category_counts
+    unique = sorted((o for o in g.scene.objects if counts[o.category] == 1),
+                    key=lambda o: o.category)
+    return SceneContext(g, tuple(seq), tuple(unique), cloud, tuple(trajectories))
 
 
 def graph_to_dict(g: SceneGraph) -> dict:

@@ -32,11 +32,12 @@ object.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyAfterFiltering, SchemaViolation
+from .errors import EmptyAfterFiltering, InputError, SchemaViolation
 from .geometry import OrientedBox3, Pose, quat_from_yaw
 from .ply_io import LabeledPointCloud
 
@@ -79,12 +80,6 @@ class SceneMetadata:
     room_center: np.ndarray
     category_counts: dict
     objects: tuple  # of ObjectInstance
-
-    def object_by_id(self, instance_id: int):
-        for obj in self.objects:
-            if obj.instance_id == instance_id:
-                return obj
-        return None
 
 
 @dataclass(frozen=True)
@@ -173,11 +168,8 @@ def scene_metadata_from_dict(doc) -> SceneMetadata:
     counts_doc = _require(doc, "category_counts", "")
     if not isinstance(counts_doc, dict):
         raise SchemaViolation("category_counts", "expected a mapping")
-    actual = {}
-    for obj in objects:
-        actual[obj.category] = actual.get(obj.category, 0) + 1
     declared = {k: _integer(v, f"category_counts.{k}") for k, v in counts_doc.items()}
-    if declared != actual:
+    if declared != dict(Counter(obj.category for obj in objects)):
         raise SchemaViolation("category_counts", "inconsistent with objects list")
 
     return SceneMetadata(scene_id, (lo, hi), room_center, declared, tuple(objects))
@@ -303,6 +295,29 @@ def _dump_json(path, doc):
         fh.write("\n")
 
 
+def read_jsonl(path, parse):
+    """(``{"_header": ...}`` value or None, [parse(doc) per other non-blank
+    line]) of a JSONL file; a line that is not JSON, lacks a field or fails
+    ``parse`` raises InputError naming path:line."""
+    header, items = None, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+                if "_header" in doc:
+                    header = doc["_header"]
+                else:
+                    items.append(parse(doc))
+            except KeyError as exc:
+                raise InputError(f"{path}:{lineno}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+    return header, items
+
+
 # --- instance boxes from labeled points --------------------------------------
 
 def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
@@ -371,7 +386,5 @@ def build_scene_metadata(scene_id: str, objects, points=None) -> SceneMetadata:
     else:
         corners = np.concatenate([o.box.corners() for o in objects], axis=0)
         lo, hi = corners.min(axis=0), corners.max(axis=0)
-    counts = {}
-    for o in objects:
-        counts[o.category] = counts.get(o.category, 0) + 1
+    counts = dict(Counter(o.category for o in objects))
     return SceneMetadata(scene_id, (lo, hi), (lo + hi) / 2.0, counts, objects)

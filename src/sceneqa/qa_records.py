@@ -78,11 +78,33 @@ def validate_record(rec: QaRecord):
         if rec.options:
             raise ValueError("NA record must not carry options")
         try:
-            float(rec.ground_truth)
+            value = float(rec.ground_truth)
         except ValueError:
             raise ValueError("NA ground truth does not parse as a number") from None
+        if not value > 0:
+            raise ValueError(f"NA ground truth must be positive, got {rec.ground_truth!r}")
     else:
         raise ValueError(f"unknown answer type {rec.answer_type!r}")
+
+
+def make_record(scene_id: str, task: str, counter: int, answer_type: str,
+                question: str, ground_truth: str, options=None, frame_refs=(),
+                meta=None) -> QaRecord:
+    """The one record constructor for every generator; raises ValueError on
+    a record that breaks the invariants of ``validate_record``."""
+    rec = QaRecord(
+        qid=make_qid(scene_id, task, counter),
+        scene_id=scene_id,
+        task=task,
+        answer_type=answer_type,
+        question=question,
+        options=tuple(options) if options is not None else None,
+        ground_truth=ground_truth,
+        frame_refs=tuple(frame_refs),
+        meta=meta or {},
+    )
+    validate_record(rec)
+    return rec
 
 
 def record_to_dict(rec: QaRecord) -> dict:
@@ -171,10 +193,10 @@ class GenConfig:
                      "alt_turn_threshold_deg", "max_anchor_dist_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("appearance_gap_frames", "sample_frames", "max_per_task",
-                     "turn_window_segments"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, least in (("appearance_gap_frames", 1), ("sample_frames", 2),
+                            ("max_per_task", 1), ("turn_window_segments", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 def round_tenth(value: float) -> str:

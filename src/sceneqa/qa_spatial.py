@@ -1,8 +1,9 @@
 """The seven scene-level spatial question families.
 
-Each generator is a pure function of (graph, config): iteration follows a
-sorted object order, randomness comes only from named RNG streams, and the
-emitted record list is byte-stable across runs and worker layouts.
+Each generator is a pure function ``gen(ctx, cfg)`` of the scene context
+and the config: iteration follows a sorted object order, randomness comes
+only from named RNG streams, and the emitted record list is byte-stable
+across runs and worker layouts.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import numpy as np
 
 from .errors import DegenerateDirection
 from .geometry import box_box_distance, planar_signed_angle
-from .graph import SceneGraph, unique_category_objects
+from .graph import SceneContext
 from .qa_records import (
     ANSWER_MCA,
     ANSWER_NA,
     GenConfig,
-    QaRecord,
-    make_qid,
+    make_record,
     rng_stream,
     round_tenth,
     round_unit,
@@ -27,30 +27,13 @@ from .qa_records import (
 )
 
 
-def _record(g, task, counter, answer_type, question, ground_truth,
-            options=None, frame_refs=(), meta=None):
-    return QaRecord(
-        qid=make_qid(g.scene_id, task, counter),
-        scene_id=g.scene_id,
-        task=task,
-        answer_type=answer_type,
-        question=question,
-        options=tuple(options) if options is not None else None,
-        ground_truth=ground_truth,
-        frame_refs=tuple(frame_refs),
-        meta=meta or {},
-    )
-
-
-def gen_object_count(g: SceneGraph, cfg: GenConfig):
+def gen_object_count(ctx: SceneContext, cfg: GenConfig):
     """One numeric question per category with at least two instances."""
-    counts = {}
-    for o in g.scene.objects:
-        counts[o.category] = counts.get(o.category, 0) + 1
+    counts = ctx.graph.scene.category_counts
     records = []
     for cat in sorted(c for c, n in counts.items() if n >= 2):
-        records.append(_record(
-            g, "obj_count", len(records), ANSWER_NA,
+        records.append(make_record(
+            ctx.scene_id, "obj_count", len(records), ANSWER_NA,
             f"How many {cat}(s) are in this room?",
             str(counts[cat]),
             meta={"category": cat},
@@ -58,18 +41,17 @@ def gen_object_count(g: SceneGraph, cfg: GenConfig):
     return records
 
 
-def gen_absolute_distance(g: SceneGraph, cfg: GenConfig):
+def gen_absolute_distance(ctx: SceneContext, cfg: GenConfig):
     """Closest-point distance between two category-unique objects, in meters."""
-    uniq = unique_category_objects(g)
-    pairs = list(combinations(uniq, 2))
-    pairs = subsample(pairs, cfg.max_per_task, rng_stream(cfg.seed, g.scene_id, "abs_dist", "select"))
+    pairs = list(combinations(ctx.unique_objects, 2))
+    pairs = subsample(pairs, cfg.max_per_task, rng_stream(cfg.seed, ctx.scene_id, "abs_dist", "select"))
     records = []
     for a, b in pairs:
         dist = box_box_distance(a.box, b.box)
         if dist < cfg.min_pair_dist_m:
             continue
-        records.append(_record(
-            g, "abs_dist", len(records), ANSWER_NA,
+        records.append(make_record(
+            ctx.scene_id, "abs_dist", len(records), ANSWER_NA,
             f"Measuring from the closest point of each object, what is the "
             f"distance between the {a.category} and the {b.category} (in meters)?",
             round_tenth(dist),
@@ -78,20 +60,20 @@ def gen_absolute_distance(g: SceneGraph, cfg: GenConfig):
     return records
 
 
-def gen_relative_distance(g: SceneGraph, cfg: GenConfig):
+def gen_relative_distance(ctx: SceneContext, cfg: GenConfig):
     """Which of four candidates is closest to a target object (MCA).
 
     Emitted only when the winner beats the runner-up by the ambiguity
     margin; candidate draws come from a per-target RNG stream.
     """
-    uniq = unique_category_objects(g)
+    uniq = ctx.unique_objects
     if len(uniq) < 5:
         return []
     records = []
     for k, target in enumerate(uniq):
         if len(records) >= cfg.max_per_task:
             break
-        rng = rng_stream(cfg.seed, g.scene_id, "rel_dist", k)
+        rng = rng_stream(cfg.seed, ctx.scene_id, "rel_dist", k)
         others = [o for o in uniq if o.instance_id != target.instance_id]
         picks = rng.choice(len(others), size=4, replace=False).tolist()
         candidates = [others[i] for i in picks]
@@ -101,8 +83,8 @@ def gen_relative_distance(g: SceneGraph, cfg: GenConfig):
             continue
         options = [c.category for c in candidates]
         winner = candidates[order[0]].category
-        records.append(_record(
-            g, "rel_dist", len(records), ANSWER_MCA,
+        records.append(make_record(
+            ctx.scene_id, "rel_dist", len(records), ANSWER_MCA,
             f"Measuring from the closest point of each object, which of these "
             f"objects ({', '.join(options)}) is the closest to the {target.category}?",
             winner, options=options,
@@ -122,12 +104,11 @@ def _direction_bucket(theta: float, cfg: GenConfig):
     return None  # front cone / boundary: discard
 
 
-def gen_relative_direction(g: SceneGraph, cfg: GenConfig):
+def gen_relative_direction(ctx: SceneContext, cfg: GenConfig):
     """Left/right/back of a query object from an observer standing at A facing B."""
-    uniq = unique_category_objects(g)
-    triples = list(permutations(uniq, 3))
+    triples = list(permutations(ctx.unique_objects, 3))
     triples = subsample(triples, cfg.max_per_task,
-                        rng_stream(cfg.seed, g.scene_id, "rel_dir", "select"))
+                        rng_stream(cfg.seed, ctx.scene_id, "rel_dir", "select"))
     records = []
     for a, b, c in triples:
         forward = b.box.center - a.box.center
@@ -141,8 +122,8 @@ def gen_relative_direction(g: SceneGraph, cfg: GenConfig):
         bucket = _direction_bucket(theta, cfg)
         if bucket is None:
             continue
-        records.append(_record(
-            g, "rel_dir", len(records), ANSWER_MCA,
+        records.append(make_record(
+            ctx.scene_id, "rel_dir", len(records), ANSWER_MCA,
             f"If I am standing by the {a.category} and facing the {b.category}, "
             f"is the {c.category} to the left, to the right, or behind me?",
             bucket, options=["left", "right", "back"],
@@ -152,16 +133,22 @@ def gen_relative_direction(g: SceneGraph, cfg: GenConfig):
     return records
 
 
-def gen_object_size(g: SceneGraph, cfg: GenConfig):
-    """Longest box dimension of each category-unique object, in centimeters."""
+def gen_object_size(ctx: SceneContext, cfg: GenConfig):
+    """Longest box dimension of each category-unique object, in centimeters.
+
+    Objects whose size rounds to 0 cm are skipped: a zero truth cannot be
+    scored by relative accuracy.
+    """
     records = []
-    for obj in unique_category_objects(g):
-        longest_cm = float(np.max(obj.box.size)) * 100.0
-        records.append(_record(
-            g, "obj_size", len(records), ANSWER_NA,
+    for obj in ctx.unique_objects:
+        truth = round_unit(float(np.max(obj.box.size)) * 100.0)
+        if truth == "0":
+            continue
+        records.append(make_record(
+            ctx.scene_id, "obj_size", len(records), ANSWER_NA,
             f"What is the length of the longest dimension (length, width, or "
             f"height) of the {obj.category}, measured in centimeters?",
-            round_unit(longest_cm),
+            truth,
             meta={"instance": obj.instance_id},
         ))
     return records
@@ -193,45 +180,48 @@ def convex_hull_area_xy(points: np.ndarray) -> float:
     return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
 
 
-def gen_room_size(g: SceneGraph, cfg: GenConfig, cloud=None):
+def gen_room_size(ctx: SceneContext, cfg: GenConfig):
     """Room floor area in square meters.
 
-    Uses the convex hull of the floor-projected cloud when one is supplied
+    Uses the convex hull of the floor-projected cloud when the scene has one
     (an over-estimate for non-convex rooms, recorded in meta), otherwise the
-    scene-extents footprint.
+    scene-extents footprint. Nothing is emitted when the area rounds to 0.
     """
-    if cloud is not None:
-        area = convex_hull_area_xy(cloud.positions)
+    if ctx.cloud is not None:
+        area = convex_hull_area_xy(ctx.cloud.positions)
         method = "convex_hull"
     else:
-        lo, hi = g.scene.scene_extents
+        lo, hi = ctx.graph.scene.scene_extents
         area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
         method = "extents"
-    return [_record(
-        g, "room_size", 0, ANSWER_NA,
+    truth = round_tenth(area)
+    if float(truth) <= 0:
+        return []
+    return [make_record(
+        ctx.scene_id, "room_size", 0, ANSWER_NA,
         "What is the area of this room (in square meters)?",
-        round_tenth(area),
+        truth,
         meta={"method": method},
     )]
 
 
-def gen_appearance_order(g: SceneGraph, cfg: GenConfig):
+def gen_appearance_order(ctx: SceneContext, cfg: GenConfig):
     """First-appearance order of four categories (MCA over orderings).
 
     Only category quadruples whose first-seen frames are pairwise separated
     by at least ``appearance_gap_frames`` are used, so the right order stays
     unambiguous under small annotation shifts.
     """
-    seen = sorted(g.category_first_seen.items(), key=lambda kv: (kv[1], kv[0]))
+    seen = sorted(ctx.graph.category_first_seen.items(), key=lambda kv: (kv[1], kv[0]))
     if len(seen) < 4:
         return []
     quads = [q for q in combinations(seen, 4)
              if all(q[i + 1][1] - q[i][1] >= cfg.appearance_gap_frames for i in range(3))]
     quads = subsample(quads, cfg.max_per_task,
-                      rng_stream(cfg.seed, g.scene_id, "appearance_order", "select"))
+                      rng_stream(cfg.seed, ctx.scene_id, "appearance_order", "select"))
     records = []
     for k, quad in enumerate(quads):
-        rng = rng_stream(cfg.seed, g.scene_id, "appearance_order", k)
+        rng = rng_stream(cfg.seed, ctx.scene_id, "appearance_order", k)
         cats = [cat for cat, _ in quad]  # already ascending by first-seen
         truth = ", ".join(cats)
         distractors = []
@@ -242,8 +232,8 @@ def gen_appearance_order(g: SceneGraph, cfg: GenConfig):
         options = [truth, *distractors]
         rng.shuffle(options)
         listed = rng.permutation(cats).tolist()
-        records.append(_record(
-            g, "appearance_order", len(records), ANSWER_MCA,
+        records.append(make_record(
+            ctx.scene_id, "appearance_order", len(records), ANSWER_MCA,
             f"What will be the first-time appearance order of the following "
             f"categories in the video: {', '.join(listed)}?",
             truth, options=options,

@@ -3,7 +3,8 @@
 All scenes are static: every temporal quantity here is a function of the
 camera poses alone. Questions refer to 1-based positions within a sampled
 frame sequence ("frame i of n"); record frame_refs carry the underlying
-frame ids.
+frame ids. A capture with fewer than two frames has an empty sequence, and
+every generator here then emits nothing.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import closest_point_on_box
-from .graph import SceneGraph, camera_position, object_in_camera
+from .graph import SceneContext, camera_position, object_in_camera
 from .qa_records import (
     ANSWER_MCA,
     ANSWER_NA,
     GenConfig,
-    QaRecord,
-    make_qid,
+    make_record,
     rng_stream,
     round_tenth,
     subsample,
@@ -40,46 +40,22 @@ class FramePairSpec:
             raise ValueError(f"need 1 <= i < j <= n, got ({self.i}, {self.j}, {self.n})")
 
 
-def _record(g, task, counter, answer_type, question, ground_truth,
-            options=None, frame_refs=(), meta=None):
-    return QaRecord(
-        qid=make_qid(g.scene_id, task, counter),
-        scene_id=g.scene_id,
-        task=task,
-        answer_type=answer_type,
-        question=question,
-        options=tuple(options) if options is not None else None,
-        ground_truth=ground_truth,
-        frame_refs=tuple(frame_refs),
-        meta=meta or {},
-    )
-
-
-def _unique_visible(g: SceneGraph, frame_id: int):
-    """Category-unique objects visible in a frame, sorted by category."""
-    counts = {}
-    for o in g.scene.objects:
-        counts[o.category] = counts.get(o.category, 0) + 1
-    vis = g.visible_in(frame_id)
-    return sorted((g.object(i) for i in vis if counts[g.object(i).category] == 1),
-                  key=lambda o: o.category)
-
-
-def gen_cam_obj_abs_dist(g: SceneGraph, seq, cfg: GenConfig):
+def gen_cam_obj_abs_dist(ctx: SceneContext, cfg: GenConfig):
     """Distance from the camera to the closest box point of a visible object."""
+    g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
     cases = [(pos, fid, obj)
              for pos, fid in enumerate(seq)
-             for obj in _unique_visible(g, fid)]
+             for obj in ctx.unique_visible(fid)]
     cases = subsample(cases, cfg.max_per_task,
-                      rng_stream(cfg.seed, g.scene_id, "cam_obj_abs_dist", "select"))
+                      rng_stream(cfg.seed, ctx.scene_id, "cam_obj_abs_dist", "select"))
     records = []
     for pos, fid, obj in cases:
         _, dist = closest_point_on_box(camera_position(g, fid), obj.box)
         if dist < cfg.min_pair_dist_m:  # camera inside or touching: degenerate
             continue
-        records.append(_record(
-            g, "cam_obj_abs_dist", len(records), ANSWER_NA,
+        records.append(make_record(
+            ctx.scene_id, "cam_obj_abs_dist", len(records), ANSWER_NA,
             f"In frame {pos + 1} of {n}, approximately how far (in meters) is "
             f"the camera from the closest point of the {obj.category}?",
             round_tenth(dist),
@@ -89,17 +65,18 @@ def gen_cam_obj_abs_dist(g: SceneGraph, seq, cfg: GenConfig):
     return records
 
 
-def gen_cam_obj_rel_dist(g: SceneGraph, seq, cfg: GenConfig):
+def gen_cam_obj_rel_dist(ctx: SceneContext, cfg: GenConfig):
     """Which of four visible candidates is closest to the camera (MCA)."""
+    g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
     records = []
     for pos, fid in enumerate(seq):
         if len(records) >= cfg.max_per_task:
             break
-        visible = _unique_visible(g, fid)
+        visible = ctx.unique_visible(fid)
         if len(visible) < 4:
             continue
-        rng = rng_stream(cfg.seed, g.scene_id, "cam_obj_rel_dist", pos)
+        rng = rng_stream(cfg.seed, ctx.scene_id, "cam_obj_rel_dist", pos)
         picks = rng.choice(len(visible), size=4, replace=False).tolist()
         candidates = [visible[i] for i in picks]
         cam = camera_position(g, fid)
@@ -108,8 +85,8 @@ def gen_cam_obj_rel_dist(g: SceneGraph, seq, cfg: GenConfig):
         if dists[order[1]] - dists[order[0]] < cfg.ambiguity_margin_m:
             continue
         options = [c.category for c in candidates]
-        records.append(_record(
-            g, "cam_obj_rel_dist", len(records), ANSWER_MCA,
+        records.append(make_record(
+            ctx.scene_id, "cam_obj_rel_dist", len(records), ANSWER_MCA,
             f"In frame {pos + 1} of {n}, which of these objects "
             f"({', '.join(options)}) is the closest to the camera?",
             candidates[order[0]].category, options=options,
@@ -129,21 +106,22 @@ _AXIS_RULES = (
 )
 
 
-def gen_obj_obj_rel_pos(g: SceneGraph, seq, cfg: GenConfig):
+def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
     """Axis-separated relative position of two objects from the camera.
 
     A question is emitted only when one object's corner interval on the
     compared camera axis lies entirely beyond the other's by the configured
     gap, so the answer is unambiguous.
     """
+    g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
     cases = []
     for pos, fid in enumerate(seq):
-        for a, b in combinations(_unique_visible(g, fid), 2):
+        for a, b in combinations(ctx.unique_visible(fid), 2):
             for axis_idx in range(3):
                 cases.append((pos, fid, a, b, axis_idx))
     cases = subsample(cases, cfg.max_per_task,
-                      rng_stream(cfg.seed, g.scene_id, "obj_obj_rel_pos", "select"))
+                      rng_stream(cfg.seed, ctx.scene_id, "obj_obj_rel_pos", "select"))
     records = []
     for pos, fid, a, b, axis_idx in cases:
         axis, low_label, high_label, fragment = _AXIS_RULES[axis_idx]
@@ -155,8 +133,8 @@ def gen_obj_obj_rel_pos(g: SceneGraph, seq, cfg: GenConfig):
             truth = high_label
         else:
             continue
-        records.append(_record(
-            g, "obj_obj_rel_pos", len(records), ANSWER_MCA,
+        records.append(make_record(
+            ctx.scene_id, "obj_obj_rel_pos", len(records), ANSWER_MCA,
             f"From the camera's viewpoint in frame {pos + 1} of {n}, is the "
             f"{a.category} {fragment} relative to the {b.category}?",
             truth, options=[low_label, high_label],
@@ -168,12 +146,13 @@ def gen_obj_obj_rel_pos(g: SceneGraph, seq, cfg: GenConfig):
     return records
 
 
-def gen_cam_displacement(g: SceneGraph, seq, cfg: GenConfig):
+def gen_cam_displacement(ctx: SceneContext, cfg: GenConfig):
     """Straight-line camera travel between two sampled frames, in meters."""
+    g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
     pairs = list(combinations(range(n), 2))
     pairs = subsample(pairs, cfg.max_per_task,
-                      rng_stream(cfg.seed, g.scene_id, "cam_displacement", "select"))
+                      rng_stream(cfg.seed, ctx.scene_id, "cam_displacement", "select"))
     records = []
     for i, j in pairs:
         pair = FramePairSpec(i + 1, j + 1, n)
@@ -182,8 +161,8 @@ def gen_cam_displacement(g: SceneGraph, seq, cfg: GenConfig):
         dist = float(np.linalg.norm(t_j - t_i))
         if dist < cfg.min_displacement_m:
             continue
-        records.append(_record(
-            g, "cam_displacement", len(records), ANSWER_NA,
+        records.append(make_record(
+            ctx.scene_id, "cam_displacement", len(records), ANSWER_NA,
             f"Approximately how far (in meters) did the camera move between "
             f"frame {pair.i} and frame {pair.j} of {pair.n}?",
             round_tenth(dist),
@@ -216,12 +195,13 @@ def classify_camera_motion(rotation_start: np.ndarray, displacement: np.ndarray,
     return None
 
 
-def gen_cam_move_dir(g: SceneGraph, seq, cfg: GenConfig):
+def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
     """Primary direction of camera translation over a frame span (MCA)."""
+    g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
     pairs = list(combinations(range(n), 2))
     pairs = subsample(pairs, cfg.max_per_task,
-                      rng_stream(cfg.seed, g.scene_id, "cam_move_dir", "select"))
+                      rng_stream(cfg.seed, ctx.scene_id, "cam_move_dir", "select"))
     records = []
     for i, j in pairs:
         pair = FramePairSpec(i + 1, j + 1, n)
@@ -232,8 +212,8 @@ def gen_cam_move_dir(g: SceneGraph, seq, cfg: GenConfig):
         direction = classify_camera_motion(start.rotation, net, cfg.dominance_ratio)
         if direction is None:
             continue
-        records.append(_record(
-            g, "cam_move_dir", len(records), ANSWER_MCA,
+        records.append(make_record(
+            ctx.scene_id, "cam_move_dir", len(records), ANSWER_MCA,
             f"Relative to its orientation in frame {pair.i}, in which direction "
             f"did the camera mainly move between frame {pair.i} and frame "
             f"{pair.j} of {pair.n}?",

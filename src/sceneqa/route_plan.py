@@ -13,7 +13,6 @@ describes, so a mirrored or reversed route can never carry a stale label.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -22,7 +21,8 @@ import numpy as np
 from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, NoPath, TooShort
 from .geometry import planar_signed_angle
 from .graph import SceneGraph
-from .qa_records import ANSWER_MCA, GenConfig, QaRecord, make_qid
+from .metadata import read_jsonl
+from .qa_records import ANSWER_MCA, GenConfig, QaRecord, make_record
 
 ROUTE_OPTIONS = ("turn back", "turn left", "turn right")
 
@@ -214,17 +214,8 @@ def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
     if truth is None or (meta["template"] == "Template1" and truth != expected):
         raise NoNearbyObject("re-derived action does not name a turn; route unusable")
 
-    return QaRecord(
-        qid=make_qid(scene_id, "route_plan", counter),
-        scene_id=scene_id,
-        task="route_plan",
-        answer_type=ANSWER_MCA,
-        question=question,
-        options=ROUTE_OPTIONS,
-        ground_truth=truth,
-        frame_refs=(),
-        meta=meta,
-    )
+    return make_record(scene_id, "route_plan", counter, ANSWER_MCA, question, truth,
+                       options=ROUTE_OPTIONS, meta=meta)
 
 
 def gen_route_plan(g: SceneGraph, trajectories, cfg: GenConfig):
@@ -312,13 +303,8 @@ def plan_grid_path(occupancy: np.ndarray, cell_size_m: float,
 
 def load_trajectories(path):
     """Read the trajectory ingestion format: one JSON object per line with
-    {"scene_id": str, "waypoints": [[x, y, z?], ...]} (z defaults to 0)."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            out.append((doc["scene_id"], Trajectory(np.asarray(doc["waypoints"], dtype=float))))
+    {"scene_id": str, "waypoints": [[x, y, z?], ...]} (z defaults to 0).
+    A malformed line raises InputError naming path:line."""
+    _, out = read_jsonl(path, lambda doc: (
+        doc["scene_id"], Trajectory(np.asarray(doc["waypoints"], dtype=float))))
     return out

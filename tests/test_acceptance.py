@@ -25,13 +25,14 @@ from sceneqa.geometry import (
     quat_to_matrix,
     world_to_camera,
 )
-from sceneqa.graph import build_graph, sample_frame_sequence
+from sceneqa.graph import build_graph, scene_context
 from sceneqa.qa_records import GenConfig, validate_record
 from sceneqa.qa_spatial import SPATIAL_GENERATORS
 from sceneqa.qa_temporal import TEMPORAL_GENERATORS
 from sceneqa.route_plan import ROUTE_OPTIONS, Trajectory, classify_trajectory, render_route_qa
 
-TWELVE_FAMILIES = tuple(SPATIAL_GENERATORS) + tuple(TEMPORAL_GENERATORS)
+TWELVE_GENERATORS = {**SPATIAL_GENERATORS, **TEMPORAL_GENERATORS}
+TWELVE_FAMILIES = tuple(TWELVE_GENERATORS)
 
 
 def report(name, ok, elapsed, budget, detail=""):
@@ -103,15 +104,11 @@ def test_generator_oracle_consistency(synthetic_scenes):
     failures = []
 
     for idx, (scene, frames) in enumerate(synthetic_scenes):
-        g = build_graph(scene, frames, cfg.min_bbox_area_px)
         cloud = make_rect_cloud(900 + idx, *np.asarray(scene.scene_extents[1][:2])) \
             if idx % 2 == 0 else None
-        records = []
-        for family, gen in SPATIAL_GENERATORS.items():
-            records.extend(gen(g, cfg, cloud) if family == "room_size" else gen(g, cfg))
-        seq = sample_frame_sequence(g, cfg.sample_frames)
-        for gen in TEMPORAL_GENERATORS.values():
-            records.extend(gen(g, seq, cfg))
+        ctx = scene_context(build_graph(scene, frames, cfg.min_bbox_area_px),
+                            cfg.sample_frames, cloud)
+        records = [rec for gen in TWELVE_GENERATORS.values() for rec in gen(ctx, cfg)]
 
         for rec in records:
             validate_record(rec)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,10 +6,14 @@ import pytest
 
 from oracles import verify_record
 from synth import make_cluster_cloud, make_rect_cloud, make_scene, make_single_turn_waypoints, write_scene_dir
-from sceneqa.cli import main, read_records_jsonl
-from sceneqa.metadata import load_frame_metadata, load_scene_metadata
-from sceneqa.ply_io import write_ply
-from sceneqa.qa_records import GenConfig, validate_record
+from sceneqa import qa_spatial, qa_temporal
+from sceneqa.cli import main, read_records_jsonl, task_generators
+from sceneqa.geometry import OrientedBox3
+from sceneqa.graph import build_graph, scene_context
+from sceneqa.metadata import ObjectInstance, load_frame_metadata, load_scene_metadata
+from sceneqa.ply_io import parse_ply, write_ply
+from sceneqa.qa_records import TASKS, GenConfig, validate_record
+from sceneqa.route_plan import load_trajectories
 
 
 @pytest.fixture()
@@ -74,7 +79,6 @@ def test_gen_records_verified_by_oracles(scene_dir, tmp_path, capsys):
 
     scene = load_scene_metadata(scene_dir / "scene_metadata.json")
     frames = load_frame_metadata(scene_dir / "frame_metadata.json")
-    from sceneqa.ply_io import parse_ply
     cloud = parse_ply(scene_dir / "cloud.ply")
     cfg = GenConfig(seed=5)
 
@@ -158,13 +162,95 @@ def test_gen_single_scene_flags(scene_dir, tmp_path):
 
 
 def test_gen_graph_dump(scene_dir, tmp_path):
-    dumps = tmp_path / "graphs"
-    assert main(["gen", "--input-root", str(scene_dir.parent),
-                 "--out", str(tmp_path / "r.jsonl"), "--tasks", "obj_count",
-                 "--dump-graphs", str(dumps)]) == 0
-    doc = json.loads((dumps / "cli000.json").read_text())
+    write_scene_dir(scene_dir.parent, *make_scene(seed=2025, scene_id="cli001"))
+    runs = {}
+    for workers in ("1", "2"):
+        dumps = tmp_path / f"graphs{workers}"
+        assert main(["gen", "--input-root", str(scene_dir.parent),
+                     "--out", str(tmp_path / "r.jsonl"), "--tasks", "obj_count",
+                     "--workers", workers, "--dump-graphs", str(dumps)]) == 0
+        runs[workers] = {p.name: p.read_bytes() for p in sorted(dumps.iterdir())}
+    assert sorted(runs["1"]) == ["cli000.json", "cli001.json"]
+    assert runs["2"] == runs["1"]
+    doc = json.loads(runs["1"]["cli000.json"])
     assert doc["scene_id"] == "cli000"
     assert "first_seen" in doc
+
+
+def test_gen_single_frame_capture_skips_temporal_tasks(tmp_path):
+    scene, frames = make_scene(seed=2026, scene_id="oneframe")
+    frames = dataclasses.replace(frames, frames=frames.frames[:1])
+    root = tmp_path / "scenes"
+    write_scene_dir(root, scene, frames)
+    out = tmp_path / "r.jsonl"
+    assert main(["gen", "--input-root", str(root), "--out", str(out)]) == 0
+    _, records = read_records_jsonl(out)
+    tasks = {r.task for r in records}
+    assert tasks & set(qa_spatial.SPATIAL_GENERATORS)
+    assert not tasks & set(qa_temporal.TEMPORAL_GENERATORS)
+
+
+def test_gen_never_writes_zero_truth(tmp_path, capsys):
+    # Zero-width extents (no cloud) give a 0 m^2 room; a 4 x 3 x 2 mm object
+    # has a longest side that rounds to 0 cm. Neither may become a record.
+    scene, frames = make_scene(seed=2027, scene_id="flat")
+    lo, hi = scene.scene_extents
+    tiny = ObjectInstance(999, "button",
+                          OrientedBox3([1.0, 1.0, 0.5], [0.004, 0.003, 0.002], [1, 0, 0, 0]))
+    scene = dataclasses.replace(
+        scene, scene_extents=(lo, np.array([lo[0], hi[1], hi[2]])),
+        objects=scene.objects + (tiny,),
+        category_counts={**scene.category_counts, "button": 1})
+    root = tmp_path / "scenes"
+    write_scene_dir(root, scene, frames)
+    records = tmp_path / "r.jsonl"
+    assert main(["gen", "--input-root", str(root), "--out", str(records)]) == 0
+    _, recs = read_records_jsonl(records)
+    assert all(float(r.ground_truth) > 0 for r in recs if r.answer_type == "NA")
+    assert not any(r.task == "room_size" for r in recs)
+    assert not any(r.task == "obj_size" and r.meta["instance"] == 999 for r in recs)
+    assert any(r.task == "obj_size" for r in recs)
+
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [{"qid": r.qid, "raw_text": "0"} for r in recs])
+    assert main(["eval", "--records", str(records), "--predictions", str(preds)]) == 0
+
+
+@pytest.mark.parametrize("settings,field", [
+    ({"sample_frames": 0}, "sample_frames"),
+    ({"sample_frames": 1}, "sample_frames"),
+    ({"no_such_setting": 3}, "no_such_setting"),
+])
+def test_gen_bad_config_is_input_error(scene_dir, tmp_path, capsys, settings, field):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(settings))
+    code = main(["gen", "--input-root", str(scene_dir.parent),
+                 "--out", str(tmp_path / "r.jsonl"), "--config", str(cfg_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cfg_file) in err and field in err
+
+
+def test_task_registry_resolves_every_task_once(scene_dir):
+    sources = (set(qa_spatial.SPATIAL_GENERATORS), set(qa_temporal.TEMPORAL_GENERATORS),
+               {"route_plan"})
+    for task in TASKS:
+        assert sum(task in names for names in sources) == 1, task
+    generators = task_generators()
+    assert set(generators) == set(TASKS)
+
+    scene = load_scene_metadata(scene_dir / "scene_metadata.json")
+    frames = load_frame_metadata(scene_dir / "frame_metadata.json")
+    trajectories = [t for _, t in load_trajectories(scene_dir / "trajectories.jsonl")]
+    cfg = GenConfig(seed=5)
+    ctx = scene_context(build_graph(scene, frames, cfg.min_bbox_area_px), cfg.sample_frames,
+                        parse_ply(scene_dir / "cloud.ply"), trajectories)
+    emitted = set()
+    for task in TASKS:
+        records = generators[task](ctx, cfg)
+        assert all(rec.task == task for rec in records), task
+        emitted.update(rec.task for rec in records)
+    assert len(emitted) >= 6
 
 
 # --- eval ----------------------------------------------------------------------------
@@ -194,6 +280,47 @@ def test_eval_perfect_predictions(scene_dir, tmp_path, capsys):
     assert report["overall"] == 1.0
     assert all(v["score"] == 1.0 for v in report["per_task"].values())
     assert "overall" in capsys.readouterr().out
+
+
+GOOD_RECORD = {"qid": "s:obj_count:0000", "scene_id": "s", "task": "obj_count",
+               "answer_type": "NA", "question": "q", "ground_truth": "2",
+               "frame_refs": [], "meta": {}}
+
+
+@pytest.mark.parametrize("case,want", [
+    ("record_missing_field", ("records.jsonl:3", "'task'")),
+    ("record_invalid", ("records.jsonl:3", "ground truth must be positive")),
+    ("prediction_missing_field", ("preds.jsonl:2", "'raw_text'")),
+    ("label_map_bad_key", ("labels.json", "'chair'")),
+])
+def test_malformed_input_is_input_error(tmp_path, capsys, case, want):
+    records = tmp_path / "records.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    bad = dict(GOOD_RECORD, qid="s:obj_count:0001")
+    if case == "record_missing_field":
+        del bad["task"]
+    elif case == "record_invalid":
+        bad["ground_truth"] = "0"
+    else:
+        bad = None
+    write_jsonl(records, [{"_header": {}}, GOOD_RECORD] + ([bad] if bad else []))
+    pred_docs = [{"qid": GOOD_RECORD["qid"], "raw_text": "2"}]
+    if case == "prediction_missing_field":
+        pred_docs.append({"qid": "s:obj_count:0001"})
+    write_jsonl(preds, pred_docs)
+    argv = ["eval", "--records", str(records), "--predictions", str(preds)]
+
+    if case == "label_map_bad_key":
+        ply = tmp_path / "scan.ply"
+        write_ply(ply, make_cluster_cloud(11, [(1, 4, [0, 0, 0.5], [1, 1, 1], 200)]))
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({"4": "table", "chair": "chair"}))
+        argv = ["ingest", "--ply", str(ply), "--label-map", str(labels),
+                "--scene-id", "x", "--out", str(tmp_path / "o.json")]
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(fragment in err for fragment in want), err
 
 
 def test_eval_duplicate_qid_exit_3(scene_dir, tmp_path, capsys):

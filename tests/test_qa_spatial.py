@@ -7,7 +7,7 @@ import pytest
 from oracles import hull_area_xy, oracle_box_box_distance
 from synth import make_rect_cloud
 from sceneqa.geometry import box_box_distance
-from sceneqa.graph import build_graph
+from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 from sceneqa.ply_io import LabeledPointCloud
 from sceneqa.qa_records import GenConfig, record_to_dict, validate_record
@@ -28,8 +28,8 @@ INTR = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
         "width": 640, "height": 480}
 
 
-def hand_graph(objects, visibility_by_frame=None, n_frames=2, extent=6.0):
-    """Build a graph from handwritten object dicts and an optional
+def hand_context(objects, visibility_by_frame=None, n_frames=2, extent=6.0, cloud=None):
+    """Build a scene context from handwritten object dicts and an optional
     frame -> [instance ids] visibility table."""
     counts = {}
     for o in objects:
@@ -54,7 +54,7 @@ def hand_graph(objects, visibility_by_frame=None, n_frames=2, extent=6.0):
             for f in range(n_frames)
         ],
     })
-    return build_graph(scene, frames)
+    return scene_context(build_graph(scene, frames), CFG.sample_frames, cloud)
 
 
 def obj(instance_id, category, center, size=(0.5, 0.5, 0.5), yaw=None):
@@ -68,9 +68,9 @@ def obj(instance_id, category, center, size=(0.5, 0.5, 0.5), yaw=None):
 # --- object count ---------------------------------------------------------------
 
 def test_object_count_basic():
-    g = hand_graph([obj(1, "chair", [0, 0, 0.3]), obj(2, "chair", [1, 0, 0.3]),
+    ctx = hand_context([obj(1, "chair", [0, 0, 0.3]), obj(2, "chair", [1, 0, 0.3]),
                     obj(3, "chair", [2, 0, 0.3]), obj(4, "lamp", [3, 0, 0.3])])
-    records = gen_object_count(g, CFG)
+    records = gen_object_count(ctx, CFG)
     assert len(records) == 1  # the singleton lamp is excluded
     assert records[0].ground_truth == "3"
     assert "chair" in records[0].question
@@ -78,31 +78,31 @@ def test_object_count_basic():
 
 
 def test_object_count_empty_scene_categories():
-    g = hand_graph([obj(1, "chair", [0, 0, 0.3]), obj(2, "lamp", [1, 0, 0.3])])
-    assert gen_object_count(g, CFG) == []
+    ctx = hand_context([obj(1, "chair", [0, 0, 0.3]), obj(2, "lamp", [1, 0, 0.3])])
+    assert gen_object_count(ctx, CFG) == []
 
 
 # --- absolute distance ----------------------------------------------------------
 
 def test_absolute_distance_axis_gap():
-    g = hand_graph([obj(1, "chair", [0, 0, 0.3], (2, 2, 2)),
+    ctx = hand_context([obj(1, "chair", [0, 0, 0.3], (2, 2, 2)),
                     obj(2, "table", [5, 0, 0.3], (2, 2, 2))])
-    [rec] = gen_absolute_distance(g, CFG)
+    [rec] = gen_absolute_distance(ctx, CFG)
     assert rec.ground_truth == "3.0"
     validate_record(rec)
 
 
 def test_absolute_distance_overlap_discarded():
-    g = hand_graph([obj(1, "chair", [0, 0, 0.3], (2, 2, 2)),
+    ctx = hand_context([obj(1, "chair", [0, 0, 0.3], (2, 2, 2)),
                     obj(2, "table", [1, 0, 0.3], (2, 2, 2))])
-    assert gen_absolute_distance(g, CFG) == []
+    assert gen_absolute_distance(ctx, CFG) == []
 
 
 def test_absolute_distance_rotated_matches_oracle():
-    g = hand_graph([obj(1, "chair", [0, 0, 0.5], (1.5, 1.0, 1.0), yaw=math.radians(30)),
+    ctx = hand_context([obj(1, "chair", [0, 0, 0.5], (1.5, 1.0, 1.0), yaw=math.radians(30)),
                     obj(2, "table", [3, 0.5, 0.5], (1.0, 1.2, 0.8))])
-    [rec] = gen_absolute_distance(g, CFG)
-    a, b = g.object(1).box, g.object(2).box
+    [rec] = gen_absolute_distance(ctx, CFG)
+    a, b = ctx.graph.object(1).box, ctx.graph.object(2).box
     want = oracle_box_box_distance(a, b)
     assert abs(box_box_distance(a, b) - want) < 0.05  # before rounding
     assert abs(float(rec.ground_truth) - want) < 0.05 + 0.05
@@ -120,41 +120,41 @@ def line_scene(gaps, target_cat="table"):
         x = sign * (half + gap + half)
         objects.append(obj(2 + i, cat, [x, 0, 0.3], (0.5, 0.5, 0.5)))
         sign = -sign
-    return hand_graph(objects)
+    return hand_context(objects)
 
 
 def test_relative_distance_picks_nearest_with_margin():
-    g = line_scene([0.5, 1.0, 2.0, 3.0])
-    records = gen_relative_distance(g, CFG)
+    ctx = line_scene([0.5, 1.0, 2.0, 3.0])
+    records = gen_relative_distance(ctx, CFG)
     assert records, "expected at least one record"
     for rec in records:
         validate_record(rec)
-        target = g.object(rec.meta["target"]).box
-        cands = [g.object(i) for i in rec.meta["candidates"]]
+        target = ctx.graph.object(rec.meta["target"]).box
+        cands = [ctx.graph.object(i) for i in rec.meta["candidates"]]
         dists = [box_box_distance(target, c.box) for c in cands]
         order = np.argsort(dists)
         assert dists[order[1]] - dists[order[0]] >= CFG.ambiguity_margin_m
         assert rec.ground_truth == cands[order[0]].category
-    by_target = {g.object(r.meta["target"]).category: r for r in records}
+    by_target = {ctx.graph.object(r.meta["target"]).category: r for r in records}
     assert by_target["table"].ground_truth == "bed"
 
 
 def test_relative_distance_margin_discard():
-    g = line_scene([1.0, 1.05, 2.0, 3.0])
-    records = gen_relative_distance(g, CFG)
-    assert "table" not in {g.object(r.meta["target"]).category for r in records}
+    ctx = line_scene([1.0, 1.05, 2.0, 3.0])
+    records = gen_relative_distance(ctx, CFG)
+    assert "table" not in {ctx.graph.object(r.meta["target"]).category for r in records}
 
 
 def test_relative_distance_needs_five_objects():
-    g = hand_graph([obj(i, c, [i, 0, 0.3]) for i, c in
+    ctx = hand_context([obj(i, c, [i, 0, 0.3]) for i, c in
                     enumerate(["bed", "chair", "desk", "lamp"], start=1)])
-    assert gen_relative_distance(g, CFG) == []
+    assert gen_relative_distance(ctx, CFG) == []
 
 
 # --- relative direction ---------------------------------------------------------
 
 def rel_dir_fixture(c_pos):
-    return hand_graph([obj(1, "bed", [0, 0, 0.3]),
+    return hand_context([obj(1, "bed", [0, 0, 0.3]),
                        obj(2, "chair", [1, 0, 0.3]),
                        obj(3, "desk", list(c_pos) + [0.3])])
 
@@ -190,29 +190,40 @@ def test_relative_direction_min_planar_distance():
 # --- object size ----------------------------------------------------------------
 
 def test_object_size_longest_dimension():
-    g = hand_graph([obj(1, "sofa", [0, 0, 0.3], (0.5, 2.0, 0.8)),
+    ctx = hand_context([obj(1, "sofa", [0, 0, 0.3], (0.5, 2.0, 0.8)),
                     obj(2, "crate", [3, 0, 0.3], (1.0, 1.0, 1.0)),
                     obj(3, "chair", [5, 0, 0.3]), obj(4, "chair", [5, 2, 0.3])])
-    records = gen_object_size(g, CFG)
-    by_cat = {g.object(r.meta["instance"]).category: r for r in records}
+    records = gen_object_size(ctx, CFG)
+    by_cat = {ctx.graph.object(r.meta["instance"]).category: r for r in records}
     assert by_cat["sofa"].ground_truth == "200"
     assert by_cat["crate"].ground_truth == "100"
     assert "chair" not in by_cat  # non-unique category skipped
 
 
+def test_object_size_skips_objects_rounding_to_zero():
+    ctx = hand_context([obj(1, "button", [0, 0, 0.3], (0.004, 0.003, 0.002)),
+                        obj(2, "crate", [3, 0, 0.3], (1.0, 1.0, 1.0))])
+    [rec] = gen_object_size(ctx, CFG)
+    assert rec.meta["instance"] == 2 and rec.qid.endswith(":0000")
+
+
 # --- room size ------------------------------------------------------------------
 
 def test_room_size_from_extents_footprint():
-    g = hand_graph([obj(1, "chair", [0, 0, 0.3])], extent=1.5)  # 3 x 3 footprint
-    [rec] = gen_room_size(g, CFG, cloud=None)
+    ctx = hand_context([obj(1, "chair", [0, 0, 0.3])], extent=1.5)  # 3 x 3 footprint
+    [rec] = gen_room_size(ctx, CFG)
     assert rec.ground_truth == "9.0"
     assert rec.meta["method"] == "extents"
 
 
+def test_room_size_zero_area_not_emitted():
+    ctx = hand_context([obj(1, "chair", [0, 0, 0.3])], extent=0.01)  # 0.02 x 0.02 m
+    assert gen_room_size(ctx, CFG) == []
+
+
 def test_room_size_rectangular_cloud():
-    g = hand_graph([obj(1, "chair", [0, 0, 0.3])])
-    cloud = make_rect_cloud(3, 4.0, 5.0)
-    [rec] = gen_room_size(g, CFG, cloud=cloud)
+    ctx = hand_context([obj(1, "chair", [0, 0, 0.3])], cloud=make_rect_cloud(3, 4.0, 5.0))
+    [rec] = gen_room_size(ctx, CFG)
     assert rec.ground_truth == "20.0"
     assert rec.meta["method"] == "convex_hull"
 
@@ -230,8 +241,8 @@ def test_room_size_l_shape_hull_over_estimates():
     cloud = LabeledPointCloud(pts, np.zeros((len(pts), 3), dtype=np.uint8), zeros, zeros)
 
     true_area = 2 * 4 + 2 * 2  # 12 for the L
-    g = hand_graph([obj(1, "chair", [1, 1, 0.3])])
-    [rec] = gen_room_size(g, CFG, cloud=cloud)
+    ctx = hand_context([obj(1, "chair", [1, 1, 0.3])], cloud=cloud)
+    [rec] = gen_room_size(ctx, CFG)
     assert float(rec.ground_truth) > true_area
     assert rec.meta["method"] == "convex_hull"
     # shoelace-on-hull oracle agrees with our monotone-chain implementation
@@ -248,12 +259,12 @@ def appearance_fixture(first_seen, n_frames=25):
         objects.append(obj(i, cat, [i, 0, 0.3]))
         for f in range(first, n_frames):
             vis[f].append(i)
-    return hand_graph(objects, visibility_by_frame=vis, n_frames=n_frames)
+    return hand_context(objects, visibility_by_frame=vis, n_frames=n_frames)
 
 
 def test_appearance_order_truth_ascending():
-    g = appearance_fixture({"chair": 2, "table": 7, "lamp": 15, "sofa": 20})
-    records = gen_appearance_order(g, CFG)
+    ctx = appearance_fixture({"chair": 2, "table": 7, "lamp": 15, "sofa": 20})
+    records = gen_appearance_order(ctx, CFG)
     assert len(records) == 1
     rec = records[0]
     assert rec.ground_truth == "chair, table, lamp, sofa"
@@ -263,33 +274,33 @@ def test_appearance_order_truth_ascending():
 
 
 def test_appearance_order_gap_rule():
-    g = appearance_fixture({"chair": 2, "table": 10, "lamp": 12, "sofa": 20})
-    for rec in gen_appearance_order(g, CFG):
+    ctx = appearance_fixture({"chair": 2, "table": 10, "lamp": 12, "sofa": 20})
+    for rec in gen_appearance_order(ctx, CFG):
         cats = [c.strip() for c in rec.ground_truth.split(",")]
         assert not ({"table", "lamp"} <= set(cats))  # gap 2 < 5: never co-selected
 
 
 def test_appearance_order_needs_four_categories():
-    g = appearance_fixture({"chair": 2, "table": 10, "lamp": 18})
-    assert gen_appearance_order(g, CFG) == []
+    ctx = appearance_fixture({"chair": 2, "table": 10, "lamp": 18})
+    assert gen_appearance_order(ctx, CFG) == []
 
 
 # --- determinism ------------------------------------------------------------------
 
 def test_generators_are_deterministic(synthetic_scenes):
     scene, frames = synthetic_scenes[0]
-    g = build_graph(scene, frames)
+    ctx = scene_context(build_graph(scene, frames), CFG.sample_frames)
     for gen in (gen_object_count, gen_absolute_distance, gen_relative_distance,
                 gen_relative_direction, gen_object_size, gen_appearance_order):
-        a = [json.dumps(record_to_dict(r), sort_keys=True) for r in gen(g, CFG)]
-        b = [json.dumps(record_to_dict(r), sort_keys=True) for r in gen(g, CFG)]
+        a = [json.dumps(record_to_dict(r), sort_keys=True) for r in gen(ctx, CFG)]
+        b = [json.dumps(record_to_dict(r), sort_keys=True) for r in gen(ctx, CFG)]
         assert a == b
 
 
 def test_mca_invariants_on_synthetic_scenes(synthetic_scenes):
     for scene, frames in synthetic_scenes[:5]:
-        g = build_graph(scene, frames)
-        for rec in (gen_relative_distance(g, CFG) + gen_relative_direction(g, CFG)
-                    + gen_appearance_order(g, CFG)):
+        ctx = scene_context(build_graph(scene, frames), CFG.sample_frames)
+        for rec in (gen_relative_distance(ctx, CFG) + gen_relative_direction(ctx, CFG)
+                    + gen_appearance_order(ctx, CFG)):
             validate_record(rec)
             assert rec.ground_truth in rec.options

@@ -6,7 +6,7 @@ import pytest
 from oracles import oracle_point_box_distance
 from synth import upright_pose_matrix
 from sceneqa.geometry import closest_point_on_box, quat_to_matrix
-from sceneqa.graph import build_graph, sample_frame_sequence
+from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 from sceneqa.qa_records import GenConfig, validate_record
 from sceneqa.qa_temporal import (
@@ -24,7 +24,7 @@ INTR = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
         "width": 640, "height": 480}
 
 
-def temporal_graph(objects, poses, visible=None):
+def temporal_context(objects, poses, visible=None):
     """objects: hand dicts; poses: list of 4x4; visible: frame -> instance ids
     (defaults to everything visible everywhere)."""
     counts = {}
@@ -50,8 +50,7 @@ def temporal_graph(objects, poses, visible=None):
             for f, m in enumerate(poses)
         ],
     })
-    g = build_graph(scene, frames)
-    return g, sample_frame_sequence(g, CFG.sample_frames)
+    return scene_context(build_graph(scene, frames), CFG.sample_frames)
 
 
 def obj(instance_id, category, center, size=(2, 2, 2), yaw=None):
@@ -69,24 +68,24 @@ def identity_poses(n=2):
 # --- camera-object absolute distance ----------------------------------------------
 
 def test_cam_obj_abs_dist_axis_case():
-    g, seq = temporal_graph([obj(1, "crate", [0, 0, 3])], identity_poses())
-    records = gen_cam_obj_abs_dist(g, seq, CFG)
+    ctx = temporal_context([obj(1, "crate", [0, 0, 3])], identity_poses())
+    records = gen_cam_obj_abs_dist(ctx, CFG)
     assert records and all(r.ground_truth == "2.0" for r in records)
     validate_record(records[0])
     assert "closest point of the crate" in records[0].question
 
 
 def test_cam_obj_abs_dist_camera_inside_discarded():
-    g, seq = temporal_graph([obj(1, "crate", [0, 0, 0])], identity_poses())
-    assert gen_cam_obj_abs_dist(g, seq, CFG) == []
+    ctx = temporal_context([obj(1, "crate", [0, 0, 0])], identity_poses())
+    assert gen_cam_obj_abs_dist(ctx, CFG) == []
 
 
 def test_cam_obj_abs_dist_rotated_matches_oracle():
     box_obj = obj(1, "crate", [1.0, 2.0, 0.5], (1.5, 1.0, 0.8),
                   yaw=math.radians(35))
-    g, seq = temporal_graph([box_obj], identity_poses())
-    [rec] = gen_cam_obj_abs_dist(g, seq, CFG)[:1]
-    box = g.object(1).box
+    ctx = temporal_context([box_obj], identity_poses())
+    [rec] = gen_cam_obj_abs_dist(ctx, CFG)[:1]
+    box = ctx.graph.object(1).box
     want = oracle_point_box_distance(np.zeros(3), box)
     _, got = closest_point_on_box(np.zeros(3), box)
     assert abs(got - want) < 0.05
@@ -105,8 +104,8 @@ def ladder_objects(gaps, cats=("bed", "chair", "desk", "lamp")):
 
 
 def test_cam_obj_rel_dist_picks_nearest():
-    g, seq = temporal_graph(ladder_objects([1.0, 2.0, 3.0, 4.0]), identity_poses())
-    records = gen_cam_obj_rel_dist(g, seq, CFG)
+    ctx = temporal_context(ladder_objects([1.0, 2.0, 3.0, 4.0]), identity_poses())
+    records = gen_cam_obj_rel_dist(ctx, CFG)
     assert records
     for rec in records:
         validate_record(rec)
@@ -115,25 +114,25 @@ def test_cam_obj_rel_dist_picks_nearest():
 
 
 def test_cam_obj_rel_dist_margin_discard():
-    g, seq = temporal_graph(ladder_objects([1.0, 1.05, 3.0, 4.0]), identity_poses())
-    assert gen_cam_obj_rel_dist(g, seq, CFG) == []
+    ctx = temporal_context(ladder_objects([1.0, 1.05, 3.0, 4.0]), identity_poses())
+    assert gen_cam_obj_rel_dist(ctx, CFG) == []
 
 
 def test_cam_obj_rel_dist_needs_four():
-    g, seq = temporal_graph(ladder_objects([1.0, 2.0, 3.0],
+    ctx = temporal_context(ladder_objects([1.0, 2.0, 3.0],
                                            cats=("bed", "chair", "desk")),
                             identity_poses())
-    assert gen_cam_obj_rel_dist(g, seq, CFG) == []
+    assert gen_cam_obj_rel_dist(ctx, CFG) == []
 
 
 # --- object-object relative position ----------------------------------------------
 
 def rel_pos_records(a_center, b_center, size=(1, 1, 1)):
-    g, seq = temporal_graph([obj(1, "bed", a_center, size),
+    ctx = temporal_context([obj(1, "bed", a_center, size),
                              obj(2, "chair", b_center, size)],
                             identity_poses())
     cfg = GenConfig(seed=0, max_per_task=50)
-    return gen_obj_obj_rel_pos(g, seq, cfg)
+    return gen_obj_obj_rel_pos(ctx, cfg)
 
 
 def test_rel_pos_near_far_separated_intervals():
@@ -182,8 +181,8 @@ def test_frame_pair_spec_invariant():
 def test_cam_displacement_345_triangle():
     poses = [np.eye(4), np.eye(4)]
     poses[1][:3, 3] = [3.0, 4.0, 0.0]
-    g, seq = temporal_graph([obj(1, "crate", [0, 0, 5])], poses)
-    [rec] = gen_cam_displacement(g, seq, CFG)
+    ctx = temporal_context([obj(1, "crate", [0, 0, 5])], poses)
+    [rec] = gen_cam_displacement(ctx, CFG)
     assert rec.ground_truth == "5.0"
     assert "of 2?" in rec.question
     validate_record(rec)
@@ -192,8 +191,8 @@ def test_cam_displacement_345_triangle():
 def test_cam_displacement_below_minimum_discarded():
     poses = [np.eye(4), np.eye(4)]
     poses[1][:3, 3] = [0.3, 0.0, 0.0]
-    g, seq = temporal_graph([obj(1, "crate", [0, 0, 5])], poses)
-    assert gen_cam_displacement(g, seq, CFG) == []
+    ctx = temporal_context([obj(1, "crate", [0, 0, 5])], poses)
+    assert gen_cam_displacement(ctx, CFG) == []
 
 
 def test_cam_displacement_phrasing_frame_16_of_32():
@@ -202,9 +201,9 @@ def test_cam_displacement_phrasing_frame_16_of_32():
         m = np.eye(4)
         m[:3, 3] = [0.11 * i, 0.0, 0.0]
         poses.append(m)
-    g, seq = temporal_graph([obj(1, "crate", [0, 0, 5])], poses)
+    ctx = temporal_context([obj(1, "crate", [0, 0, 5])], poses)
     cfg = GenConfig(seed=0, max_per_task=600)
-    records = gen_cam_displacement(g, seq, cfg)
+    records = gen_cam_displacement(ctx, cfg)
     hits = [r for r in records if r.meta["positions"] == [1, 16]]
     assert len(hits) == 1
     assert "between frame 1 and frame 16 of 32" in hits[0].question
@@ -219,8 +218,8 @@ def move_dir_records(net, rotation=None):
         poses[0][:3, :3] = rotation
     poses[1][:3, :3] = poses[0][:3, :3]
     poses[1][:3, 3] = poses[0][:3, 3] + np.asarray(net, dtype=float)
-    g, seq = temporal_graph([obj(1, "crate", [0, 0, 5])], poses)
-    return gen_cam_move_dir(g, seq, CFG)
+    ctx = temporal_context([obj(1, "crate", [0, 0, 5])], poses)
+    return gen_cam_move_dir(ctx, CFG)
 
 
 def test_cam_move_dir_pure_forward():
@@ -278,11 +277,11 @@ def test_displacement_invariant_under_rigid_rebasing():
         poses.append(m)
     rebased = [rebase @ m for m in poses]
 
-    g1, seq1 = temporal_graph([obj(1, "crate", [0, 0, 5])], poses)
-    g2, seq2 = temporal_graph([obj(1, "crate", [0, 0, 5])], rebased)
-    r1 = gen_cam_displacement(g1, seq1, CFG)
-    r2 = gen_cam_displacement(g2, seq2, CFG)
+    ctx1 = temporal_context([obj(1, "crate", [0, 0, 5])], poses)
+    ctx2 = temporal_context([obj(1, "crate", [0, 0, 5])], rebased)
+    r1 = gen_cam_displacement(ctx1, CFG)
+    r2 = gen_cam_displacement(ctx2, CFG)
     assert [r.ground_truth for r in r1] == [r.ground_truth for r in r2]
-    m1 = gen_cam_move_dir(g1, seq1, CFG)
-    m2 = gen_cam_move_dir(g2, seq2, CFG)
+    m1 = gen_cam_move_dir(ctx1, CFG)
+    m2 = gen_cam_move_dir(ctx2, CFG)
     assert [r.ground_truth for r in m1] == [r.ground_truth for r in m2]
