@@ -42,10 +42,16 @@ EXIT_EVAL = 3
 
 
 def _load(path, loader):
+    """``loader(path)``, with any parse or decode failure named by path."""
     try:
         return loader(path)
-    except SceneQaError as exc:
+    except (SceneQaError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # --- record file helpers ------------------------------------------------------
@@ -148,8 +154,7 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
 
 def cmd_ingest(args) -> int:
     cloud = _load(args.ply, parse_ply)
-    with open(args.label_map, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load(args.label_map, _read_json)
     try:
         label_map = {int(k): v for k, v in doc.items()}
     except (AttributeError, ValueError) as exc:
@@ -170,14 +175,16 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
     """Layer the generator config: defaults < config file < CLI flags."""
     values = {}
     tasks = list(TASKS)
-    workers = 1
+    workers, workers_source = 1, None
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load(args.config, _read_json)
         if not isinstance(doc, dict):
             raise InputError(f"{args.config}: expected a JSON object of generator settings")
         tasks = doc.pop("tasks", tasks)
-        workers = doc.pop("workers", workers)
+        if not (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)):
+            raise InputError(f"{args.config}: tasks must be a list of task names, "
+                             f"got {tasks!r}")
+        workers, workers_source = doc.pop("workers", workers), args.config
         values.update(doc)
     if args.seed is not None:
         values["seed"] = args.seed
@@ -186,7 +193,10 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
     if args.tasks:
         tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
     if args.workers is not None:
-        workers = args.workers
+        workers, workers_source = args.workers, "--workers"
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise InputError(f"{workers_source}: workers must be an integer >= 1, "
+                         f"got {workers!r}")
     unknown = [t for t in tasks if t not in TASKS]
     if unknown:
         raise SceneQaError(f"unknown task(s): {', '.join(unknown)}")
@@ -359,7 +369,7 @@ def main(argv=None) -> int:
     except DuplicateQid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    except (SceneQaError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (SceneQaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

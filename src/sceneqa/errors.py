@@ -17,28 +17,24 @@ class DegenerateDirection(SceneQaError):
 
 # --- parsing / ingest -------------------------------------------------------
 
-class MalformedHeader(SceneQaError):
-    """PLY header could not be parsed."""
+class PlyError(SceneQaError):
+    """A PLY file could not be read; carries the byte offset when known."""
 
     def __init__(self, message, offset=None):
         super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 
-class UnsupportedEncoding(SceneQaError):
+class MalformedHeader(PlyError):
+    """PLY header, or a value in the body, could not be parsed."""
+
+
+class UnsupportedEncoding(PlyError):
     """PLY encoding the parser does not handle (e.g. binary big-endian)."""
 
-    def __init__(self, message, offset=None):
-        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
-        self.offset = offset
 
-
-class TruncatedBody(SceneQaError):
+class TruncatedBody(PlyError):
     """PLY body ended before the declared element count was read."""
-
-    def __init__(self, message, offset=None):
-        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 class InputError(SceneQaError):

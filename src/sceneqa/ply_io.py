@@ -4,7 +4,9 @@ Supports the two encodings that annotated capture pipelines actually emit:
 ``ascii 1.0`` and ``binary_little_endian 1.0``. Vertex properties are
 discovered by name: positions from x/y/z, colors from red/green/blue,
 semantic ids from label|semantic_label, instance ids from
-instance|instance_label. Unknown properties are decoded and dropped.
+instance|instance_label. Unknown properties are decoded and dropped; in
+ASCII, values past the declared properties on a row are ignored, and a blank
+line inside the vertex block counts as truncation.
 
 Limitations (documented, raise rather than guess): binary big-endian files,
 list-typed vertex properties, and list-typed elements that precede the
@@ -13,6 +15,9 @@ vertex element in a binary file.
 
 from __future__ import annotations
 
+import io
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +117,7 @@ def _parse_header(blob: bytes):
         elif kind == "property":
             if not elements:
                 raise MalformedHeader("property before any element", offset=offset)
-            if tokens[1] == "list":
+            if tokens[1:2] == ["list"]:
                 if len(tokens) != 5:
                     raise MalformedHeader(f"bad list property: {line!r}", offset=offset)
                 elements[-1].has_list = True
@@ -140,98 +145,84 @@ def _vertex_element(elements):
     raise MalformedHeader("header declares no vertex element")
 
 
-def _read_binary_vertices(blob, body_offset, elements, v_idx, vertex):
+def _read_binary_vertices(blob, body_offset, before, count, dtype):
     offset = body_offset
-    for el in elements[:v_idx]:
+    for el in before:
         if el.has_list:
             raise UnsupportedEncoding(
                 f"cannot skip list-typed element {el.name!r} before vertex", offset=offset)
         row = sum(np.dtype(t).itemsize for _, t in el.properties)
         offset += row * el.count
-    if vertex.has_list:
-        raise UnsupportedEncoding("list-typed vertex properties are not supported",
-                                  offset=offset)
-    dtype = np.dtype([(name, t) for name, t in vertex.properties])
-    need = dtype.itemsize * vertex.count
+    need = dtype.itemsize * count
     if len(blob) - offset < need:
         raise TruncatedBody(
             f"vertex element needs {need} bytes, file has {len(blob) - offset}",
             offset=len(blob))
-    return np.frombuffer(blob, dtype=dtype, count=vertex.count, offset=offset)
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
 
 
-def _read_ascii_vertices(blob, body_offset, elements, v_idx, vertex):
-    if vertex.has_list:
-        raise UnsupportedEncoding("list-typed vertex properties are not supported",
-                                  offset=body_offset)
-    lines = blob[body_offset:].split(b"\n")
-    skip = sum(el.count for el in elements[:v_idx])
-    rows = []
-    offset = body_offset + sum(len(l) + 1 for l in lines[:skip])
-    names = [name for name, _ in vertex.properties]
-    for i in range(vertex.count):
-        line_idx = skip + i
-        if line_idx >= len(lines) or not lines[line_idx].strip():
-            raise TruncatedBody(
-                f"vertex element declares {vertex.count} rows, body ends after {i}",
-                offset=offset)
-        tokens = lines[line_idx].split()
-        if len(tokens) < len(names):
-            raise TruncatedBody(
-                f"vertex row {i} has {len(tokens)} values, expected {len(names)}",
-                offset=offset)
-        rows.append(tokens)
-        offset += len(lines[line_idx]) + 1
-
-    out = np.zeros(vertex.count, dtype=np.dtype([(n, t) for n, t in vertex.properties]))
-    for col, (name, np_type) in enumerate(vertex.properties):
-        text = [row[col] for row in rows]
+def _read_ascii_vertices(blob, body_offset, before, count, dtype):
+    body = io.BytesIO(blob)
+    body.seek(body_offset)
+    # One row per line. islice bounds must fit a machine word, and a body
+    # never holds more lines than bytes, so clamping changes no result.
+    skip = sum(el.count for el in before)
+    rows = itertools.islice(body, min(skip, len(blob)), min(skip + count, len(blob)))
+    with warnings.catch_warnings():
+        # An empty block is reported below as truncation, not as a warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            if np.dtype(np_type).kind == "f":
-                out[name] = np.array([float(t) for t in text], dtype=np_type)
-            else:
-                out[name] = np.array([int(t) for t in text], dtype=np_type)
-        except ValueError:
-            raise MalformedHeader(
-                f"vertex property {name!r} has a non-numeric value") from None
-    return out
+            table = np.loadtxt(rows, dtype=dtype, comments=None,
+                               usecols=range(len(dtype)), ndmin=1)
+        except ValueError as exc:
+            raise MalformedHeader(f"vertex element: {exc}") from None
+    # loadtxt skips blank lines, so a blank line inside the block shows up here.
+    if len(table) < count:
+        raise TruncatedBody(
+            f"vertex element declares {count} rows, body holds {len(table)}",
+            offset=len(blob))
+    return table
+
+
+def _int_column(table, aliases):
+    for name in aliases:
+        if name in table.dtype.names:
+            return table[name].astype(np.int64)
+    return np.zeros(len(table), dtype=np.int64)
 
 
 def parse_ply(path) -> LabeledPointCloud:
-    """Parse a labeled PLY file (ascii or binary little-endian)."""
+    """Parse a labeled PLY file (ascii or binary little-endian).
+
+    Every malformed input raises a SceneQaError subclass.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     fmt, elements, body_offset = _parse_header(blob)
     v_idx, vertex = _vertex_element(elements)
-
-    if fmt == "binary_little_endian":
-        table = _read_binary_vertices(blob, body_offset, elements, v_idx, vertex)
-    else:
-        table = _read_ascii_vertices(blob, body_offset, elements, v_idx, vertex)
-
-    names = table.dtype.names
+    if vertex.has_list:
+        raise UnsupportedEncoding("list-typed vertex properties are not supported",
+                                  offset=body_offset)
+    try:
+        dtype = np.dtype(vertex.properties)
+    except ValueError as exc:
+        raise MalformedHeader(f"vertex element: {exc}") from None
     for axis in ("x", "y", "z"):
-        if axis not in names:
+        if axis not in dtype.names:
             raise MalformedHeader(f"vertex element lacks property {axis!r}")
-    n = vertex.count
+
+    read = _read_binary_vertices if fmt == "binary_little_endian" else _read_ascii_vertices
+    table = read(blob, body_offset, elements[:v_idx], vertex.count, dtype)
+
     positions = np.stack([table["x"], table["y"], table["z"]], axis=1).astype(np.float64)
-
-    colors = np.zeros((n, 3), dtype=np.uint8)
-    if all(c in names for c in ("red", "green", "blue")):
+    colors = np.zeros((len(table), 3), dtype=np.uint8)
+    if all(c in dtype.names for c in ("red", "green", "blue")):
         colors = np.stack([table["red"], table["green"], table["blue"]], axis=1).astype(np.uint8)
-
-    semantic = np.zeros(n, dtype=np.int64)
-    for cand in _SEMANTIC_NAMES:
-        if cand in names:
-            semantic = table[cand].astype(np.int64)
-            break
-    instance = np.zeros(n, dtype=np.int64)
-    for cand in _INSTANCE_NAMES:
-        if cand in names:
-            instance = table[cand].astype(np.int64)
-            break
-
-    return LabeledPointCloud(positions, colors, semantic, instance)
+    try:
+        return LabeledPointCloud(positions, colors, _int_column(table, _SEMANTIC_NAMES),
+                                 _int_column(table, _INSTANCE_NAMES))
+    except ValueError as exc:
+        raise MalformedHeader(f"vertex element: {exc}") from None
 
 
 def write_ply(path, cloud: LabeledPointCloud, binary: bool = False):

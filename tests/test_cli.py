@@ -220,6 +220,11 @@ def test_gen_never_writes_zero_truth(tmp_path, capsys):
     ({"sample_frames": 0}, "sample_frames"),
     ({"sample_frames": 1}, "sample_frames"),
     ({"no_such_setting": 3}, "no_such_setting"),
+    ({"workers": "2"}, "workers"),
+    ({"workers": 0}, "workers"),
+    ({"workers": True}, "workers"),
+    ({"tasks": "obj_count"}, "tasks"),
+    ({"tasks": ["obj_count", 3]}, "tasks"),
 ])
 def test_gen_bad_config_is_input_error(scene_dir, tmp_path, capsys, settings, field):
     cfg_file = tmp_path / "cfg.json"
@@ -229,6 +234,38 @@ def test_gen_bad_config_is_input_error(scene_dir, tmp_path, capsys, settings, fi
     assert code == 2
     err = capsys.readouterr().err
     assert str(cfg_file) in err and field in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_gen_bad_workers_flag_is_input_error(scene_dir, tmp_path, capsys, workers):
+    code = main(["gen", "--input-root", str(scene_dir.parent),
+                 "--out", str(tmp_path / "r.jsonl"), "--workers", workers])
+    assert code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,target,content", [
+    ("gen", "frame_metadata.json", b'{"scene_id": '),
+    ("gen", "scene_metadata.json", b'{"scene_id": "caf\xe9"}'),
+    ("gen", "config.json", b"{workers: 2}"),
+    ("ingest", "labels.json", b'{"4": '),
+], ids=["frames_truncated", "scene_not_utf8", "config_not_json", "label_map_truncated"])
+def test_unreadable_json_names_the_file(scene_dir, tmp_path, capsys, command, target, content):
+    labels, config = tmp_path / "labels.json", tmp_path / "config.json"
+    labels.write_text(json.dumps({"4": "chair"}))
+    config.write_text("{}")
+    bad = (tmp_path if target in ("labels.json", "config.json") else scene_dir) / target
+    bad.write_bytes(content)
+    if command == "gen":
+        argv = ["gen", "--input-root", str(scene_dir.parent), "--config", str(config),
+                "--out", str(tmp_path / "r.jsonl")]
+    else:
+        ply = tmp_path / "scan.ply"
+        write_ply(ply, make_cluster_cloud(11, [(1, 4, [0, 0, 0.5], [1, 1, 1], 200)]))
+        argv = ["ingest", "--ply", str(ply), "--label-map", str(labels),
+                "--scene-id", "x", "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_task_registry_resolves_every_task_once(scene_dir):

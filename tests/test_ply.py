@@ -1,9 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import make_cluster_cloud
-from sceneqa.errors import MalformedHeader, TruncatedBody, UnsupportedEncoding
-from sceneqa.ply_io import LabeledPointCloud, parse_ply, write_ply
+from sceneqa.cli import main
+from sceneqa.errors import MalformedHeader, SceneQaError, TruncatedBody, UnsupportedEncoding
+from sceneqa.ply_io import (
+    LabeledPointCloud,
+    _parse_header,
+    _read_ascii_vertices,
+    _vertex_element,
+    parse_ply,
+    write_ply,
+)
 
 ASCII_FIXTURE = """ply
 format ascii 1.0
@@ -123,3 +135,219 @@ def test_cloud_invariants():
     with pytest.raises(ValueError):
         LabeledPointCloud(np.zeros((1, 3)), np.zeros((1, 3), dtype=np.uint8),
                           np.zeros(1, dtype=np.int64), np.array([-1]))
+
+
+# --- the vertex table against the former per-token reader ----------------------
+
+def reference_ascii_table(blob):
+    """The former ASCII reader: split each row, convert every token with
+    Python float() or int(), one column at a time."""
+    _, elements, body_offset = _parse_header(blob)
+    v_idx, vertex = _vertex_element(elements)
+    lines = blob[body_offset:].split(b"\n")
+    skip = sum(el.count for el in elements[:v_idx])
+    rows = [lines[skip + i].split() for i in range(vertex.count)]
+    out = np.zeros(vertex.count, dtype=np.dtype(vertex.properties))
+    for col, (name, np_type) in enumerate(vertex.properties):
+        convert = float if np.dtype(np_type).kind == "f" else int
+        out[name] = np.array([convert(row[col]) for row in rows], dtype=np_type)
+    return out
+
+
+def ascii_table(blob):
+    _, elements, body_offset = _parse_header(blob)
+    v_idx, vertex = _vertex_element(elements)
+    return _read_ascii_vertices(blob, body_offset, elements[:v_idx], vertex.count,
+                                np.dtype(vertex.properties))
+
+
+def assert_same_table(blob):
+    table, ref = ascii_table(blob), reference_ascii_table(blob)
+    assert table.dtype == ref.dtype
+    assert table.tobytes() == ref.tobytes()
+
+
+WIDE_HEADER = """ply
+format ascii 1.0
+element vertex {n}
+property float x
+property double y
+property float z
+property char c
+property short s
+property int label
+property uint instance
+end_header
+"""
+
+AWKWARD_ROWS = [
+    "0.1000000000000000055511151231257827021181583404541015625 0.1 -0.0 -128 -32768 -2147483648 0",
+    "3.4028234663852886e+38 1.7976931348623157e308 -3.4028235e38 127 32767 2147483647 4294967295",
+    "1.4e-45 4.9e-324 1e-40 -1 -1 -1 1",
+    "1.00000005960464477539062499 1.00000005960464477539062501 16777217 +7 +0 -0 +12",
+    "-2.5E+2 1e-3 6.02214076e23 0 0 0 0",
+    "123456789.123456789 0.30000000000000004 -1.17549435e-38 5 -5 5 5",
+]
+
+
+def test_awkward_literals_match_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(600) * 10.0 ** rng.integers(-40, 38, 600)
+    formats = ("{!r}", "{:.9g}", "{:.20e}", "{:.3f}")
+    rows = list(AWKWARD_ROWS)
+    for i, v in enumerate(values):
+        text = formats[i % len(formats)].format(float(v))
+        rows.append(f"{text} {text} {text} {i % 256 - 128} {-i} {i * 7919} {i}")
+    blob = (WIDE_HEADER.format(n=len(rows)) + "\n".join(rows) + "\n").encode("ascii")
+    assert_same_table(blob)
+    cloud = parse_ply(write(tmp_path / "wide.ply", blob.decode("ascii")))
+    assert np.signbit(cloud.positions[0, 2])
+
+
+def test_cluster_cloud_matches_reference(tmp_path):
+    source = make_cluster_cloud(8, [(1, 4, [0, 0, 0], [1, 1, 1], 300),
+                                    (2, 7, [3, 3, 1], [0.5, 0.5, 0.5], 200)])
+    write_ply(tmp_path / "a.ply", source, binary=False)
+    assert_same_table((tmp_path / "a.ply").read_bytes())
+
+
+ELEMENT_BEFORE_VERTEX = ASCII_FIXTURE.replace(
+    "element vertex 3",
+    "element camera 2\nproperty float focal\nproperty list uchar int ids\nelement vertex 3",
+).replace("end_header\n", "end_header\n35.0 3 1 2 3\n50.0 0\n") + "3 1 2 3\n"
+
+
+def test_element_before_vertex_matches_reference(tmp_path):
+    assert_same_table(ELEMENT_BEFORE_VERTEX.encode("ascii"))
+    cloud = parse_ply(write(tmp_path / "e.ply", ELEMENT_BEFORE_VERTEX))
+    assert cloud.semantic_labels.tolist() == [4, 4, 7]
+
+
+def test_blank_line_inside_vertex_block_is_truncation(tmp_path):
+    text = ASCII_FIXTURE.replace("4 1\n2.0", "4 1\n\n2.0")
+    with pytest.raises(TruncatedBody) as err:
+        parse_ply(write(tmp_path / "b.ply", text))
+    assert err.value.offset == len(text)
+
+
+def test_extra_trailing_values_ignored(tmp_path):
+    text = ASCII_FIXTURE.replace("7 2\n", "7 2 0.5 9\n")
+    assert_same_table(text.encode("ascii"))
+    cloud = parse_ply(write(tmp_path / "x.ply", text))
+    assert cloud.instance_labels.tolist() == [1, 1, 2]
+
+
+# --- malformed input: every failure is a SceneQaError ---------------------------
+
+def binary_with_first_position(tmp_path, position):
+    write_ply(tmp_path / "src.ply", make_cluster_cloud(5, [(1, 4, [0, 0, 0], [1, 1, 1], 4)]),
+              binary=True)
+    blob = (tmp_path / "src.ply").read_bytes()
+    body = blob.index(b"end_header\n") + len(b"end_header\n")
+    first = np.asarray(position, dtype="<f4").tobytes()
+    return blob[:body] + first + blob[body + len(first):]
+
+
+MALFORMED_CASES = {
+    "bare_property": ASCII_FIXTURE.replace("property float z", "property\nproperty float z"),
+    "duplicate_property": ASCII_FIXTURE.replace("property float y", "property float x"),
+    "uchar_out_of_range": ASCII_FIXTURE.replace("255 0 0", "300 0 0"),
+    "short_row": ASCII_FIXTURE.replace("0 0 255 7 2", "0 0 255"),
+    "empty_vertex_element": ASCII_FIXTURE.replace("element vertex 3", "element vertex 0")
+                                         .split("end_header\n")[0] + "end_header\n",
+    "nan_position_ascii": ASCII_FIXTURE.replace("0.5 1.5 2.5", "0.5 nan 2.5"),
+    "negative_instance": ASCII_FIXTURE.replace("7 2\n", "7 -2\n"),
+    "nan_position_binary": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+def test_malformed_vertex_data_is_scene_error(tmp_path, capsys, case):
+    ply = tmp_path / f"{case}.ply"
+    if case == "nan_position_binary":
+        ply.write_bytes(binary_with_first_position(tmp_path, [np.nan, 0.0, 0.0]))
+    else:
+        write(ply, MALFORMED_CASES[case])
+    with pytest.raises(MalformedHeader):
+        parse_ply(ply)
+
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"4": "chair"}))
+    code = main(["ingest", "--ply", str(ply), "--label-map", str(labels),
+                 "--scene-id", "x", "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(ply) in err and "Traceback" not in err
+
+
+HEADER_LINES = ASCII_FIXTURE.split("end_header\n")[0].splitlines() + ["end_header"]
+ASCII_BODY = ASCII_FIXTURE.split("end_header\n")[1]
+HEADER_TOKENS = ["ply", "format", "ascii", "binary_little_endian", "binary_big_endian",
+                 "1.0", "comment", "element", "vertex", "face", "property", "list",
+                 "uchar", "char", "int", "uint", "float", "double", "x", "y", "z",
+                 "red", "label", "instance", "0", "-1", "2", "3", "4",
+                 "99999999999999999999", "1e3", "", "\xff"]
+
+
+@st.composite
+def edited_headers(draw):
+    lines = list(HEADER_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "mutate"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(HEADER_TOKENS))
+            lines[i] = " ".join(tokens)
+        if not lines:
+            break
+    text = "".join(line + "\n" for line in lines) + ASCII_BODY
+    return text.encode("latin-1")
+
+
+@st.composite
+def byte_edits(draw):
+    """(binary fixture?, truncation point or None, [(position, xor mask)]);
+    positions are taken modulo the fixture's length."""
+    binary = draw(st.booleans())
+    cut = draw(st.none() | st.integers(0, 4096))
+    flips = draw(st.lists(st.tuples(st.integers(0, 4096), st.integers(1, 255)), max_size=3))
+    return binary, cut, flips
+
+
+@pytest.fixture(scope="module")
+def fuzz_fixtures(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cloud = make_cluster_cloud(5, [(1, 4, [0, 0, 0], [1, 1, 1], 6),
+                                   (2, 7, [2, 2, 0], [1, 1, 1], 6)])
+    write_ply(root / "binary.ply", cloud, binary=True)
+    return root, {False: ASCII_FIXTURE.encode("ascii"),
+                  True: (root / "binary.ply").read_bytes()}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(edit=st.one_of(edited_headers(), byte_edits()))
+def test_fuzzed_input_yields_cloud_or_scene_error(fuzz_fixtures, edit):
+    root, fixtures = fuzz_fixtures
+    if isinstance(edit, bytes):
+        blob = edit
+    else:
+        binary, cut, flips = edit
+        blob = bytearray(fixtures[binary])
+        if cut is not None:
+            del blob[cut % (len(blob) + 1):]
+        for pos, mask in flips:
+            if blob:
+                blob[pos % len(blob)] ^= mask
+    path = root / "case.ply"
+    path.write_bytes(bytes(blob))
+    try:
+        cloud = parse_ply(path)
+    except SceneQaError:
+        return
+    assert len(cloud) > 0
+    assert np.all(np.isfinite(cloud.positions))
