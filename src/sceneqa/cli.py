@@ -120,7 +120,9 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
     scene = _load(inputs.scene_path, load_scene_metadata)
     frames = _load(inputs.frames_path, load_frame_metadata)
     g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
-    cloud = _load(inputs.cloud_path, parse_ply) if inputs.cloud_path else None
+    cloud = None
+    if "room_size" in tasks and inputs.cloud_path:
+        cloud = _load(inputs.cloud_path, parse_ply)
     trajectories = ()
     if "route_plan" in tasks and inputs.trajectories_path:
         trajectories = [t for sid, t in load_trajectories(inputs.trajectories_path)

@@ -300,12 +300,12 @@ def read_jsonl(path, parse):
     line]) of a JSONL file; a line that is not JSON, lacks a field or fails
     ``parse`` raises InputError naming path:line."""
     header, items = None, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 doc = json.loads(line)
                 if "_header" in doc:
                     header = doc["_header"]

@@ -6,7 +6,9 @@ discovered by name: positions from x/y/z, colors from red/green/blue,
 semantic ids from label|semantic_label, instance ids from
 instance|instance_label. Unknown properties are decoded and dropped; in
 ASCII, values past the declared properties on a row are ignored, and a blank
-line inside the vertex block counts as truncation.
+line inside the vertex block counts as truncation. Ids and colors may be
+declared with any scalar type but must hold integers that fit int64 (ids) or
+0-255 (colors).
 
 Limitations (documented, raise rather than guess): binary big-endian files,
 list-typed vertex properties, and list-typed elements that precede the
@@ -184,10 +186,24 @@ def _read_ascii_vertices(blob, body_offset, before, count, dtype):
     return table
 
 
+def _cast_column(table, name, dtype):
+    """Column ``name`` cast to the integer ``dtype``; a value the cast would
+    change (non-finite, fractional or out of range) raises MalformedHeader."""
+    values = table[name]
+    with np.errstate(invalid="ignore"):
+        cast = values.astype(dtype)
+    bad = cast != values
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise MalformedHeader(f"vertex element: property {name!r} holds {values[row]} "
+                              f"in row {row}, not a {np.dtype(dtype).name} value")
+    return cast
+
+
 def _int_column(table, aliases):
     for name in aliases:
         if name in table.dtype.names:
-            return table[name].astype(np.int64)
+            return _cast_column(table, name, np.int64)
     return np.zeros(len(table), dtype=np.int64)
 
 
@@ -217,7 +233,8 @@ def parse_ply(path) -> LabeledPointCloud:
     positions = np.stack([table["x"], table["y"], table["z"]], axis=1).astype(np.float64)
     colors = np.zeros((len(table), 3), dtype=np.uint8)
     if all(c in dtype.names for c in ("red", "green", "blue")):
-        colors = np.stack([table["red"], table["green"], table["blue"]], axis=1).astype(np.uint8)
+        colors = np.stack([_cast_column(table, c, np.uint8) for c in ("red", "green", "blue")],
+                          axis=1)
     try:
         return LabeledPointCloud(positions, colors, _int_column(table, _SEMANTIC_NAMES),
                                  _int_column(table, _INSTANCE_NAMES))

@@ -154,28 +154,88 @@ def gen_object_size(ctx: SceneContext, cfg: GenConfig):
     return records
 
 
+# A point is culled only when its orientation against every octagon edge
+# exceeds this fraction of edge length (L1) times coordinate magnitude: over
+# a thousand times the worst rounding error of that float64 test.
+_CULL_MARGIN = 2.0 ** -40
+_TINY = np.finfo(float).tiny
+
+
+def _octagon_survivors(xy: np.ndarray) -> np.ndarray:
+    """Akl-Toussaint prefilter: drop points strictly inside the octagon of
+    the extreme points in x, y, x+y and x-y, by a margin.
+
+    The eight extremes are input points listed counterclockwise, so their
+    polygon lies inside the hull. A point whose computed orientation against
+    every edge exceeds the margin is inside that polygon in exact
+    arithmetic, deep enough that it is no hull vertex. Where the test is
+    unsure, nothing is culled: a degenerate octagon (fewer than three edges)
+    or a margin that underflows culls no point, and a comparison that
+    overflows or meets a NaN is false, so the point stays.
+    """
+    if len(xy) == 0:
+        return xy
+    x, y = xy[:, 0], xy[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, d = x + y, x - y
+        ring = xy[[np.argmin(y), np.argmax(d), np.argmax(x), np.argmax(s),
+                   np.argmax(y), np.argmin(d), np.argmin(x), np.argmin(s)]]
+        edges = [(a, b) for a, b in zip(ring, np.roll(ring, -1, axis=0))
+                 if not np.array_equal(a, b)]
+        if len(edges) < 3:
+            return xy
+        scale = np.max(np.abs(ring))
+        keep = np.zeros(len(xy), dtype=bool)
+        for (ax, ay), (bx, by) in edges:
+            ex, ey = bx - ax, by - ay
+            margin = _CULL_MARGIN * (abs(ex) + abs(ey)) * scale
+            if not margin >= _TINY:
+                return xy
+            keep |= ~(ex * (y - ay) - ey * (x - ax) > margin)
+    return xy[keep]
+
+
+def _half_chain(xs: list, ys: list, order) -> list:
+    """One half of Andrew's monotone chain over indices into xs/ys; a
+    collinear middle point is dropped (``cross2 <= 0``)."""
+    chain = []
+    for i in order:
+        px, py = xs[i], ys[i]
+        while len(chain) >= 2:
+            o, a = chain[-2], chain[-1]
+            ox, oy = xs[o], ys[o]
+            if (xs[a] - ox) * (py - oy) - (ys[a] - oy) * (px - ox) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(i)
+    return chain
+
+
 def convex_hull_area_xy(points: np.ndarray) -> float:
-    """Area of the 2D convex hull of floor-projected points (monotone chain
-    + shoelace)."""
-    pts = np.unique(np.asarray(points, dtype=float)[:, :2], axis=0)
+    """Area of the 2D convex hull of floor-projected points.
+
+    An Akl-Toussaint octagon cull runs first, on the raw points; the
+    survivors are deduplicated and sorted, Andrew's monotone chain runs on
+    them as plain Python floats, and the shoelace sum over the hull gives the
+    area. The cull cannot change the area: it drops only points that lie
+    inside the hull by over a thousand times the rounding error of an
+    orientation test. Such a point is no hull vertex, and its depth, not
+    rounding, decides every test it takes part in, so it enters the chain
+    only to be popped again; the points near the hull boundary meet in the
+    same triples, under the same float64 arithmetic, as in a chain over every
+    point. The hull vertices, their order and so the area bits are unchanged;
+    the tests check this bit for bit against that full chain.
+    """
+    xy = np.asarray(points, dtype=float)[:, :2]
+    pts = np.unique(_octagon_survivors(xy), axis=0)
     if len(pts) < 3:
         return 0.0
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def cross2(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def half(iterable):
-        chain = []
-        for p in iterable:
-            while len(chain) >= 2 and cross2(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    lower = _half_chain(xs, ys, range(len(xs)))
+    upper = _half_chain(xs, ys, range(len(xs) - 1, -1, -1))
+    hull = pts[lower[:-1] + upper[:-1]]
     x, y = hull[:, 0], hull[:, 1]
     return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
 

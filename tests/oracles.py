@@ -142,6 +142,33 @@ def hull_area_xy(points) -> float:
     return float(ConvexHull(pts).volume)  # 2D "volume" is the area
 
 
+def reference_hull_area_xy(points: np.ndarray) -> float:
+    """The former ``qa_spatial.convex_hull_area_xy``, kept verbatim: a
+    monotone chain over every unique point + shoelace. The culled hull must
+    return the same float bits."""
+    pts = np.unique(np.asarray(points, dtype=float)[:, :2], axis=0)
+    if len(pts) < 3:
+        return 0.0
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross2(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(iterable):
+        chain = []
+        for p in iterable:
+            while len(chain) >= 2 and cross2(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    hull = np.array(lower[:-1] + upper[:-1])
+    x, y = hull[:, 0], hull[:, 1]
+    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+
+
 # --- record re-derivation ------------------------------------------------------
 
 def _camera_pose_by_frame(frames, frame_id):

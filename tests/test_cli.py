@@ -122,6 +122,19 @@ def test_gen_worker_count_does_not_change_bytes(tmp_path):
     assert one.read_bytes() == four.read_bytes()
 
 
+def test_gen_reads_the_cloud_only_for_room_size(scene_dir, tmp_path, capsys):
+    (scene_dir / "cloud.ply").write_bytes(b"ply\nformat ascii 1.0\ncorrupt\n")
+    out = tmp_path / "records.jsonl"
+    assert main(["gen", "--input-root", str(scene_dir.parent), "--out", str(out),
+                 "--seed", "5", "--tasks", "obj_count,obj_size"]) == 0
+    _, records = read_records_jsonl(out)
+    assert records and {r.task for r in records} <= {"obj_count", "obj_size"}
+
+    assert main(["gen", "--input-root", str(scene_dir.parent), "--out", str(out),
+                 "--seed", "5", "--tasks", "obj_count,obj_size,room_size"]) == 2
+    assert str(scene_dir / "cloud.ply") in capsys.readouterr().err
+
+
 def test_gen_config_file_with_flag_overrides(scene_dir, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"seed": 1, "max_per_task": 5,
@@ -329,6 +342,7 @@ GOOD_RECORD = {"qid": "s:obj_count:0000", "scene_id": "s", "task": "obj_count",
     ("record_invalid", ("records.jsonl:3", "ground truth must be positive")),
     ("prediction_missing_field", ("preds.jsonl:2", "'raw_text'")),
     ("label_map_bad_key", ("labels.json", "'chair'")),
+    ("record_not_utf8", ("records.jsonl:3", "utf-8")),
 ])
 def test_malformed_input_is_input_error(tmp_path, capsys, case, want):
     records = tmp_path / "records.jsonl"
@@ -345,6 +359,9 @@ def test_malformed_input_is_input_error(tmp_path, capsys, case, want):
     if case == "prediction_missing_field":
         pred_docs.append({"qid": "s:obj_count:0001"})
     write_jsonl(preds, pred_docs)
+    if case == "record_not_utf8":
+        with open(records, "ab") as fh:
+            fh.write(b'{"qid": "caf\xe9"}\n')  # latin-1, not UTF-8
     argv = ["eval", "--records", str(records), "--predictions", str(preds)]
 
     if case == "label_map_bad_key":

@@ -248,6 +248,25 @@ def binary_with_first_position(tmp_path, position):
     return blob[:body] + first + blob[body + len(first):]
 
 
+# Ids and colors declared as floats: integral values parse, anything else is rejected.
+FLOAT_IDS_FIXTURE = (ASCII_FIXTURE.replace("property uchar", "property float")
+                     .replace("property int", "property float"))
+
+
+def with_first_row(fixture, row):
+    head, body = fixture.split("end_header\n")
+    return f"{head}end_header\n{row}\n" + body.split("\n", 1)[1]
+
+
+def test_integral_float_ids_and_colors_parse(tmp_path):
+    text = with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255.0 0 0 4.0 1e0")
+    cloud = parse_ply(write(tmp_path / "f.ply", text))
+    want = parse_ply(write(tmp_path / "i.ply", ASCII_FIXTURE))
+    for field in ("colors", "semantic_labels", "instance_labels"):
+        assert getattr(cloud, field).dtype == getattr(want, field).dtype
+        np.testing.assert_array_equal(getattr(cloud, field), getattr(want, field))
+
+
 MALFORMED_CASES = {
     "bare_property": ASCII_FIXTURE.replace("property float z", "property\nproperty float z"),
     "duplicate_property": ASCII_FIXTURE.replace("property float y", "property float x"),
@@ -258,6 +277,17 @@ MALFORMED_CASES = {
     "nan_position_ascii": ASCII_FIXTURE.replace("0.5 1.5 2.5", "0.5 nan 2.5"),
     "negative_instance": ASCII_FIXTURE.replace("7 2\n", "7 -2\n"),
     "nan_position_binary": None,
+    "nan_label": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255 0 0 nan 1"),
+    "fractional_label": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255 0 0 4.5 1"),
+    "huge_label": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255 0 0 1e30 1"),
+    "inf_instance": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255 0 0 4 inf"),
+    "fractional_instance": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255 0 0 4 0.25"),
+    "nan_red": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 nan 0 0 4 1"),
+    "fractional_green": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255 0.5 0 4 1"),
+    "blue_above_255": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255 0 256 4 1"),
+    "negative_red": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 -1 0 0 4 1"),
+    "int_color_above_255": with_first_row(ASCII_FIXTURE.replace("uchar red", "int red"),
+                                          "0.5 1.5 2.5 300 0 0 4 1"),
 }
 
 
@@ -309,6 +339,22 @@ def edited_headers(draw):
     return text.encode("latin-1")
 
 
+BODY_VALUES = ["nan", "inf", "-inf", "4.5", "-1", "256", "1e30", "0.0", "7"]
+
+
+@st.composite
+def edited_values(draw):
+    """The ASCII fixture, optionally with float-typed ids and colors, with
+    one to three body values replaced."""
+    text = draw(st.sampled_from([ASCII_FIXTURE, FLOAT_IDS_FIXTURE]))
+    head, body = text.split("end_header\n")
+    rows = [line.split() for line in body.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BODY_VALUES))
+    return (head + "end_header\n" + "".join(" ".join(r) + "\n" for r in rows)).encode("ascii")
+
+
 @st.composite
 def byte_edits(draw):
     """(binary fixture?, truncation point or None, [(position, xor mask)]);
@@ -330,7 +376,7 @@ def fuzz_fixtures(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(edit=st.one_of(edited_headers(), byte_edits()))
+@given(edit=st.one_of(edited_headers(), edited_values(), byte_edits()))
 def test_fuzzed_input_yields_cloud_or_scene_error(fuzz_fixtures, edit):
     root, fixtures = fuzz_fixtures
     if isinstance(edit, bytes):
@@ -351,3 +397,5 @@ def test_fuzzed_input_yields_cloud_or_scene_error(fuzz_fixtures, edit):
         return
     assert len(cloud) > 0
     assert np.all(np.isfinite(cloud.positions))
+    assert cloud.colors.dtype == np.uint8
+    assert cloud.semantic_labels.dtype == cloud.instance_labels.dtype == np.int64

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
-from oracles import hull_area_xy, oracle_box_box_distance
+from oracles import hull_area_xy, oracle_box_box_distance, reference_hull_area_xy
 from synth import make_rect_cloud
 from sceneqa.geometry import box_box_distance
 from sceneqa.graph import build_graph, scene_context
@@ -12,6 +15,7 @@ from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 from sceneqa.ply_io import LabeledPointCloud
 from sceneqa.qa_records import GenConfig, record_to_dict, validate_record
 from sceneqa.qa_spatial import (
+    _octagon_survivors,
     convex_hull_area_xy,
     gen_absolute_distance,
     gen_appearance_order,
@@ -248,6 +252,80 @@ def test_room_size_l_shape_hull_over_estimates():
     # shoelace-on-hull oracle agrees with our monotone-chain implementation
     assert convex_hull_area_xy(pts) == pytest.approx(hull_area_xy(pts), abs=1e-9)
     assert convex_hull_area_xy(pts) == pytest.approx(14.0, abs=1e-9)
+
+
+# --- convex hull: the culled chain against the full-chain reference ----------------
+
+def _hull_clouds():
+    rng = np.random.default_rng(17)
+    n = 4000
+    r, th = np.sqrt(rng.uniform(0, 1, n)), rng.uniform(0, 2 * np.pi, n)
+    circle = np.column_stack([np.cos(th), np.sin(th)])
+    lattice = rng.integers(0, 40, size=(n, 2)) * 0.1
+    lattice = np.vstack([lattice, lattice[: n // 3],            # duplicates
+                         np.column_stack([np.zeros(50), np.arange(50) * 0.1])])  # a vertical run
+    t = rng.uniform(0, 1, n)
+    k = 7
+    ang = np.sort(rng.uniform(0, 2 * np.pi, k))
+    verts = np.column_stack([np.cos(ang), np.sin(ang)]) * 4
+    edge, s = rng.integers(0, k, n), rng.uniform(0, 1, (n, 1))
+    on_edge = verts[edge] * (1 - s) + verts[(edge + 1) % k] * s
+    hug = on_edge + (verts.mean(axis=0) - on_edge) * 10.0 ** rng.uniform(-14, -6, (n, 1))
+    rect = make_rect_cloud(5, 7.3, 5.1, n=20000).positions
+    return {
+        "rect_20k": rect,
+        "rect_20k_float32": rect.astype(np.float32),
+        "disc": np.column_stack([r * np.cos(th), r * np.sin(th)]) * 3.0,
+        "circle": circle * 2.5,
+        "lattice_duplicates_vertical_runs": lattice,
+        "near_collinear": np.column_stack([t * 5, t * 3 + rng.normal(0, 1e-12, n)]),
+        "collinear": np.column_stack([t, 2 * t]),
+        "polygon_edges_and_hugging_interior": np.vstack([verts, on_edge, hug]),
+        "two_unique": np.repeat([[0.0, 0.0], [1.0, 2.0]], 5, axis=0),
+        "one_point": np.array([[3.0, 4.0, 0.0]]),
+        "empty": np.zeros((0, 3)),
+        "tiny_scale": rng.uniform(0, 1e-6, (n, 2)),
+        "far_offset": rng.uniform(0, 3, (n, 2)) + 1e4,
+        "far_offset_circle": circle + 1e4,
+        "nan_point": np.vstack([rect[:500, :2], [[np.nan, 1.0]]]),
+    }
+
+
+HULL_CLOUDS = _hull_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(HULL_CLOUDS))
+def test_hull_area_bitwise_equals_reference(name):
+    pts = HULL_CLOUDS[name]
+    assert convex_hull_area_xy(pts).hex() == reference_hull_area_xy(pts).hex()
+
+
+def test_hull_cull_keeps_every_vertex_and_drops_the_interior():
+    xy = np.asarray(HULL_CLOUDS["rect_20k"], dtype=float)[:, :2]
+    kept = _octagon_survivors(xy)
+    assert len(kept) < len(xy) // 100
+    for name in ("disc", "lattice_duplicates_vertical_runs", "far_offset",
+                 "polygon_edges_and_hugging_interior"):
+        xy = np.asarray(HULL_CLOUDS[name], dtype=float)
+        vertices = {tuple(p) for p in xy[ConvexHull(xy).vertices]}
+        assert vertices <= {tuple(p) for p in _octagon_survivors(xy)}, name
+
+
+def test_hull_huge_coordinates_cull_nothing():
+    xy = np.random.default_rng(3).uniform(-1e200, 1e200, (50, 2))
+    assert len(_octagon_survivors(xy)) == len(xy)  # the margin overflows: keep every point
+
+
+_COORDS = st.one_of(st.integers(-6, 6).map(lambda k: k * 0.1),
+                    st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pts=st.lists(st.tuples(_COORDS, _COORDS), max_size=40),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]), offset=st.sampled_from([0.0, -7.5, 1e4]))
+def test_hull_area_bitwise_equals_reference_fuzzed(pts, scale, offset):
+    xy = np.array(pts, dtype=float).reshape(-1, 2) * scale + offset
+    assert convex_hull_area_xy(xy).hex() == reference_hull_area_xy(xy).hex()
 
 
 # --- appearance order -----------------------------------------------------------
