@@ -8,12 +8,21 @@ Conventions (pinned once, stamped into output metadata by the generators):
     quaternions -- (w, x, y, z), unit norm, box-to-world.
 
 All functions here are pure; there is no shared mutable state.
+
+Validation contract: inputs are validated once, when a Pose or an
+OrientedBox3 is constructed and when a point enters a public function
+(``world_to_camera``, ``closest_point_on_box``, ``OrientedBox3.to_local``,
+...). The private helpers ``_world_to_camera`` and ``_closest_point`` trust
+their arguments; the hot loops (``box_box_distance``,
+``graph.object_in_camera``) call only them. A box derives its rotation
+matrix and half extents once, at construction, and every array it holds is
+read-only, so the derived arrays cannot go stale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,14 +39,26 @@ def _as_vec3(v, name="vector"):
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite components")
     return a
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D float array with the same bits (numpy computes
+    it as sqrt(v . v) over ``v.ravel(order="K")``), without its overhead."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix for a unit quaternion (w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=float)
+    w, x, y, z = np.asarray(q, dtype=float).tolist()  # plain floats: same bits, less overhead
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -101,9 +122,14 @@ class Pose:
         return self.rotation @ _as_vec3(p, "point") + self.translation
 
 
+def _world_to_camera(p: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """R^T (p - t) on trusted float (3,) inputs."""
+    return rotation.T @ (p - translation)
+
+
 def world_to_camera(p, pose: Pose) -> np.ndarray:
     """Inverse pose map: R^T (p - t)."""
-    return pose.rotation.T @ (_as_vec3(p, "point") - pose.translation)
+    return _world_to_camera(_as_vec3(p, "point"), pose.rotation, pose.translation)
 
 
 def camera_to_world(p, pose: Pose) -> np.ndarray:
@@ -119,47 +145,65 @@ _CORNER_SIGNS = np.array([
 
 @dataclass(frozen=True)
 class OrientedBox3:
-    """Oriented 3D box: center, full extents (meters) and box-to-world quaternion."""
+    """Oriented 3D box: center, full extents (meters) and box-to-world quaternion.
+
+    The rotation matrix and half extents are derived once at construction;
+    every array the box holds is a read-only copy.
+    """
 
     center: np.ndarray
     size: np.ndarray
     rotation: np.ndarray  # quaternion (w, x, y, z)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _half: np.ndarray = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = _as_vec3(self.center, "center")
-        s = _as_vec3(self.size, "size")
-        q = np.asarray(self.rotation, dtype=float)
-        if np.any(s <= 0):
+        c = _as_vec3(self.center, "center").copy()
+        s = _as_vec3(self.size, "size").copy()
+        q = np.array(self.rotation, dtype=float)
+        if (s <= 0).any():
             raise ValueError("size components must be strictly positive")
         if q.shape != (4,):
             raise ValueError(f"rotation quaternion must have shape (4,), got {q.shape}")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("rotation quaternion has non-finite components")
-        if abs(np.linalg.norm(q) - 1.0) > ORTHO_TOL:
+        if abs(vector_norm(q) - 1.0) > ORTHO_TOL:
             raise ValueError("rotation quaternion is not unit norm")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "size", s)
-        object.__setattr__(self, "rotation", q)
+        object.__setattr__(self, "center", _read_only(c))
+        object.__setattr__(self, "size", _read_only(s))
+        object.__setattr__(self, "rotation", _read_only(q))
+        object.__setattr__(self, "_matrix", _read_only(quat_to_matrix(q)))
+        object.__setattr__(self, "_half", _read_only(s / 2.0))
+        # canonical argument order of box_box_distance
+        object.__setattr__(self, "_key", tuple(c.tolist() + s.tolist() + q.tolist()))
 
     def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.rotation)
+        return self._matrix
 
     def half_size(self) -> np.ndarray:
-        return self.size / 2.0
+        return self._half
 
     def to_local(self, p) -> np.ndarray:
-        return self.rotation_matrix().T @ (_as_vec3(p, "point") - self.center)
+        return self._matrix.T @ (_as_vec3(p, "point") - self.center)
 
     def to_world(self, p_local) -> np.ndarray:
-        return self.rotation_matrix() @ np.asarray(p_local, dtype=float) + self.center
+        return self._matrix @ np.asarray(p_local, dtype=float) + self.center
 
     def corners(self) -> np.ndarray:
         """The 8 corners in world coordinates, shape (8, 3), fixed order."""
-        local = _CORNER_SIGNS * self.half_size()
-        return local @ self.rotation_matrix().T + self.center
+        local = _CORNER_SIGNS * self._half
+        return local @ self._matrix.T + self.center
 
     def contains(self, p, atol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.to_local(p)) <= self.half_size() + atol))
+        return bool(np.all(np.abs(self.to_local(p)) <= self._half + atol))
+
+
+def _closest_point(p: np.ndarray, box: OrientedBox3) -> np.ndarray:
+    """Closest point of the solid box to a trusted float (3,) point."""
+    rot, half = box._matrix, box._half
+    local = rot.T @ (p - box.center)
+    return rot @ np.clip(local, -half, half) + box.center
 
 
 def closest_point_on_box(p, box: OrientedBox3):
@@ -168,14 +212,8 @@ def closest_point_on_box(p, box: OrientedBox3):
     Returns (point, distance). Distance is exactly 0 when p lies inside.
     """
     p = _as_vec3(p, "point")
-    local = box.to_local(p)
-    clamped = np.clip(local, -box.half_size(), box.half_size())
-    point = box.to_world(clamped)
-    return point, float(np.linalg.norm(p - point))
-
-
-def _box_sort_key(box: OrientedBox3):
-    return tuple(box.center) + tuple(box.size) + tuple(box.rotation)
+    point = _closest_point(p, box)
+    return point, vector_norm(p - point)
 
 
 def box_box_distance(a: OrientedBox3, b: OrientedBox3) -> float:
@@ -186,18 +224,16 @@ def box_box_distance(a: OrientedBox3, b: OrientedBox3) -> float:
     MAX_PROJECTION_ITERS iterations. Arguments are canonically ordered first
     so the result is exactly symmetric.
     """
-    if _box_sort_key(b) < _box_sort_key(a):
+    if b._key < a._key:
         a, b = b, a
-    p, _ = closest_point_on_box(b.center, a)
+    p = _closest_point(b.center, a)
     for _ in range(MAX_PROJECTION_ITERS):
-        q, _ = closest_point_on_box(p, b)
-        p_next, _ = closest_point_on_box(q, a)
-        if np.linalg.norm(p_next - p) < STEP_TOL:
+        p_next = _closest_point(_closest_point(p, b), a)
+        if vector_norm(p_next - p) < STEP_TOL:
             p = p_next
             break
         p = p_next
-    _, dist = closest_point_on_box(p, b)
-    return dist
+    return vector_norm(p - _closest_point(p, b))
 
 
 def planar_signed_angle(from_dir, to_dir) -> float:
@@ -208,9 +244,9 @@ def planar_signed_angle(from_dir, to_dir) -> float:
     """
     u = _as_vec3(from_dir, "from_dir")[:2]
     v = _as_vec3(to_dir, "to_dir")[:2]
-    if np.linalg.norm(u) < 1e-9:
+    if vector_norm(u) < 1e-9:
         raise DegenerateDirection("from_dir has no floor-plane component")
-    if np.linalg.norm(v) < 1e-9:
+    if vector_norm(v) < 1e-9:
         raise DegenerateDirection("to_dir has no floor-plane component")
     ang = math.degrees(math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]))
     if ang >= 180.0:

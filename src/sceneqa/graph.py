@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DanglingInstanceRef, TooFewFrames, UnknownFrame, UnknownInstance
-from .geometry import world_to_camera
+from .geometry import _world_to_camera, box_box_distance
 from .metadata import FrameMetadata, SceneMetadata
 
 DEFAULT_MIN_BBOX_AREA_PX = 400.0
@@ -92,10 +92,9 @@ def camera_position(g: SceneGraph, frame_id: int) -> np.ndarray:
 
 def object_in_camera(g: SceneGraph, frame_id: int, instance_id: int) -> np.ndarray:
     """The 8 box corners of an instance in the frame's camera coordinates."""
-    fr = g.frame(frame_id)
-    obj = g.object(instance_id)
-    corners = obj.box.corners()
-    return np.stack([world_to_camera(c, fr.pose) for c in corners])
+    pose = g.frame(frame_id).pose
+    rot, t = pose.rotation, pose.translation
+    return np.stack([_world_to_camera(c, rot, t) for c in g.object(instance_id).box.corners()])
 
 
 def sample_frame_sequence(g: SceneGraph, n: int = 32):
@@ -125,10 +124,31 @@ class SceneContext:
     unique_objects: tuple  # objects whose category occurs once, sorted by category
     cloud: object = None   # LabeledPointCloud, when the scene has one
     trajectories: tuple = ()
+    # per-scene memos, filled on first use; not part of the frozen state
+    _box_distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _camera_corners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def scene_id(self) -> str:
         return self.graph.scene_id
+
+    def box_distance(self, a, b) -> float:
+        """box_box_distance of two scene objects, computed once per unordered
+        pair (exact: box_box_distance orders its arguments canonically)."""
+        key = (min(a.instance_id, b.instance_id), max(a.instance_id, b.instance_id))
+        dist = self._box_distances.get(key)
+        if dist is None:
+            dist = self._box_distances[key] = box_box_distance(a.box, b.box)
+        return dist
+
+    def corners_in_camera(self, frame_id: int, instance_id: int) -> np.ndarray:
+        """object_in_camera, computed once per (frame, instance); read-only."""
+        key = (frame_id, instance_id)
+        corners = self._camera_corners.get(key)
+        if corners is None:
+            corners = self._camera_corners[key] = object_in_camera(self.graph, frame_id, instance_id)
+            corners.flags.writeable = False
+        return corners
 
     def unique_visible(self, frame_id: int) -> list:
         """Category-unique objects visible in a frame, sorted by category."""

@@ -32,6 +32,7 @@ object.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -109,9 +110,13 @@ def _require(doc, key, path):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolation(path, "expected a number")
-    if not np.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        raise SchemaViolation(path, "number out of float range") from None
+    if not math.isfinite(number):
         raise SchemaViolation(path, "non-finite number")
-    return float(value)
+    return number
 
 
 def _integer(value, path):
@@ -313,7 +318,7 @@ def read_jsonl(path, parse):
                     items.append(parse(doc))
             except KeyError as exc:
                 raise InputError(f"{path}:{lineno}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
     return header, items
 

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import DegenerateDirection
-from .geometry import box_box_distance, planar_signed_angle
+from .geometry import planar_signed_angle, vector_norm
 from .graph import SceneContext
 from .qa_records import (
     ANSWER_MCA,
@@ -47,7 +47,7 @@ def gen_absolute_distance(ctx: SceneContext, cfg: GenConfig):
     pairs = subsample(pairs, cfg.max_per_task, rng_stream(cfg.seed, ctx.scene_id, "abs_dist", "select"))
     records = []
     for a, b in pairs:
-        dist = box_box_distance(a.box, b.box)
+        dist = ctx.box_distance(a, b)
         if dist < cfg.min_pair_dist_m:
             continue
         records.append(make_record(
@@ -77,7 +77,7 @@ def gen_relative_distance(ctx: SceneContext, cfg: GenConfig):
         others = [o for o in uniq if o.instance_id != target.instance_id]
         picks = rng.choice(len(others), size=4, replace=False).tolist()
         candidates = [others[i] for i in picks]
-        dists = [box_box_distance(target.box, c.box) for c in candidates]
+        dists = [ctx.box_distance(target, c) for c in candidates]
         order = np.argsort(dists, kind="stable")
         if dists[order[1]] - dists[order[0]] < cfg.ambiguity_margin_m:
             continue
@@ -113,7 +113,7 @@ def gen_relative_direction(ctx: SceneContext, cfg: GenConfig):
     for a, b, c in triples:
         forward = b.box.center - a.box.center
         rel = c.box.center - a.box.center
-        if np.linalg.norm(rel[:2]) < cfg.min_planar_dist_m:
+        if vector_norm(rel[:2]) < cfg.min_planar_dist_m:
             continue
         try:
             theta = planar_signed_angle(forward, rel)
@@ -216,9 +216,9 @@ def convex_hull_area_xy(points: np.ndarray) -> float:
     """Area of the 2D convex hull of floor-projected points.
 
     An Akl-Toussaint octagon cull runs first, on the raw points; the
-    survivors are deduplicated and sorted, Andrew's monotone chain runs on
-    them as plain Python floats, and the shoelace sum over the hull gives the
-    area. The cull cannot change the area: it drops only points that lie
+    survivors are lexsorted and equal neighbours dropped, Andrew's monotone
+    chain runs on them as plain Python floats, and the shoelace sum over the
+    hull gives the area. The cull cannot change the area: it drops only points that lie
     inside the hull by over a thousand times the rounding error of an
     orientation test. Such a point is no hull vertex, and its depth, not
     rounding, decides every test it takes part in, so it enters the chain
@@ -228,10 +228,13 @@ def convex_hull_area_xy(points: np.ndarray) -> float:
     the tests check this bit for bit against that full chain.
     """
     xy = np.asarray(points, dtype=float)[:, :2]
-    pts = np.unique(_octagon_survivors(xy), axis=0)
+    pts = _octagon_survivors(xy)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(len(pts), dtype=bool)
+    distinct[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[distinct]
     if len(pts) < 3:
         return 0.0
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     lower = _half_chain(xs, ys, range(len(xs)))
     upper = _half_chain(xs, ys, range(len(xs) - 1, -1, -1))

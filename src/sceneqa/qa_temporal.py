@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import closest_point_on_box
-from .graph import SceneContext, camera_position, object_in_camera
+from .geometry import closest_point_on_box, vector_norm
+from .graph import SceneContext, camera_position
 from .qa_records import (
     ANSWER_MCA,
     ANSWER_NA,
@@ -113,7 +113,7 @@ def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
     compared camera axis lies entirely beyond the other's by the configured
     gap, so the answer is unambiguous.
     """
-    g, seq = ctx.graph, ctx.frame_seq
+    seq = ctx.frame_seq
     n = len(seq)
     cases = []
     for pos, fid in enumerate(seq):
@@ -125,8 +125,8 @@ def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
     records = []
     for pos, fid, a, b, axis_idx in cases:
         axis, low_label, high_label, fragment = _AXIS_RULES[axis_idx]
-        ca = object_in_camera(g, fid, a.instance_id)[:, axis]
-        cb = object_in_camera(g, fid, b.instance_id)[:, axis]
+        ca = ctx.corners_in_camera(fid, a.instance_id)[:, axis]
+        cb = ctx.corners_in_camera(fid, b.instance_id)[:, axis]
         if ca.max() + cfg.interval_gap_m <= cb.min():
             truth = low_label
         elif cb.max() + cfg.interval_gap_m <= ca.min():
@@ -158,7 +158,7 @@ def gen_cam_displacement(ctx: SceneContext, cfg: GenConfig):
         pair = FramePairSpec(i + 1, j + 1, n)
         t_i = camera_position(g, seq[i])
         t_j = camera_position(g, seq[j])
-        dist = float(np.linalg.norm(t_j - t_i))
+        dist = vector_norm(t_j - t_i)
         if dist < cfg.min_displacement_m:
             continue
         records.append(make_record(
@@ -207,7 +207,7 @@ def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
         pair = FramePairSpec(i + 1, j + 1, n)
         start = g.frame(seq[i]).pose
         net = camera_position(g, seq[j]) - start.position
-        if np.linalg.norm(net) < cfg.min_displacement_m:
+        if vector_norm(net) < cfg.min_displacement_m:
             continue
         direction = classify_camera_motion(start.rotation, net, cfg.dominance_ratio)
         if direction is None:

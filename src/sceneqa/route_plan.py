@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, NoPath, TooShort
-from .geometry import planar_signed_angle
+from .geometry import planar_signed_angle, vector_norm
 from .graph import SceneGraph
 from .metadata import read_jsonl
 from .qa_records import ANSWER_MCA, GenConfig, QaRecord, make_record
@@ -147,9 +147,9 @@ def label_anchors(route: ClassifiedRoute, g: SceneGraph,
     for anchor in route.anchors:
         best = min(
             g.scene.objects,
-            key=lambda o: float(np.linalg.norm(o.box.center[:2] - anchor[:2])),
+            key=lambda o: vector_norm(o.box.center[:2] - anchor[:2]),
         )
-        dist = float(np.linalg.norm(best.box.center[:2] - anchor[:2]))
+        dist = vector_norm(best.box.center[:2] - anchor[:2])
         if dist > max_anchor_dist_m:
             raise NoNearbyObject(f"nearest object is {dist:.2f} m away")
         if best.instance_id in used:

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own geometry paths:
 rotations go through scipy, box distances through surface sampling with a
 k-d tree plus local grid refinement, camera transforms through explicit
-4x4 matrix inversion.
+4x4 matrix inversion. The ``reference_*`` functions are the exception: they
+keep former implementations verbatim, so faster code can be checked bit
+for bit against them.
 """
 
 from __future__ import annotations
@@ -167,6 +169,109 @@ def reference_hull_area_xy(points: np.ndarray) -> float:
     hull = np.array(lower[:-1] + upper[:-1])
     x, y = hull[:, 0], hull[:, 1]
     return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+
+
+# --- the former geometry path, kept verbatim as the bitwise reference ---------
+#
+# Before boxes derived their matrices once and the hot loops skipped
+# re-validation, sceneqa.geometry computed these exactly as below. The
+# current code must return the same float bits.
+
+REFERENCE_STEP_TOL = 1e-7
+REFERENCE_MAX_PROJECTION_ITERS = 200
+
+_REFERENCE_CORNER_SIGNS = np.array([
+    [-1, -1, -1], [+1, -1, -1], [-1, +1, -1], [+1, +1, -1],
+    [-1, -1, +1], [+1, -1, +1], [-1, +1, +1], [+1, +1, +1],
+], dtype=float)
+
+
+def _reference_as_vec3(v, name="vector"):
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"{name} must have shape (3,), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite components")
+    return a
+
+
+def reference_quat_to_matrix(q) -> np.ndarray:
+    w, x, y, z = np.asarray(q, dtype=float)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _reference_half_size(box):
+    return box.size / 2.0
+
+
+def _reference_to_local(box, p):
+    return reference_quat_to_matrix(box.rotation).T @ (_reference_as_vec3(p, "point") - box.center)
+
+
+def _reference_to_world(box, p_local):
+    return reference_quat_to_matrix(box.rotation) @ np.asarray(p_local, dtype=float) + box.center
+
+
+def reference_corners(box) -> np.ndarray:
+    local = _REFERENCE_CORNER_SIGNS * _reference_half_size(box)
+    return local @ reference_quat_to_matrix(box.rotation).T + box.center
+
+
+def reference_world_to_camera(p, pose) -> np.ndarray:
+    return pose.rotation.T @ (_reference_as_vec3(p, "point") - pose.translation)
+
+
+def reference_closest_point_on_box(p, box):
+    p = _reference_as_vec3(p, "point")
+    local = _reference_to_local(box, p)
+    clamped = np.clip(local, -_reference_half_size(box), _reference_half_size(box))
+    point = _reference_to_world(box, clamped)
+    return point, float(np.linalg.norm(p - point))
+
+
+def _reference_box_sort_key(box):
+    return tuple(box.center) + tuple(box.size) + tuple(box.rotation)
+
+
+def reference_box_box_distance(a, b) -> float:
+    if _reference_box_sort_key(b) < _reference_box_sort_key(a):
+        a, b = b, a
+    p, _ = reference_closest_point_on_box(b.center, a)
+    for _ in range(REFERENCE_MAX_PROJECTION_ITERS):
+        q, _ = reference_closest_point_on_box(p, b)
+        p_next, _ = reference_closest_point_on_box(q, a)
+        if np.linalg.norm(p_next - p) < REFERENCE_STEP_TOL:
+            p = p_next
+            break
+        p = p_next
+    _, dist = reference_closest_point_on_box(p, b)
+    return dist
+
+
+def reference_projection_iters(a, b) -> int:
+    """Iterations reference_box_box_distance runs on a pair; equal to
+    REFERENCE_MAX_PROJECTION_ITERS when it stops at the cap."""
+    if _reference_box_sort_key(b) < _reference_box_sort_key(a):
+        a, b = b, a
+    p, _ = reference_closest_point_on_box(b.center, a)
+    for k in range(REFERENCE_MAX_PROJECTION_ITERS):
+        q, _ = reference_closest_point_on_box(p, b)
+        p_next, _ = reference_closest_point_on_box(q, a)
+        if np.linalg.norm(p_next - p) < REFERENCE_STEP_TOL:
+            return k + 1
+        p = p_next
+    return REFERENCE_MAX_PROJECTION_ITERS
+
+
+def reference_object_in_camera(g, frame_id, instance_id) -> np.ndarray:
+    fr = g.frame(frame_id)
+    obj = g.object(instance_id)
+    corners = reference_corners(obj.box)
+    return np.stack([reference_world_to_camera(c, fr.pose) for c in corners])
 
 
 # --- record re-derivation ------------------------------------------------------

@@ -281,6 +281,31 @@ def test_unreadable_json_names_the_file(scene_dir, tmp_path, capsys, command, ta
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target,field,edit", [
+    ("scene_metadata.json", "objects[0].center[0]",
+     lambda doc: doc["objects"][0]["center"].__setitem__(0, 10 ** 400)),
+    ("frame_metadata.json", "intrinsics.fx",
+     lambda doc: doc["intrinsics"].__setitem__("fx", 10 ** 400)),
+], ids=["scene", "frames"])
+def test_huge_json_integer_is_schema_violation(scene_dir, tmp_path, capsys, target, field, edit):
+    path = scene_dir / target
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["gen", "--input-root", str(scene_dir.parent),
+                 "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_huge_waypoint_is_input_error(scene_dir, tmp_path, capsys):
+    path = scene_dir / "trajectories.jsonl"
+    path.write_text(json.dumps({"scene_id": "cli000",
+                                "waypoints": [[0, 0, 0], [10 ** 400, 0, 0]]}) + "\n")
+    assert main(["gen", "--input-root", str(scene_dir.parent),
+                 "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert f"{path}:1" in capsys.readouterr().err
+
+
 def test_task_registry_resolves_every_task_once(scene_dir):
     sources = (set(qa_spatial.SPATIAL_GENERATORS), set(qa_temporal.TEMPORAL_GENERATORS),
                {"route_plan"})
