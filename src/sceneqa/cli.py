@@ -1,9 +1,10 @@
 """Command-line surface: ingest -> gen -> eval -> stats, plus fusion-check.
 
 Exit codes: 0 success, 2 input error (missing/malformed files), 3 evaluation
-error. All outputs are deterministic: records are generated per scene,
-gathered, then sorted by (scene_id, task order, counter) before writing, so
-the worker count never changes the bytes on disk.
+error. All outputs are deterministic: each scene's records are generated
+and encoded as JSON lines where the scene is processed, then the lines of
+all scenes are stable-sorted by (scene_id, task order, qid) before writing,
+so the worker count never changes the bytes on disk.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
@@ -16,6 +17,7 @@ import dataclasses
 import json
 import multiprocessing
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -56,15 +58,20 @@ def _read_json(path):
 
 # --- record file helpers ------------------------------------------------------
 
+# The bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")),
+# without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _dump_line(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _encode(doc) + "\n"
 
 
-def write_records_jsonl(path, records, header: dict):
+def write_records_jsonl(path, lines, header: dict):
+    """The header line, then the already encoded record lines."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump_line({"_header": header}))
-        for rec in records:
-            fh.write(_dump_line(record_to_dict(rec)))
+        fh.writelines(lines)
 
 
 def read_records_jsonl(path):
@@ -115,8 +122,9 @@ def task_generators() -> dict:
 
 def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
                            dump_dir=None) -> list:
-    """All requested records for one scene, in canonical order, from one
-    scene context; with ``dump_dir`` the graph is written there too."""
+    """All requested records for one scene, from one scene context, each as
+    ``((scene_id, task order, qid), JSON line)`` in generation order; with
+    ``dump_dir`` the graph is written there too."""
     scene = _load(inputs.scene_path, load_scene_metadata)
     frames = _load(inputs.frames_path, load_frame_metadata)
     g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
@@ -135,21 +143,23 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
             fh.write("\n")
 
     generators = task_generators()
-    return [rec for task in TASKS if task in tasks for rec in generators[task](ctx, cfg)]
+    return [((rec.scene_id, TASK_ORDER[rec.task], rec.qid), _dump_line(record_to_dict(rec)))
+            for task in TASKS if task in tasks for rec in generators[task](ctx, cfg)]
 
 
 def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
-                   dump_dir=None):
-    """Fan out per scene, gather, and sort into the canonical record order."""
+                   dump_dir=None) -> list:
+    """Fan out per scene, gather, and stable-sort the encoded record lines
+    into the canonical record order."""
     jobs = [(inp, cfg, tuple(tasks), dump_dir) for inp in scene_inputs]
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(workers) as pool:
             chunks = pool.starmap(generate_scene_records, jobs)
     else:
         chunks = [generate_scene_records(*job) for job in jobs]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.scene_id, TASK_ORDER[r.task], r.qid))
-    return records
+    keyed = [item for chunk in chunks for item in chunk]
+    keyed.sort(key=itemgetter(0))
+    return [line for _, line in keyed]
 
 
 # --- commands -------------------------------------------------------------------
@@ -224,11 +234,11 @@ def cmd_gen(args) -> int:
 
     if args.dump_graphs:
         Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
-    records = run_generation(scene_inputs, cfg, tasks, workers, args.dump_graphs)
+    lines = run_generation(scene_inputs, cfg, tasks, workers, args.dump_graphs)
     header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
-              "record_count": len(records)}
-    write_records_jsonl(args.out, records, header)
-    print(f"wrote {len(records)} record(s) to {args.out}")
+              "record_count": len(lines)}
+    write_records_jsonl(args.out, lines, header)
+    print(f"wrote {len(lines)} record(s) to {args.out}")
     return EXIT_OK
 
 

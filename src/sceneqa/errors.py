@@ -90,10 +90,6 @@ class NoNearbyObject(SceneQaError):
     """An anchor point could not be labeled; signals route discard."""
 
 
-class NoPath(SceneQaError):
-    """No navigable grid path between start and goal."""
-
-
 # --- evaluation -------------------------------------------------------------
 
 class NonPositiveTruth(SceneQaError):

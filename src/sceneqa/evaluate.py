@@ -36,8 +36,10 @@ class Prediction:
     raw_text: str
 
     def __post_init__(self):
-        if not self.qid:
-            raise ValueError("qid must be nonempty")
+        if not isinstance(self.qid, str) or not self.qid:
+            raise ValueError(f"qid must be a nonempty string, got {self.qid!r}")
+        if not isinstance(self.raw_text, str):
+            raise ValueError(f"raw_text must be a string, got {self.raw_text!r}")
 
 
 def mra(pred: float, truth: float) -> float:

@@ -12,8 +12,9 @@ All functions here are pure; there is no shared mutable state.
 Validation contract: inputs are validated once, when a Pose or an
 OrientedBox3 is constructed and when a point enters a public function
 (``world_to_camera``, ``closest_point_on_box``, ``OrientedBox3.to_local``,
-...). The private helpers ``_world_to_camera`` and ``_closest_point`` trust
-their arguments; the hot loops (``box_box_distance``,
+...). The private helpers ``_world_to_camera``, ``_closest_point`` and
+``_trusted_pose`` (used by the frame-metadata loader after its batched
+checks) trust their arguments; the hot loops (``box_box_distance``,
 ``graph.object_in_camera``) call only them. A box derives its rotation
 matrix and half extents once, at construction, and every array it holds is
 read-only, so the derived arrays cannot go stale.
@@ -120,6 +121,15 @@ class Pose:
     def apply(self, p) -> np.ndarray:
         """Camera-to-world: R @ p + t."""
         return self.rotation @ _as_vec3(p, "point") + self.translation
+
+
+def _trusted_pose(rotation: np.ndarray, translation: np.ndarray) -> Pose:
+    """A Pose over float arrays already checked as ``Pose.__post_init__``
+    checks them; they are stored as given, without a second validation."""
+    pose = object.__new__(Pose)
+    object.__setattr__(pose, "rotation", rotation)
+    object.__setattr__(pose, "translation", translation)
+    return pose
 
 
 def _world_to_camera(p: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:

@@ -27,19 +27,29 @@ Rotations are unit quaternions (w, x, y, z); poses are camera-to-world.
 Parsing is strict: any violation raises SchemaViolation with the offending
 field path. serialize(parse(x)) re-parses to a structurally identical
 object.
+
+Frame metadata is validated in one batched pass: every pose of a capture is
+stacked into one (F, 4, 4) array and every bbox into one (N, 4) array, and
+the whole capture is checked with array operations. A document that pass
+cannot clear goes to the per-field walker, which names the first bad field
+or accepts exactly what it accepted before; the two accept the same
+documents with the same values. Loaded poses and bboxes are read-only views
+into the stacks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyAfterFiltering, InputError, SchemaViolation
-from .geometry import OrientedBox3, Pose, quat_from_yaw
+from .geometry import ORTHO_TOL, OrientedBox3, Pose, _trusted_pose, quat_from_yaw
 from .ply_io import LabeledPointCloud
 
 DEFAULT_MIN_POINTS = 50
@@ -228,6 +238,82 @@ def frame_metadata_from_dict(doc) -> FrameMetadata:
     frames_doc = _require(doc, "frames", "")
     if not isinstance(frames_doc, list):
         raise SchemaViolation("frames", "expected a list")
+    frames = _frames_batched(frames_doc, intrinsics)
+    if frames is None:
+        frames = _frames_walked(frames_doc, intrinsics)
+    return FrameMetadata(scene_id, intrinsics, frames)
+
+
+def _frames_batched(frames_doc: list, intrinsics: Intrinsics):
+    """The capture's frames, checked in one pass over stacked arrays, or None
+    when the pass cannot clear every field.
+
+    It accepts only what ``_frames_walked`` accepts, with the same values:
+    the type, key, length, finiteness, last-row, order and bbox checks are
+    exact, and a rotation passes only when its batched orthonormality and
+    determinant errors are at most ORTHO_TOL / 2, so that the walker's
+    per-matrix expressions, which may round differently, are within
+    ORTHO_TOL too. Poses and bboxes are read-only views into the stacks.
+    """
+    if not set(map(type, frames_doc)) <= {dict}:
+        return None
+    try:
+        ids = [fr["frame_id"] for fr in frames_doc]
+        poses = [fr["pose_c2w"] for fr in frames_doc]
+        colors = [fr["color_path"] for fr in frames_doc]
+        depths = [fr["depth_path"] for fr in frames_doc]
+        visible = [fr["visible_objects"] for fr in frames_doc]
+        if not set(map(type, poses + visible)) <= {list}:
+            return None
+        detections = [d for vis in visible for d in vis]
+        if not set(map(type, detections)) <= {dict}:
+            return None
+        instance_ids = [d["instance_id"] for d in detections]
+        bboxes = [d["bbox_2d"] for d in detections]
+    except KeyError:
+        return None
+    paths = colors + depths
+    if not (set(map(type, ids + instance_ids)) <= {int}  # bool is not int here
+            and all(map(operator.lt, ids, ids[1:]))
+            and set(map(type, paths)) <= {str} and all(paths)
+            and set(map(type, bboxes)) <= {list}
+            and set(map(len, poses)) <= {16} and set(map(len, bboxes)) <= {4}
+            and set(map(type, chain.from_iterable(poses + bboxes))) <= {int, float}):
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            m = np.fromiter(chain.from_iterable(poses), float, 16 * len(poses)).reshape(-1, 4, 4)
+            b = np.fromiter(chain.from_iterable(bboxes), float, 4 * len(bboxes)).reshape(-1, 4)
+            rot = m[:, :3, :3]
+            ortho_err = np.abs(np.matmul(rot.transpose(0, 2, 1), rot) - np.eye(3)).max(axis=(1, 2))
+            det_err = np.abs(np.linalg.det(rot) - 1.0)
+            ok = (np.isfinite(m).all() and np.isfinite(b).all()
+                  and (np.abs(m[:, 3] - np.array([0.0, 0.0, 0.0, 1.0])).max(axis=1)
+                       <= ORTHO_TOL).all()
+                  and (ortho_err <= ORTHO_TOL / 2).all() and (det_err <= ORTHO_TOL / 2).all()
+                  and ((b[:, 0] < b[:, 2]) & (b[:, 1] < b[:, 3])).all()
+                  and ((b[:, 0] >= 0) & (b[:, 1] >= 0) & (b[:, 2] <= intrinsics.width)
+                       & (b[:, 3] <= intrinsics.height)).all())
+    except OverflowError:  # an integer too large for a float
+        return None
+    if not ok:
+        return None
+    m.flags.writeable = False
+    b.flags.writeable = False
+    rows = list(b)
+    frames, start = [], 0
+    for frame_id, rot, t, color_path, depth_path, vis in zip(
+            ids, m[:, :3, :3], m[:, :3, 3], colors, depths, visible):
+        stop = start + len(vis)
+        frames.append(CameraFrame(frame_id, _trusted_pose(rot, t), color_path, depth_path,
+                                  tuple(zip(instance_ids[start:stop], rows[start:stop]))))
+        start = stop
+    return tuple(frames)
+
+
+def _frames_walked(frames_doc: list, intrinsics: Intrinsics):
+    """The capture's frames, checked field by field; raises SchemaViolation
+    naming the first bad field."""
     frames = []
     prev_id = None
     for i, fr in enumerate(frames_doc):
@@ -261,8 +347,7 @@ def frame_metadata_from_dict(doc) -> FrameMetadata:
                 raise SchemaViolation(f"{vpath}.bbox_2d", "box exceeds image bounds")
             visible.append((vid, bbox))
         frames.append(CameraFrame(frame_id, pose, color_path, depth_path, tuple(visible)))
-
-    return FrameMetadata(scene_id, intrinsics, tuple(frames))
+    return tuple(frames)
 
 
 def frame_metadata_to_dict(meta: FrameMetadata) -> dict:

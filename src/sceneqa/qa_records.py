@@ -44,8 +44,6 @@ MCA_OPTION_COUNTS = {
     "cam_move_dir": 4,
 }
 
-CONVENTIONS = "world: Z-up meters; camera: +X right, +Y down, +Z forward"
-
 
 @dataclass(frozen=True)
 class QaRecord:

@@ -13,12 +13,11 @@ describes, so a mirrored or reversed route can never carry a stale label.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, NoPath, TooShort
+from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, TooShort
 from .geometry import planar_signed_angle, vector_norm
 from .graph import SceneGraph
 from .metadata import read_jsonl
@@ -49,7 +48,6 @@ class Trajectory:
     a single-waypoint path is representable but unclassifiable (TooShort)."""
 
     waypoints: np.ndarray  # (m, 3)
-    source: str = "ingested"  # "ingested" | "grid_planner"
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
@@ -237,74 +235,20 @@ def gen_route_plan(g: SceneGraph, trajectories, cfg: GenConfig):
     return records, skipped
 
 
-# --- grid planner (stand-in for a navigation-mesh pathfinder) ----------------
-
-# Expansion order is part of the contract: +X first, then +Y.
-_NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-def plan_grid_path(occupancy: np.ndarray, cell_size_m: float,
-                   start, goal) -> Trajectory:
-    """Shortest 4-connected path on an occupancy grid, waypoint-simplified.
-
-    ``occupancy[x, y]`` is True for blocked cells. Ties break by the fixed
-    +X-then-+Y expansion order, so output is deterministic. Waypoints are
-    cell centers on the floor plane. Raises NoPath when unreachable.
-    """
-    occupancy = np.asarray(occupancy, dtype=bool)
-    nx, ny = occupancy.shape
-    start, goal = tuple(start), tuple(goal)
-    for name, cell in (("start", start), ("goal", goal)):
-        x, y = cell
-        if not (0 <= x < nx and 0 <= y < ny):
-            raise ValueError(f"{name} cell {cell} outside grid")
-        if occupancy[x, y]:
-            raise ValueError(f"{name} cell {cell} is occupied")
-
-    def center(cell):
-        return ((cell[0] + 0.5) * cell_size_m, (cell[1] + 0.5) * cell_size_m, 0.0)
-
-    if start == goal:
-        return Trajectory(np.array([center(start)]), source="grid_planner")
-
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        if cell == goal:
-            break
-        for dx, dy in _NEIGHBOR_STEPS:
-            nxt = (cell[0] + dx, cell[1] + dy)
-            if (0 <= nxt[0] < nx and 0 <= nxt[1] < ny
-                    and not occupancy[nxt] and nxt not in parent):
-                parent[nxt] = cell
-                queue.append(nxt)
-    if goal not in parent:
-        raise NoPath(f"no route from {start} to {goal}")
-
-    cells = []
-    cell = goal
-    while cell is not None:
-        cells.append(cell)
-        cell = parent[cell]
-    cells.reverse()
-
-    # Collinearity merge: keep only cells where the step direction changes.
-    kept = [cells[0]]
-    for k in range(1, len(cells) - 1):
-        prev_dir = (cells[k][0] - cells[k - 1][0], cells[k][1] - cells[k - 1][1])
-        next_dir = (cells[k + 1][0] - cells[k][0], cells[k + 1][1] - cells[k][1])
-        if prev_dir != next_dir:
-            kept.append(cells[k])
-    kept.append(cells[-1])
-
-    return Trajectory(np.array([center(c) for c in kept]), source="grid_planner")
+def _trajectory_from_dict(doc) -> tuple:
+    scene_id, waypoints = doc["scene_id"], doc["waypoints"]
+    if not isinstance(scene_id, str) or not scene_id:
+        raise ValueError(f"scene_id must be a nonempty string, got {scene_id!r}")
+    if not (isinstance(waypoints, list) and all(isinstance(w, list) for w in waypoints)
+            and all(type(v) in (int, float) for w in waypoints for v in w)):
+        raise ValueError("waypoints must be a list of [x, y] or [x, y, z] lists of numbers")
+    return scene_id, Trajectory(np.asarray(waypoints, dtype=float))
 
 
 def load_trajectories(path):
     """Read the trajectory ingestion format: one JSON object per line with
     {"scene_id": str, "waypoints": [[x, y, z?], ...]} (z defaults to 0).
-    A malformed line raises InputError naming path:line."""
-    _, out = read_jsonl(path, lambda doc: (
-        doc["scene_id"], Trajectory(np.asarray(doc["waypoints"], dtype=float))))
+    A malformed line, including a non-string scene id and a coordinate that
+    is not a JSON number, raises InputError naming path:line."""
+    _, out = read_jsonl(path, _trajectory_from_dict)
     return out

@@ -10,9 +10,31 @@ for bit against them.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial.transform import Rotation
+
+from sceneqa.cli import task_generators
+from sceneqa.errors import SchemaViolation
+from sceneqa.geometry import Pose
+from sceneqa.graph import build_graph, scene_context
+from sceneqa.metadata import (
+    CameraFrame,
+    FrameMetadata,
+    Intrinsics,
+    _integer,
+    _number,
+    _require,
+    _string,
+    _vec,
+    load_scene_metadata,
+)
+from sceneqa.ply_io import parse_ply
+from sceneqa.qa_records import TASK_ORDER, TASKS, record_to_dict
+from sceneqa.route_plan import load_trajectories
 
 DIST_ABS_TOL = 0.05 + 2e-2 + 1e-9   # rounding half-step + sampling slack
 EXACT_NA_TOL = 0.05 + 1e-9          # rounding half-step only
@@ -272,6 +294,99 @@ def reference_object_in_camera(g, frame_id, instance_id) -> np.ndarray:
     obj = g.object(instance_id)
     corners = reference_corners(obj.box)
     return np.stack([reference_world_to_camera(c, fr.pose) for c in corners])
+
+
+def reference_frame_metadata_from_dict(doc):
+    """The former frame-metadata loader: every field checked one by one,
+    every pose through ``Pose.from_matrix``."""
+    scene_id = _string(_require(doc, "scene_id", ""), "scene_id")
+
+    intr_doc = _require(doc, "intrinsics", "")
+    try:
+        intrinsics = Intrinsics(
+            fx=_number(_require(intr_doc, "fx", "intrinsics"), "intrinsics.fx"),
+            fy=_number(_require(intr_doc, "fy", "intrinsics"), "intrinsics.fy"),
+            cx=_number(_require(intr_doc, "cx", "intrinsics"), "intrinsics.cx"),
+            cy=_number(_require(intr_doc, "cy", "intrinsics"), "intrinsics.cy"),
+            width=_integer(_require(intr_doc, "width", "intrinsics"), "intrinsics.width"),
+            height=_integer(_require(intr_doc, "height", "intrinsics"), "intrinsics.height"),
+        )
+    except ValueError as exc:
+        raise SchemaViolation("intrinsics", str(exc)) from None
+
+    frames_doc = _require(doc, "frames", "")
+    if not isinstance(frames_doc, list):
+        raise SchemaViolation("frames", "expected a list")
+    frames = []
+    prev_id = None
+    for i, fr in enumerate(frames_doc):
+        path = f"frames[{i}]"
+        frame_id = _integer(_require(fr, "frame_id", path), f"{path}.frame_id")
+        if prev_id is not None and frame_id <= prev_id:
+            raise SchemaViolation(f"{path}.frame_id", "frame ids must strictly increase")
+        prev_id = frame_id
+
+        raw = _vec(_require(fr, "pose_c2w", path), 16, f"{path}.pose_c2w")
+        try:
+            pose = Pose.from_matrix(raw.reshape(4, 4))
+        except ValueError as exc:
+            raise SchemaViolation(f"{path}.pose.rotation", str(exc)) from None
+
+        color_path = _string(_require(fr, "color_path", path), f"{path}.color_path")
+        depth_path = _string(_require(fr, "depth_path", path), f"{path}.depth_path")
+
+        vis_doc = _require(fr, "visible_objects", path)
+        if not isinstance(vis_doc, list):
+            raise SchemaViolation(f"{path}.visible_objects", "expected a list")
+        visible = []
+        for j, v in enumerate(vis_doc):
+            vpath = f"{path}.visible_objects[{j}]"
+            vid = _integer(_require(v, "instance_id", vpath), f"{vpath}.instance_id")
+            bbox = _vec(_require(v, "bbox_2d", vpath), 4, f"{vpath}.bbox_2d")
+            xmin, ymin, xmax, ymax = bbox
+            if not (xmin < xmax and ymin < ymax):
+                raise SchemaViolation(f"{vpath}.bbox_2d", "empty or inverted box")
+            if xmin < 0 or ymin < 0 or xmax > intrinsics.width or ymax > intrinsics.height:
+                raise SchemaViolation(f"{vpath}.bbox_2d", "box exceeds image bounds")
+            visible.append((vid, bbox))
+        frames.append(CameraFrame(frame_id, pose, color_path, depth_path, tuple(visible)))
+
+    return FrameMetadata(scene_id, intrinsics, tuple(frames))
+
+
+def _reference_dump_line(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _reference_scene_records(inputs, cfg, tasks) -> list:
+    scene = load_scene_metadata(inputs.scene_path)
+    with open(inputs.frames_path, "r", encoding="utf-8") as fh:
+        frames = reference_frame_metadata_from_dict(json.load(fh))
+    g = build_graph(scene, frames, cfg.min_bbox_area_px)
+    cloud = None
+    if "room_size" in tasks and inputs.cloud_path:
+        cloud = parse_ply(inputs.cloud_path)
+    trajectories = ()
+    if "route_plan" in tasks and inputs.trajectories_path:
+        trajectories = [t for sid, t in load_trajectories(inputs.trajectories_path)
+                        if sid == scene.scene_id]
+    ctx = scene_context(g, cfg.sample_frames, cloud, trajectories)
+    generators = task_generators()
+    return [rec for task in TASKS if task in tasks for rec in generators[task](ctx, cfg)]
+
+
+def reference_write_records(path, scene_inputs, cfg, tasks):
+    """The former gen write path: the QaRecords of every scene gathered in
+    one list, stable-sorted by (scene_id, task order, qid), then one
+    ``json.dumps`` per line after the header."""
+    records = [rec for inp in scene_inputs for rec in _reference_scene_records(inp, cfg, tasks)]
+    records.sort(key=lambda r: (r.scene_id, TASK_ORDER[r.task], r.qid))
+    header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
+              "record_count": len(records)}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_reference_dump_line({"_header": header}))
+        for rec in records:
+            fh.write(_reference_dump_line(record_to_dict(rec)))
 
 
 # --- record re-derivation ------------------------------------------------------

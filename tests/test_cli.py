@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from oracles import verify_record
+from oracles import reference_write_records, verify_record
 from synth import make_cluster_cloud, make_rect_cloud, make_scene, make_single_turn_waypoints, write_scene_dir
 from sceneqa import qa_spatial, qa_temporal
-from sceneqa.cli import main, read_records_jsonl, task_generators
+from sceneqa.cli import discover_scenes, main, read_records_jsonl, task_generators
 from sceneqa.geometry import OrientedBox3
 from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import ObjectInstance, load_frame_metadata, load_scene_metadata
@@ -120,6 +120,31 @@ def test_gen_worker_count_does_not_change_bytes(tmp_path):
     assert main(["gen", "--input-root", str(root), "--out", str(four),
                  "--seed", "9", "--workers", "4"]) == 0
     assert one.read_bytes() == four.read_bytes()
+
+
+def test_records_file_equals_the_former_write_path(tmp_path):
+    # Directory order differs from scene_id order, and two directories share
+    # a scene_id, so their records tie on (scene_id, task order, qid) and
+    # keep the directory order.
+    root = tmp_path / "scenes"
+    root.mkdir()
+    rng = np.random.default_rng(12)
+    for dirname, scene_id, seed in (("a", "zeta", 5101), ("b", "alpha", 5102),
+                                    ("c", "zeta", 5103), ("d", "mid", 5104)):
+        scene, frames = make_scene(seed=seed, scene_id=scene_id)
+        cloud = make_rect_cloud(seed, 6.0, 5.0) if dirname == "b" else None
+        trajectories = [make_single_turn_waypoints(rng)[0] + [3.0, 3.0, 0.0] for _ in range(6)]
+        staged = write_scene_dir(tmp_path / dirname, scene, frames, cloud, trajectories)
+        staged.rename(root / dirname)
+    want = tmp_path / "want.jsonl"
+    reference_write_records(want, discover_scenes(root), GenConfig(seed=9), list(TASKS))
+    qids = [json.loads(line).get("qid") for line in want.read_text().splitlines()]
+    assert len(qids) - len(set(qids)) > 20  # the shared scene_id's records tie
+    for workers in ("1", "2", "4"):
+        out = tmp_path / f"records{workers}.jsonl"
+        assert main(["gen", "--input-root", str(root), "--out", str(out), "--seed", "9",
+                     "--workers", workers]) == 0
+        assert out.read_bytes() == want.read_bytes(), workers
 
 
 def test_gen_reads_the_cloud_only_for_room_size(scene_dir, tmp_path, capsys):
@@ -400,6 +425,26 @@ def test_malformed_input_is_input_error(tmp_path, capsys, case, want):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert all(fragment in err for fragment in want), err
+
+
+@pytest.mark.parametrize("pred,fragment", [
+    ({"qid": GOOD_RECORD["qid"], "raw_text": 5}, "raw_text"),
+    ({"qid": GOOD_RECORD["qid"], "raw_text": None}, "raw_text"),
+    ({"qid": GOOD_RECORD["qid"], "raw_text": ["A"]}, "raw_text"),
+    ({"qid": 7, "raw_text": "2"}, "qid"),
+    ({"qid": "", "raw_text": "2"}, "qid"),
+    ({"qid": None, "raw_text": "2"}, "qid"),
+    ({"qid": ["s:obj_count:0000"], "raw_text": "2"}, "qid"),
+], ids=["raw_text_int", "raw_text_null", "raw_text_list", "qid_int", "qid_empty",
+        "qid_null", "qid_list"])
+def test_malformed_prediction_is_input_error(tmp_path, capsys, pred, fragment):
+    records = tmp_path / "records.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(records, [{"_header": {}}, GOOD_RECORD])
+    write_jsonl(preds, [{"qid": "s:obj_count:0009", "raw_text": "1"}, pred])
+    assert main(["eval", "--records", str(records), "--predictions", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert f"{preds}:2" in err and fragment in err, err
 
 
 def test_eval_duplicate_qid_exit_3(scene_dir, tmp_path, capsys):

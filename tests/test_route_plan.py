@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from synth import make_single_turn_waypoints
-from sceneqa.errors import MultiTurn, NoNearbyObject, NoPath, TooShort
+from sceneqa.errors import InputError, MultiTurn, NoNearbyObject, TooShort
 from sceneqa.graph import build_graph
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 from sceneqa.qa_records import GenConfig, validate_record
@@ -15,7 +15,6 @@ from sceneqa.route_plan import (
     gen_route_plan,
     label_anchors,
     load_trajectories,
-    plan_grid_path,
     render_route_qa,
 )
 
@@ -220,72 +219,6 @@ def test_gen_route_plan_skips_bad_trajectories():
     assert records[0].ground_truth == "turn left"
 
 
-# --- grid planner -------------------------------------------------------------------
-
-def bfs_distance_oracle(occupancy, start, goal):
-    """Plain queue-based flood fill, written independently of the planner."""
-    from collections import deque
-    dist = {start: 0}
-    q = deque([start])
-    nx, ny = occupancy.shape
-    while q:
-        x, y = q.popleft()
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nxt = (x + dx, y + dy)
-            if (0 <= nxt[0] < nx and 0 <= nxt[1] < ny
-                    and not occupancy[nxt] and nxt not in dist):
-                dist[nxt] = dist[(x, y)] + 1
-                q.append(nxt)
-    return dist.get(goal)
-
-
-def test_grid_path_empty_grid_l_shape():
-    grid = np.zeros((10, 10), dtype=bool)
-    path = plan_grid_path(grid, 0.5, (0, 0), (9, 9))
-    assert len(path) == 3  # straight run, corner, straight run
-    assert path.source == "grid_planner"
-    # BFS oracle: optimal step count is 18, so the simplified polyline spans
-    # the same Manhattan length
-    assert bfs_distance_oracle(grid, (0, 0), (9, 9)) == 18
-    lengths = np.linalg.norm(np.diff(path.waypoints, axis=0), axis=1)
-    assert lengths.sum() == pytest.approx(18 * 0.5)
-    assert np.allclose(path.waypoints[0], [0.25, 0.25, 0.0])
-    assert np.allclose(path.waypoints[-1], [4.75, 4.75, 0.0])
-
-
-def test_grid_path_detours_around_wall():
-    grid = np.zeros((12, 12), dtype=bool)
-    grid[6, 0:11] = True  # wall with a gap at y = 11
-    path = plan_grid_path(grid, 1.0, (0, 0), (11, 0))
-    steps = np.abs(np.diff(path.waypoints, axis=0)).sum()
-    want = bfs_distance_oracle(grid, (0, 0), (11, 0))
-    assert steps == pytest.approx(want * 1.0)
-
-
-def test_grid_path_degenerate_start_goal():
-    grid = np.zeros((5, 5), dtype=bool)
-    path = plan_grid_path(grid, 1.0, (2, 2), (2, 2))
-    assert len(path) == 1
-    with pytest.raises(TooShort):
-        classify_trajectory(path, CFG)
-
-
-def test_grid_path_walled_goal():
-    grid = np.zeros((5, 5), dtype=bool)
-    grid[3, :] = True  # full wall
-    with pytest.raises(NoPath):
-        plan_grid_path(grid, 1.0, (0, 0), (4, 4))
-
-
-def test_grid_path_rejects_bad_cells():
-    grid = np.zeros((5, 5), dtype=bool)
-    grid[1, 1] = True
-    with pytest.raises(ValueError):
-        plan_grid_path(grid, 1.0, (1, 1), (4, 4))
-    with pytest.raises(ValueError):
-        plan_grid_path(grid, 1.0, (0, 0), (9, 9))
-
-
 # --- ingestion ------------------------------------------------------------------------
 
 def test_load_trajectories_jsonl(tmp_path):
@@ -299,3 +232,26 @@ def test_load_trajectories_jsonl(tmp_path):
     assert [sid for sid, _ in loaded] == ["s1", "s2"]
     assert np.allclose(loaded[0][1].waypoints[:, 2], 0.0)  # z defaults to 0
     assert len(loaded[1][1]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"scene_id": 7, "waypoints": [[0, 0], [2, 0]]},
+    {"scene_id": "", "waypoints": [[0, 0], [2, 0]]},
+    {"scene_id": None, "waypoints": [[0, 0], [2, 0]]},
+    {"scene_id": "s1", "waypoints": [[0, 0], ["1", 0]]},
+    {"scene_id": "s1", "waypoints": [[0, 0], [True, 0]]},
+    {"scene_id": "s1", "waypoints": [[0, 0], [None, 0]]},
+    {"scene_id": "s1", "waypoints": [[0, 0], [[2], 0]]},
+    {"scene_id": "s1", "waypoints": [[0, 0], [2, 0, 0]]},
+    {"scene_id": "s1", "waypoints": "0,0;2,0"},
+    {"scene_id": "s1", "waypoints": [0, 0, 2, 0]},
+], ids=["int_scene_id", "empty_scene_id", "null_scene_id", "string_coordinate",
+        "bool_coordinate", "null_coordinate", "nested_coordinate", "ragged_waypoints",
+        "string_waypoints", "flat_waypoints"])
+def test_load_trajectories_rejects_malformed_lines(tmp_path, doc):
+    p = tmp_path / "t.jsonl"
+    good = {"scene_id": "s1", "waypoints": [[0, 0], [2, 0], [2, 2]]}
+    p.write_text(json.dumps(good) + "\n" + json.dumps(doc) + "\n")
+    with pytest.raises(InputError) as err:
+        load_trajectories(p)
+    assert f"{p}:2" in str(err.value)
