@@ -3,7 +3,6 @@
 from .errors import SceneQaError
 from .geometry import (
     OrientedBox3,
-    Pose,
     box_box_distance,
     closest_point_on_box,
     planar_signed_angle,
@@ -31,7 +30,6 @@ __all__ = [
     "LabeledPointCloud",
     "ObjectInstance",
     "OrientedBox3",
-    "Pose",
     "QaRecord",
     "SceneGraph",
     "SceneMetadata",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import qa_spatial, qa_temporal
-from .errors import DuplicateQid, InputError, SceneQaError
+from .errors import DanglingInstanceRef, DuplicateQid, InputError, SceneQaError
 from .evaluate import Prediction, render_table, score_run
 from .metadata import (
     build_scene_metadata,
@@ -127,7 +127,10 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
     ``dump_dir`` the graph is written there too."""
     scene = _load(inputs.scene_path, load_scene_metadata)
     frames = _load(inputs.frames_path, load_frame_metadata)
-    g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
+    try:
+        g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
+    except DanglingInstanceRef as exc:
+        raise InputError(f"{inputs.frames_path}: {exc}") from None
     cloud = None
     if "room_size" in tasks and inputs.cloud_path:
         cloud = _load(inputs.cloud_path, parse_ply)
@@ -172,6 +175,10 @@ def cmd_ingest(args) -> int:
     except (AttributeError, ValueError) as exc:
         raise InputError(f"{args.label_map}: expected an object keyed by integer "
                          f"label ids ({exc})") from None
+    for label, category in label_map.items():
+        if not isinstance(category, str) or not category:
+            raise InputError(f"{args.label_map}: label {label}: category must be a "
+                             f"nonempty string, got {category!r}")
     instances = derive_instance_boxes(cloud, label_map,
                                       min_points=args.min_points,
                                       oriented=args.oriented)

@@ -4,9 +4,16 @@ Every error raised on a contract boundary derives from SceneQaError so
 callers (and the CLI) can catch one base class and map it to an exit code.
 """
 
+import copyreg
+
 
 class SceneQaError(Exception):
     """Base class for all package errors."""
+
+    def __reduce__(self):
+        # Rebuilt without __init__, whose arguments may differ from args, so
+        # that a gen worker can hand any error back to the parent process.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- geometry ---------------------------------------------------------------

@@ -113,7 +113,7 @@ def match_option(text: str, options) -> int:
     if best == 0:
         raise NoMatch(f"{text!r} matches no option")
     winners = [i for i, v in enumerate(overlaps) if v == best]
-    if len(winners) > 1 or best - sorted(overlaps)[-2] < 1:
+    if len(winners) > 1:
         raise AmbiguousMatch(f"{text!r} matches several options equally")
     return winners[0]
 

@@ -9,15 +9,17 @@ Conventions (pinned once, stamped into output metadata by the generators):
 
 All functions here are pure; there is no shared mutable state.
 
-Validation contract: inputs are validated once, when a Pose or an
-OrientedBox3 is constructed and when a point enters a public function
+Validation contract: a box is validated once, when an OrientedBox3 is
+constructed, and a point when it enters a public function
 (``world_to_camera``, ``closest_point_on_box``, ``OrientedBox3.to_local``,
-...). The private helpers ``_world_to_camera``, ``_closest_point`` and
-``_trusted_pose`` (used by the frame-metadata loader after its batched
-checks) trust their arguments; the hot loops (``box_box_distance``,
-``graph.object_in_camera``) call only them. A box derives its rotation
-matrix and half extents once, at construction, and every array it holds is
-read-only, so the derived arrays cannot go stale.
+...). A camera pose is two plain arrays, a 3x3 rotation and a position;
+what makes a pose valid (finite, orthonormal, determinant +1) is checked
+only where poses enter the package, by the frame-metadata loader. The
+private helpers ``_world_to_camera`` and ``_closest_point`` trust their
+arguments; the hot loops (``box_box_distance``, ``graph.object_in_camera``)
+call only them. A box derives its rotation matrix and half extents once, at
+construction, and every array it holds is read-only, so the derived arrays
+cannot go stale.
 """
 
 from __future__ import annotations
@@ -72,78 +74,16 @@ def quat_from_yaw(yaw_rad: float) -> np.ndarray:
     return np.array([math.cos(yaw_rad / 2.0), 0.0, 0.0, math.sin(yaw_rad / 2.0)])
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Camera-to-world rigid transform: p_world = rotation @ p_cam + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        t = _as_vec3(self.translation, "translation")
-        if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("rotation has non-finite entries")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHO_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHO_TOL:
-            raise ValueError("rotation determinant is not +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, m) -> "Pose":
-        """Build from a 4x4 camera-to-world matrix; last row must be (0,0,0,1)."""
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"pose matrix must be 4x4, got {m.shape}")
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > ORTHO_TOL:
-            raise ValueError("pose matrix last row must be (0, 0, 0, 1)")
-        return cls(m[:3, :3], m[:3, 3])
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    @property
-    def position(self) -> np.ndarray:
-        """Camera center in world coordinates."""
-        return self.translation
-
-    def apply(self, p) -> np.ndarray:
-        """Camera-to-world: R @ p + t."""
-        return self.rotation @ _as_vec3(p, "point") + self.translation
+def _world_to_camera(p: np.ndarray, rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """R^T (p - t) on trusted float inputs."""
+    return rotation.T @ (p - position)
 
 
-def _trusted_pose(rotation: np.ndarray, translation: np.ndarray) -> Pose:
-    """A Pose over float arrays already checked as ``Pose.__post_init__``
-    checks them; they are stored as given, without a second validation."""
-    pose = object.__new__(Pose)
-    object.__setattr__(pose, "rotation", rotation)
-    object.__setattr__(pose, "translation", translation)
-    return pose
-
-
-def _world_to_camera(p: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    """R^T (p - t) on trusted float (3,) inputs."""
-    return rotation.T @ (p - translation)
-
-
-def world_to_camera(p, pose: Pose) -> np.ndarray:
-    """Inverse pose map: R^T (p - t)."""
-    return _world_to_camera(_as_vec3(p, "point"), pose.rotation, pose.translation)
-
-
-def camera_to_world(p, pose: Pose) -> np.ndarray:
-    return pose.apply(p)
+def world_to_camera(p, rotation, position) -> np.ndarray:
+    """A world point in the camera frame of a camera-to-world pose (3x3
+    ``rotation``, camera center ``position``): R^T (p - t)."""
+    return _world_to_camera(_as_vec3(p, "point"), np.asarray(rotation, dtype=float),
+                            _as_vec3(position, "position"))
 
 
 # Unit-cube corner signs, fixed order (used by corners()).

@@ -87,13 +87,13 @@ def build_graph(scene: SceneMetadata, frames: FrameMetadata,
 
 def camera_position(g: SceneGraph, frame_id: int) -> np.ndarray:
     """World-frame camera center at a frame."""
-    return g.frame(frame_id).pose.position
+    return g.frame(frame_id).position
 
 
 def object_in_camera(g: SceneGraph, frame_id: int, instance_id: int) -> np.ndarray:
     """The 8 box corners of an instance in the frame's camera coordinates."""
-    pose = g.frame(frame_id).pose
-    rot, t = pose.rotation, pose.translation
+    fr = g.frame(frame_id)
+    rot, t = fr.rotation, fr.position
     return np.stack([_world_to_camera(c, rot, t) for c in g.object(instance_id).box.corners()])
 
 

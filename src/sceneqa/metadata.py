@@ -28,13 +28,12 @@ Parsing is strict: any violation raises SchemaViolation with the offending
 field path. serialize(parse(x)) re-parses to a structurally identical
 object.
 
-Frame metadata is validated in one batched pass: every pose of a capture is
-stacked into one (F, 4, 4) array and every bbox into one (N, 4) array, and
-the whole capture is checked with array operations. A document that pass
-cannot clear goes to the per-field walker, which names the first bad field
-or accepts exactly what it accepted before; the two accept the same
-documents with the same values. Loaded poses and bboxes are read-only views
-into the stacks.
+A frame's camera view is a 3x3 ``rotation`` and a (3,) ``position``
+(p_world = rotation @ p_cam + position). This loader is the one place that
+checks a pose. It checks a whole capture in one batched pass over one
+(F, 4, 4) pose stack and one (N, 4) bbox stack; a document that pass cannot
+clear goes to the per-field walker, which raises naming the first bad field
+or accepts it. Either way the frames are read-only views into the stacks.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import EmptyAfterFiltering, InputError, SchemaViolation
-from .geometry import ORTHO_TOL, OrientedBox3, Pose, _trusted_pose, quat_from_yaw
+from .geometry import ORTHO_TOL, OrientedBox3, quat_from_yaw
 from .ply_io import LabeledPointCloud
 
 DEFAULT_MIN_POINTS = 50
@@ -96,7 +95,8 @@ class SceneMetadata:
 @dataclass(frozen=True)
 class CameraFrame:
     frame_id: int
-    pose: Pose
+    rotation: np.ndarray  # (3, 3) camera-to-world rotation, read-only
+    position: np.ndarray  # (3,) camera center in world coordinates, read-only
     color_path: str
     depth_path: str
     visible_objects: tuple  # of (instance_id, bbox_2d (4,) array)
@@ -235,27 +235,27 @@ def frame_metadata_from_dict(doc) -> FrameMetadata:
     except ValueError as exc:
         raise SchemaViolation("intrinsics", str(exc)) from None
 
+    for key in ("width", "height"):  # range-checked: bboxes are compared with them as floats
+        _number(getattr(intrinsics, key), f"intrinsics.{key}")
+
     frames_doc = _require(doc, "frames", "")
     if not isinstance(frames_doc, list):
         raise SchemaViolation("frames", "expected a list")
-    frames = _frames_batched(frames_doc, intrinsics)
-    if frames is None:
-        frames = _frames_walked(frames_doc, intrinsics)
-    return FrameMetadata(scene_id, intrinsics, frames)
+    return FrameMetadata(scene_id, intrinsics, _frames(frames_doc, intrinsics))
 
 
-def _frames_batched(frames_doc: list, intrinsics: Intrinsics):
-    """The capture's frames, checked in one pass over stacked arrays, or None
-    when the pass cannot clear every field.
+def _all_instances(values, kinds) -> bool:
+    """Whether every value is an instance of ``kinds`` and none is a bool,
+    as the walker's isinstance checks test them."""
+    types = set(map(type, values))
+    return bool not in types and all(issubclass(t, kinds) for t in types)
 
-    It accepts only what ``_frames_walked`` accepts, with the same values:
-    the type, key, length, finiteness, last-row, order and bbox checks are
-    exact, and a rotation passes only when its batched orthonormality and
-    determinant errors are at most ORTHO_TOL / 2, so that the walker's
-    per-matrix expressions, which may round differently, are within
-    ORTHO_TOL too. Poses and bboxes are read-only views into the stacks.
-    """
-    if not set(map(type, frames_doc)) <= {dict}:
+
+def _columns(frames_doc: list):
+    """(frame ids, poses, color paths, depth paths, per-frame detections,
+    instance ids, bboxes), or None when one of the walker's type, key,
+    length, order or path checks fails."""
+    if not _all_instances(frames_doc, dict):
         return None
     try:
         ids = [fr["frame_id"] for fr in frames_doc]
@@ -263,23 +263,39 @@ def _frames_batched(frames_doc: list, intrinsics: Intrinsics):
         colors = [fr["color_path"] for fr in frames_doc]
         depths = [fr["depth_path"] for fr in frames_doc]
         visible = [fr["visible_objects"] for fr in frames_doc]
-        if not set(map(type, poses + visible)) <= {list}:
+        if not _all_instances(poses + visible, list):
             return None
         detections = [d for vis in visible for d in vis]
-        if not set(map(type, detections)) <= {dict}:
+        if not _all_instances(detections, dict):
             return None
         instance_ids = [d["instance_id"] for d in detections]
         bboxes = [d["bbox_2d"] for d in detections]
     except KeyError:
         return None
     paths = colors + depths
-    if not (set(map(type, ids + instance_ids)) <= {int}  # bool is not int here
+    # bboxes must be lists before their lengths and values are read
+    if not (_all_instances(ids + instance_ids, int)
             and all(map(operator.lt, ids, ids[1:]))
-            and set(map(type, paths)) <= {str} and all(paths)
-            and set(map(type, bboxes)) <= {list}
+            and _all_instances(paths, str) and all(paths)
+            and _all_instances(bboxes, list)
             and set(map(len, poses)) <= {16} and set(map(len, bboxes)) <= {4}
-            and set(map(type, chain.from_iterable(poses + bboxes))) <= {int, float}):
+            and _all_instances(chain.from_iterable(poses + bboxes), (int, float))):
         return None
+    return ids, poses, colors, depths, visible, instance_ids, bboxes
+
+
+def _frames(frames_doc: list, intrinsics: Intrinsics) -> tuple:
+    """The capture's frames, checked in one pass over its stacked arrays.
+
+    The array checks are the walker's, except that a rotation clears only
+    when its batched orthonormality and determinant errors are at most
+    ORTHO_TOL / 2, so that the walker's per-matrix expressions, which may
+    round differently, are within ORTHO_TOL too. Otherwise the walker runs.
+    """
+    columns = _columns(frames_doc)
+    if columns is None:
+        _check_frames(frames_doc, intrinsics)  # raises
+    ids, poses, colors, depths, visible, instance_ids, bboxes = columns
     try:
         with np.errstate(all="ignore"):
             m = np.fromiter(chain.from_iterable(poses), float, 16 * len(poses)).reshape(-1, 4, 4)
@@ -287,17 +303,17 @@ def _frames_batched(frames_doc: list, intrinsics: Intrinsics):
             rot = m[:, :3, :3]
             ortho_err = np.abs(np.matmul(rot.transpose(0, 2, 1), rot) - np.eye(3)).max(axis=(1, 2))
             det_err = np.abs(np.linalg.det(rot) - 1.0)
-            ok = (np.isfinite(m).all() and np.isfinite(b).all()
-                  and (np.abs(m[:, 3] - np.array([0.0, 0.0, 0.0, 1.0])).max(axis=1)
-                       <= ORTHO_TOL).all()
-                  and (ortho_err <= ORTHO_TOL / 2).all() and (det_err <= ORTHO_TOL / 2).all()
-                  and ((b[:, 0] < b[:, 2]) & (b[:, 1] < b[:, 3])).all()
-                  and ((b[:, 0] >= 0) & (b[:, 1] >= 0) & (b[:, 2] <= intrinsics.width)
-                       & (b[:, 3] <= intrinsics.height)).all())
+            cleared = (np.isfinite(m).all() and np.isfinite(b).all()
+                       and (np.abs(m[:, 3] - np.array([0.0, 0.0, 0.0, 1.0])).max(axis=1)
+                            <= ORTHO_TOL).all()
+                       and (ortho_err <= ORTHO_TOL / 2).all() and (det_err <= ORTHO_TOL / 2).all()
+                       and ((b[:, 0] < b[:, 2]) & (b[:, 1] < b[:, 3])).all()
+                       and ((b[:, 0] >= 0) & (b[:, 1] >= 0) & (b[:, 2] <= intrinsics.width)
+                            & (b[:, 3] <= intrinsics.height)).all())
     except OverflowError:  # an integer too large for a float
-        return None
-    if not ok:
-        return None
+        _check_frames(frames_doc, intrinsics)  # raises
+    if not cleared:
+        _check_frames(frames_doc, intrinsics)
     m.flags.writeable = False
     b.flags.writeable = False
     rows = list(b)
@@ -305,16 +321,15 @@ def _frames_batched(frames_doc: list, intrinsics: Intrinsics):
     for frame_id, rot, t, color_path, depth_path, vis in zip(
             ids, m[:, :3, :3], m[:, :3, 3], colors, depths, visible):
         stop = start + len(vis)
-        frames.append(CameraFrame(frame_id, _trusted_pose(rot, t), color_path, depth_path,
+        frames.append(CameraFrame(frame_id, rot, t, color_path, depth_path,
                                   tuple(zip(instance_ids[start:stop], rows[start:stop]))))
         start = stop
     return tuple(frames)
 
 
-def _frames_walked(frames_doc: list, intrinsics: Intrinsics):
-    """The capture's frames, checked field by field; raises SchemaViolation
-    naming the first bad field."""
-    frames = []
+def _check_frames(frames_doc: list, intrinsics: Intrinsics):
+    """Check the capture's frames field by field; raises SchemaViolation
+    naming the first bad field, and returns only when every field is valid."""
     prev_id = None
     for i, fr in enumerate(frames_doc):
         path = f"frames[{i}]"
@@ -323,31 +338,31 @@ def _frames_walked(frames_doc: list, intrinsics: Intrinsics):
             raise SchemaViolation(f"{path}.frame_id", "frame ids must strictly increase")
         prev_id = frame_id
 
-        raw = _vec(_require(fr, "pose_c2w", path), 16, f"{path}.pose_c2w")
-        try:
-            pose = Pose.from_matrix(raw.reshape(4, 4))
-        except ValueError as exc:
-            raise SchemaViolation(f"{path}.pose.rotation", str(exc)) from None
+        # every entry is finite (_number checks it); then the pose checks
+        m = _vec(_require(fr, "pose_c2w", path), 16, f"{path}.pose_c2w").reshape(4, 4)
+        r = m[:3, :3]
+        pose_path = f"{path}.pose.rotation"
+        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > ORTHO_TOL:
+            raise SchemaViolation(pose_path, "pose matrix last row must be (0, 0, 0, 1)")
+        if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHO_TOL:
+            raise SchemaViolation(pose_path, "rotation is not orthonormal")
+        if abs(np.linalg.det(r) - 1.0) > ORTHO_TOL:
+            raise SchemaViolation(pose_path, "rotation determinant is not +1")
 
-        color_path = _string(_require(fr, "color_path", path), f"{path}.color_path")
-        depth_path = _string(_require(fr, "depth_path", path), f"{path}.depth_path")
+        _string(_require(fr, "color_path", path), f"{path}.color_path")
+        _string(_require(fr, "depth_path", path), f"{path}.depth_path")
 
         vis_doc = _require(fr, "visible_objects", path)
         if not isinstance(vis_doc, list):
             raise SchemaViolation(f"{path}.visible_objects", "expected a list")
-        visible = []
         for j, v in enumerate(vis_doc):
             vpath = f"{path}.visible_objects[{j}]"
-            vid = _integer(_require(v, "instance_id", vpath), f"{vpath}.instance_id")
-            bbox = _vec(_require(v, "bbox_2d", vpath), 4, f"{vpath}.bbox_2d")
-            xmin, ymin, xmax, ymax = bbox
+            _integer(_require(v, "instance_id", vpath), f"{vpath}.instance_id")
+            xmin, ymin, xmax, ymax = _vec(_require(v, "bbox_2d", vpath), 4, f"{vpath}.bbox_2d")
             if not (xmin < xmax and ymin < ymax):
                 raise SchemaViolation(f"{vpath}.bbox_2d", "empty or inverted box")
             if xmin < 0 or ymin < 0 or xmax > intrinsics.width or ymax > intrinsics.height:
                 raise SchemaViolation(f"{vpath}.bbox_2d", "box exceeds image bounds")
-            visible.append((vid, bbox))
-        frames.append(CameraFrame(frame_id, pose, color_path, depth_path, tuple(visible)))
-    return tuple(frames)
 
 
 def frame_metadata_to_dict(meta: FrameMetadata) -> dict:
@@ -358,7 +373,8 @@ def frame_metadata_to_dict(meta: FrameMetadata) -> dict:
                        "width": intr.width, "height": intr.height},
         "frames": [
             {"frame_id": fr.frame_id,
-             "pose_c2w": [float(v) for v in fr.pose.to_matrix().reshape(-1)],
+             "pose_c2w": np.column_stack([fr.rotation, fr.position]).ravel().tolist()
+                         + [0.0, 0.0, 0.0, 1.0],
              "color_path": fr.color_path,
              "depth_path": fr.depth_path,
              "visible_objects": [

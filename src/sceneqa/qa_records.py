@@ -7,7 +7,9 @@ temporal and route modules stay independent of each other.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,6 +83,8 @@ def validate_record(rec: QaRecord):
             raise ValueError("NA ground truth does not parse as a number") from None
         if not value > 0:
             raise ValueError(f"NA ground truth must be positive, got {rec.ground_truth!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"NA ground truth must be finite, got {rec.ground_truth!r}")
     else:
         raise ValueError(f"unknown answer type {rec.answer_type!r}")
 
@@ -122,17 +126,23 @@ def record_to_dict(rec: QaRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> QaRecord:
-    rec = QaRecord(
-        qid=doc["qid"],
-        scene_id=doc["scene_id"],
-        task=doc["task"],
-        answer_type=doc["answer_type"],
-        question=doc["question"],
-        options=tuple(doc["options"]) if "options" in doc else None,
-        ground_truth=doc["ground_truth"],
-        frame_refs=tuple(doc["frame_refs"]),
-        meta=doc.get("meta", {}),
-    )
+    """The validated record of one decoded line; raises KeyError for a
+    missing field and ValueError for a wrongly typed or invalid one."""
+    for name in ("qid", "scene_id", "task", "answer_type", "question", "ground_truth"):
+        if not isinstance(doc[name], str):
+            raise ValueError(f"{name} must be a string, got {doc[name]!r}")
+    options = doc.get("options", [])
+    if not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
+        raise ValueError(f"options must be a list of strings, got {options!r}")
+    frame_refs = doc["frame_refs"]
+    if not (isinstance(frame_refs, list)
+            and all(isinstance(f, int) and not isinstance(f, bool) for f in frame_refs)):
+        raise ValueError(f"frame_refs must be a list of integers, got {frame_refs!r}")
+    if not isinstance(doc.get("meta", {}), dict):
+        raise ValueError(f"meta must be an object, got {doc['meta']!r}")
+    rec = QaRecord(doc["qid"], doc["scene_id"], doc["task"], doc["answer_type"], doc["question"],
+                   tuple(options) if "options" in doc else None, doc["ground_truth"],
+                   tuple(frame_refs), doc.get("meta", {}))
     validate_record(rec)
     return rec
 
@@ -153,6 +163,12 @@ def rng_stream(seed: int, *parts) -> np.random.Generator:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = np.frombuffer(digest, dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words.tolist())))
+
+
+# GenConfig field annotation -> (accepted types, description); a bool is
+# accepted only for a bool field, and a float field must be finite
+_FIELD_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
+                "bool": (bool, "true or false")}
 
 
 @dataclass(frozen=True)
@@ -185,6 +201,12 @@ class GenConfig:
     route_alternative_mode: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds, wanted = _FIELD_KINDS[f.type]
+            if (not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool)
+                    or (f.type == "float" and not abs(value) <= sys.float_info.max)):
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
         for name in ("ambiguity_margin_m", "min_pair_dist_m", "rel_dir_front_deg",
                      "rel_dir_back_deg", "min_planar_dist_m", "interval_gap_m",
                      "min_displacement_m", "dominance_ratio", "turn_threshold_deg",

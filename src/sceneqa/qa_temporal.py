@@ -205,7 +205,7 @@ def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
     records = []
     for i, j in pairs:
         pair = FramePairSpec(i + 1, j + 1, n)
-        start = g.frame(seq[i]).pose
+        start = g.frame(seq[i])
         net = camera_position(g, seq[j]) - start.position
         if vector_norm(net) < cfg.min_displacement_m:
             continue

@@ -19,7 +19,7 @@ from scipy.spatial.transform import Rotation
 
 from sceneqa.cli import task_generators
 from sceneqa.errors import SchemaViolation
-from sceneqa.geometry import Pose
+from sceneqa.geometry import ORTHO_TOL
 from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import (
     CameraFrame,
@@ -243,8 +243,8 @@ def reference_corners(box) -> np.ndarray:
     return local @ reference_quat_to_matrix(box.rotation).T + box.center
 
 
-def reference_world_to_camera(p, pose) -> np.ndarray:
-    return pose.rotation.T @ (_reference_as_vec3(p, "point") - pose.translation)
+def reference_world_to_camera(p, rotation, translation) -> np.ndarray:
+    return rotation.T @ (_reference_as_vec3(p, "point") - translation)
 
 
 def reference_closest_point_on_box(p, box):
@@ -293,12 +293,33 @@ def reference_object_in_camera(g, frame_id, instance_id) -> np.ndarray:
     fr = g.frame(frame_id)
     obj = g.object(instance_id)
     corners = reference_corners(obj.box)
-    return np.stack([reference_world_to_camera(c, fr.pose) for c in corners])
+    return np.stack([reference_world_to_camera(c, fr.rotation, fr.position) for c in corners])
+
+
+def _reference_pose_from_matrix(m):
+    """The former ``Pose.from_matrix`` and ``Pose.__post_init__`` checks;
+    returns the (rotation, translation) a Pose held."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (4, 4):
+        raise ValueError(f"pose matrix must be 4x4, got {m.shape}")
+    if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > ORTHO_TOL:
+        raise ValueError("pose matrix last row must be (0, 0, 0, 1)")
+    r = np.asarray(m[:3, :3], dtype=float)
+    t = _reference_as_vec3(m[:3, 3], "translation")
+    if r.shape != (3, 3):
+        raise ValueError(f"rotation must be 3x3, got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("rotation has non-finite entries")
+    if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHO_TOL:
+        raise ValueError("rotation is not orthonormal")
+    if abs(np.linalg.det(r) - 1.0) > ORTHO_TOL:
+        raise ValueError("rotation determinant is not +1")
+    return r, t
 
 
 def reference_frame_metadata_from_dict(doc):
     """The former frame-metadata loader: every field checked one by one,
-    every pose through ``Pose.from_matrix``."""
+    every pose through the former ``Pose.from_matrix`` checks."""
     scene_id = _string(_require(doc, "scene_id", ""), "scene_id")
 
     intr_doc = _require(doc, "intrinsics", "")
@@ -328,7 +349,7 @@ def reference_frame_metadata_from_dict(doc):
 
         raw = _vec(_require(fr, "pose_c2w", path), 16, f"{path}.pose_c2w")
         try:
-            pose = Pose.from_matrix(raw.reshape(4, 4))
+            rotation, translation = _reference_pose_from_matrix(raw.reshape(4, 4))
         except ValueError as exc:
             raise SchemaViolation(f"{path}.pose.rotation", str(exc)) from None
 
@@ -349,7 +370,8 @@ def reference_frame_metadata_from_dict(doc):
             if xmin < 0 or ymin < 0 or xmax > intrinsics.width or ymax > intrinsics.height:
                 raise SchemaViolation(f"{vpath}.bbox_2d", "box exceeds image bounds")
             visible.append((vid, bbox))
-        frames.append(CameraFrame(frame_id, pose, color_path, depth_path, tuple(visible)))
+        frames.append(CameraFrame(frame_id, rotation, translation, color_path, depth_path,
+                                  tuple(visible)))
 
     return FrameMetadata(scene_id, intrinsics, tuple(frames))
 
@@ -391,17 +413,17 @@ def reference_write_records(path, scene_inputs, cfg, tasks):
 
 # --- record re-derivation ------------------------------------------------------
 
-def _camera_pose_by_frame(frames, frame_id):
+def _camera_frame(frames, frame_id):
     for fr in frames.frames:
         if fr.frame_id == frame_id:
-            return fr.pose
+            return fr
     raise AssertionError(f"frame {frame_id} missing from metadata")
 
 
-def _world_to_cam_via_inverse(points, pose) -> np.ndarray:
+def _world_to_cam_via_inverse(points, frame) -> np.ndarray:
     m = np.eye(4)
-    m[:3, :3] = pose.rotation
-    m[:3, 3] = pose.translation
+    m[:3, :3] = frame.rotation
+    m[:3, 3] = frame.position
     inv = np.linalg.inv(m)
     pts = np.atleast_2d(points)
     hom = np.column_stack([pts, np.ones(len(pts))])
@@ -497,25 +519,25 @@ def verify_record(rec, scene, frames, cfg, cloud=None) -> str | None:
             f"order {cats} has first-seen {seen}"
 
     if rec.task == "cam_obj_abs_dist":
-        pose = _camera_pose_by_frame(frames, rec.frame_refs[0])
-        want = oracle_point_box_distance(pose.translation, objs[rec.meta["instance"]].box)
+        fr = _camera_frame(frames, rec.frame_refs[0])
+        want = oracle_point_box_distance(fr.position, objs[rec.meta["instance"]].box)
         ok = abs(float(gt) - want) <= DIST_ABS_TOL
         return None if ok else f"distance {want:.4f} vs {gt}"
 
     if rec.task == "cam_obj_rel_dist":
-        pose = _camera_pose_by_frame(frames, rec.frame_refs[0])
+        fr = _camera_frame(frames, rec.frame_refs[0])
         cands = [objs[i] for i in rec.meta["candidates"]]
-        dists = [oracle_point_box_distance(pose.translation, c.box) for c in cands]
+        dists = [oracle_point_box_distance(fr.position, c.box) for c in cands]
         winner = cands[int(np.argmin(dists))].category
         return None if winner == gt else f"winner {winner} != {gt}"
 
     if rec.task == "obj_obj_rel_pos":
-        pose = _camera_pose_by_frame(frames, rec.frame_refs[0])
+        fr = _camera_frame(frames, rec.frame_refs[0])
         a, b = (objs[i] for i in rec.meta["pair"])
         low_label, high_label = rec.meta["axis"].split("_")
         axis = {"near": 2, "left": 0, "up": 1}[low_label]
-        ca = _world_to_cam_via_inverse(_corners_independent(a.box), pose)[:, axis]
-        cb = _world_to_cam_via_inverse(_corners_independent(b.box), pose)[:, axis]
+        ca = _world_to_cam_via_inverse(_corners_independent(a.box), fr)[:, axis]
+        cb = _world_to_cam_via_inverse(_corners_independent(b.box), fr)[:, axis]
         if ca.max() + cfg.interval_gap_m <= cb.min():
             want = low_label
         elif cb.max() + cfg.interval_gap_m <= ca.min():
@@ -526,17 +548,17 @@ def verify_record(rec, scene, frames, cfg, cloud=None) -> str | None:
         return None if want == gt else f"side {want} != {gt}"
 
     if rec.task == "cam_displacement":
-        p1 = _camera_pose_by_frame(frames, rec.frame_refs[0]).translation
-        p2 = _camera_pose_by_frame(frames, rec.frame_refs[1]).translation
+        p1 = _camera_frame(frames, rec.frame_refs[0]).position
+        p2 = _camera_frame(frames, rec.frame_refs[1]).position
         want = float(np.sqrt(((p2 - p1) ** 2).sum()))
         ok = abs(float(gt) - want) <= EXACT_NA_TOL and want >= cfg.min_displacement_m - 1e-9
         return None if ok else f"displacement {want:.4f} vs {gt}"
 
     if rec.task == "cam_move_dir":
-        pose_i = _camera_pose_by_frame(frames, rec.frame_refs[0])
-        pose_j = _camera_pose_by_frame(frames, rec.frame_refs[1])
-        net = pose_j.translation - pose_i.translation
-        local = np.linalg.solve(pose_i.rotation, net)
+        fr_i = _camera_frame(frames, rec.frame_refs[0])
+        fr_j = _camera_frame(frames, rec.frame_refs[1])
+        net = fr_j.position - fr_i.position
+        local = np.linalg.solve(fr_i.rotation, net)
         x, z = local[0], local[2]
         if abs(z) >= cfg.dominance_ratio * abs(x) and abs(z) > 0:
             want = "Forward" if z > 0 else "Backward"

@@ -18,9 +18,7 @@ from sceneqa.evaluate import mra
 from sceneqa.fusion import FusionWeights, attention_map, build_unified_3d, fuse_forward, grad_check
 from sceneqa.geometry import (
     OrientedBox3,
-    Pose,
     box_box_distance,
-    camera_to_world,
     closest_point_on_box,
     quat_to_matrix,
     world_to_camera,
@@ -71,9 +69,9 @@ def test_geometry_oracles():
 
     worst_roundtrip = 0.0
     for _ in range(2000):
-        pose = Pose(quat_to_matrix(random_unit_quat(rng)), rng.uniform(-5, 5, 3))
+        rot, t = quat_to_matrix(random_unit_quat(rng)), rng.uniform(-5, 5, 3)
         p = rng.uniform(-10, 10, 3)
-        err = np.max(np.abs(camera_to_world(world_to_camera(p, pose), pose) - p))
+        err = np.max(np.abs(rot @ world_to_camera(p, rot, t) + t - p))  # inverse: R q + t
         worst_roundtrip = max(worst_roundtrip, float(err))
 
     worst_pair = 0.0

@@ -1,12 +1,18 @@
 import dataclasses
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import reference_write_records, verify_record
 from synth import make_cluster_cloud, make_rect_cloud, make_scene, make_single_turn_waypoints, write_scene_dir
-from sceneqa import qa_spatial, qa_temporal
+import sceneqa
+from sceneqa import errors, qa_spatial, qa_temporal
 from sceneqa.cli import discover_scenes, main, read_records_jsonl, task_generators
 from sceneqa.geometry import OrientedBox3
 from sceneqa.graph import build_graph, scene_context
@@ -263,15 +269,37 @@ def test_gen_never_writes_zero_truth(tmp_path, capsys):
     ({"workers": True}, "workers"),
     ({"tasks": "obj_count"}, "tasks"),
     ({"tasks": ["obj_count", 3]}, "tasks"),
+    ({"max_per_task": 2.5}, "max_per_task"),
+    ({"max_per_task": True}, "max_per_task"),
+    ({"sample_frames": 3.5}, "sample_frames"),
+    ({"min_bbox_area_px": "400"}, "min_bbox_area_px"),
+    ({"seed": "1"}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"route_alternative_mode": "yes"}, "route_alternative_mode"),
+    ({"dominance_ratio": True}, "dominance_ratio"),
+    ({"max_anchor_dist_m": 10 ** 400}, "max_anchor_dist_m"),
+    pytest.param('{"dominance_ratio": 1e400}', "dominance_ratio", id="float_overflows_to_inf"),
 ])
 def test_gen_bad_config_is_input_error(scene_dir, tmp_path, capsys, settings, field):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps(settings))
+    cfg_file.write_text(settings if isinstance(settings, str) else json.dumps(settings))
     code = main(["gen", "--input-root", str(scene_dir.parent),
                  "--out", str(tmp_path / "r.jsonl"), "--config", str(cfg_file)])
     assert code == 2
     err = capsys.readouterr().err
     assert str(cfg_file) in err and field in err
+
+
+def test_gen_config_keeps_valid_values_as_written(scene_dir, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"dominance_ratio": 2, "min_bbox_area_px": 400,
+                                    "route_alternative_mode": True, "seed": -3}))
+    out = tmp_path / "r.jsonl"
+    assert main(["gen", "--input-root", str(scene_dir.parent), "--out", str(out),
+                 "--config", str(cfg_file), "--tasks", "obj_count"]) == 0
+    header = out.read_text().splitlines()[0]
+    assert '"dominance_ratio":2,' in header and '"min_bbox_area_px":400,' in header
+    assert '"route_alternative_mode":true,' in header and '"seed":-3' in header
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -311,7 +339,11 @@ def test_unreadable_json_names_the_file(scene_dir, tmp_path, capsys, command, ta
      lambda doc: doc["objects"][0]["center"].__setitem__(0, 10 ** 400)),
     ("frame_metadata.json", "intrinsics.fx",
      lambda doc: doc["intrinsics"].__setitem__("fx", 10 ** 400)),
-], ids=["scene", "frames"])
+    ("frame_metadata.json", "intrinsics.width",
+     lambda doc: doc["intrinsics"].__setitem__("width", 10 ** 400)),
+    ("frame_metadata.json", "intrinsics.height",
+     lambda doc: doc["intrinsics"].__setitem__("height", 10 ** 400)),
+], ids=["scene", "frames", "frames_width", "frames_height"])
 def test_huge_json_integer_is_schema_violation(scene_dir, tmp_path, capsys, target, field, edit):
     path = scene_dir / target
     doc = json.loads(path.read_text())
@@ -320,6 +352,59 @@ def test_huge_json_integer_is_schema_violation(scene_dir, tmp_path, capsys, targ
     assert main(["gen", "--input-root", str(scene_dir.parent),
                  "--out", str(tmp_path / "r.jsonl")]) == 2
     assert field in capsys.readouterr().err
+
+
+SAMPLE_ERROR_ARGS = {
+    errors.PlyError: ("bad header", 12),
+    errors.SchemaViolation: ("frames[0].frame_id", "expected an integer"),
+    errors.DanglingInstanceRef: (2, 999),
+}
+
+
+ERROR_CLASSES = sorted((c for c in vars(errors).values()
+                        if isinstance(c, type) and issubclass(c, errors.SceneQaError)),
+                       key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_survives_pickling(cls):
+    # gen workers hand their errors back to the parent process pickled
+    args = next((a for base, a in SAMPLE_ERROR_ARGS.items() if issubclass(cls, base)),
+                ("something broke",))
+    exc = cls(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and str(back) == str(exc) and vars(back) == vars(exc)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_gen_dangling_instance_names_the_frame_file(tmp_path, workers):
+    root = tmp_path / "scenes"
+    for i in range(2):
+        write_scene_dir(root, *make_scene(seed=3100 + i, scene_id=f"d{i:02d}"))
+    path = root / "d01" / "frame_metadata.json"
+    doc = json.loads(path.read_text())
+    doc["frames"][2]["visible_objects"].append({"instance_id": 999, "bbox_2d": [1, 1, 50, 50]})
+    path.write_text(json.dumps(doc))
+    src = str(Path(sceneqa.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "sceneqa.cli", "gen", "--input-root", str(root),
+                          "--out", str(tmp_path / "r.jsonl"), "--workers", workers],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 2, run.stderr
+    assert f"{path}: frame 2 references unknown instance 999" in run.stderr
+
+
+@pytest.mark.parametrize("category", [5, "", None, ["x"]], ids=["int", "empty", "null", "list"])
+def test_label_map_bad_category_is_input_error(tmp_path, capsys, category):
+    ply = tmp_path / "scan.ply"
+    write_ply(ply, make_cluster_cloud(11, [(1, 4, [0, 0, 0.5], [1, 1, 1], 200)]))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"7": "table", "4": category}))
+    assert main(["ingest", "--ply", str(ply), "--label-map", str(labels),
+                 "--scene-id", "x", "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert str(labels) in err and "label 4" in err, err
 
 
 def test_huge_waypoint_is_input_error(scene_dir, tmp_path, capsys):
@@ -445,6 +530,30 @@ def test_malformed_prediction_is_input_error(tmp_path, capsys, pred, fragment):
     assert main(["eval", "--records", str(records), "--predictions", str(preds)]) == 2
     err = capsys.readouterr().err
     assert f"{preds}:2" in err and fragment in err, err
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    ({"answer_type": "MCA", "options": [1, 2, 3], "ground_truth": "1"}, "options"),
+    ({"task": "rel_dir", "answer_type": "MCA", "options": ["left", None, "back"],
+      "ground_truth": "left"}, "options"),
+    ({"options": "abc"}, "options"),
+    ({"qid": 7}, "qid"),
+    ({"question": None}, "question"),
+    ({"ground_truth": 2}, "ground_truth"),
+    ({"frame_refs": "12"}, "frame_refs"),
+    ({"frame_refs": [1, True]}, "frame_refs"),
+    ({"meta": []}, "meta"),
+    ({"ground_truth": "inf"}, "finite"),
+], ids=["options_ints", "options_null", "options_string", "qid_int", "question_null",
+        "truth_int", "frame_refs_string", "frame_refs_bool", "meta_list", "truth_inf"])
+def test_malformed_record_field_is_input_error(tmp_path, capsys, edit, fragment):
+    records = tmp_path / "records.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(records, [{"_header": {}}, dict(GOOD_RECORD, **edit)])
+    write_jsonl(preds, [{"qid": GOOD_RECORD["qid"], "raw_text": "left"}])
+    assert main(["eval", "--records", str(records), "--predictions", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert f"{records}:2" in err and fragment in err, err
 
 
 def test_eval_duplicate_qid_exit_3(scene_dir, tmp_path, capsys):

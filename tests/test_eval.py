@@ -1,11 +1,18 @@
+import copy
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneqa.cli import read_records_jsonl
 from sceneqa.errors import (
     AmbiguousMatch,
     DuplicateQid,
+    InputError,
     NoMatch,
     NoNumberFound,
     NonPositiveTruth,
@@ -18,7 +25,7 @@ from sceneqa.evaluate import (
     render_table,
     score_run,
 )
-from sceneqa.qa_records import QaRecord
+from sceneqa.qa_records import QaRecord, record_to_dict
 
 
 def mra_loop_oracle(pred, truth):
@@ -212,3 +219,59 @@ def test_render_table_mentions_every_task():
     for task in EXPECTED_PER_TASK:
         assert task in text
     assert "overall" in text
+
+
+def test_match_single_option_by_token_overlap():
+    # a one-option record is valid for tasks without a fixed option count
+    assert match_option("foo", ["foo bar"]) == 0
+
+
+# --- read_records_jsonl fuzzed --------------------------------------------------------
+
+RECORD_DOCS = [record_to_dict(r) for r in FIXTURE]
+FUZZ_VALUES = [True, 0, 7, -1.5, 1e308, 10 ** 400, "", "x", "A", "left", "2", "-2", "0",
+               "inf", "nan", "1e400", None, [], {}, [1, 2, 3], ["left", None, "back"],
+               ["left"], ["a b"], ["left", "left"], [0, 3], {"k": 1}]
+ANSWERS = ["A", "(b)", "C", "left", "foo", "a b", "3.5", "", "1e400", "-1"]
+
+
+def mutate_record(doc, data):
+    kind = data.draw(st.sampled_from(["drop", "retype", "element", "replace"]), label="kind")
+    if kind == "replace":
+        return data.draw(st.sampled_from([None, 5, "x", [1], []]), label="line")
+    if kind == "element":
+        values = doc.get(data.draw(st.sampled_from(["options", "frame_refs"])))
+        if isinstance(values, list) and values:
+            k = data.draw(st.integers(0, len(values) - 1))
+            values[k] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES), label="value"))
+        return doc
+    key = data.draw(st.sampled_from(sorted(doc) + ["options", "meta"]), label="key")
+    if kind == "drop":
+        doc.pop(key, None)
+    else:
+        doc[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES), label="value"))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_record_lines_load_or_name_their_line(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(RECORD_DOCS), label="base"))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        if isinstance(doc, dict):
+            doc = mutate_record(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n"
+                                for d in ({"_header": {}}, doc, RECORD_DOCS[0])))
+        try:
+            _, records = read_records_jsonl(path)
+        except InputError as exc:
+            assert str(exc).startswith(f"{path}:2: "), exc
+            return
+    answers = {r.qid: data.draw(st.sampled_from(ANSWERS + [r.ground_truth]), label="answer")
+               for r in records if r.qid}
+    report = score_run(records, [Prediction(q, a) for q, a in answers.items()],
+                       weight_by_question=data.draw(st.booleans()))
+    assert len(report.per_question) == len(records)
+    render_table(report)

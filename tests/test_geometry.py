@@ -9,9 +9,7 @@ from oracles import oracle_box_box_distance, oracle_point_box_distance, rot_from
 from sceneqa.errors import DegenerateDirection
 from sceneqa.geometry import (
     OrientedBox3,
-    Pose,
     box_box_distance,
-    camera_to_world,
     closest_point_on_box,
     planar_signed_angle,
     quat_to_matrix,
@@ -25,8 +23,9 @@ def random_unit_quat(rng):
 
 
 def random_pose(rng):
+    """(rotation, position) of a random camera-to-world pose."""
     q = random_unit_quat(rng)
-    return Pose(quat_to_matrix(q), rng.uniform(-5, 5, size=3))
+    return quat_to_matrix(q), rng.uniform(-5, 5, size=3)
 
 
 def random_box(rng, center_span=4.0, size_lo=0.2, size_hi=1.6):
@@ -38,39 +37,29 @@ def random_box(rng, center_span=4.0, size_lo=0.2, size_hi=1.6):
 # --- world_to_camera ---------------------------------------------------------
 
 def test_world_to_camera_identity():
-    assert np.allclose(world_to_camera([1, 2, 3], Pose.identity()), [1, 2, 3])
+    assert np.allclose(world_to_camera([1, 2, 3], np.eye(3), np.zeros(3)), [1, 2, 3])
 
 
 def test_world_to_camera_translation_cancels():
-    pose = Pose(np.eye(3), [0, 0, 5])
-    assert np.allclose(world_to_camera([0, 0, 5], pose), [0, 0, 0])
+    assert np.allclose(world_to_camera([0, 0, 5], np.eye(3), [0, 0, 5]), [0, 0, 0])
 
 
 def test_world_to_camera_rotation_matches_matrix_oracle():
     # 90 degrees about world Z; expected value from a direct R^T (p - t) evaluation
     c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
     rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
-    pose = Pose(rot, np.zeros(3))
     expected = rot.T @ np.array([1.0, 0.0, 0.0])
-    assert np.allclose(world_to_camera([1, 0, 0], pose), expected, atol=1e-12)
+    assert np.allclose(world_to_camera([1, 0, 0], rot, np.zeros(3)), expected, atol=1e-12)
     assert np.allclose(expected, [0, -1, 0], atol=1e-12)
 
 
 def test_transform_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        pose = random_pose(rng)
+        rot, t = random_pose(rng)
         p = rng.uniform(-10, 10, size=3)
-        back = camera_to_world(world_to_camera(p, pose), pose)
+        back = rot @ world_to_camera(p, rot, t) + t  # camera-to-world: R q + t
         assert np.max(np.abs(back - p)) < 1e-9
-
-
-def test_pose_rejects_non_rotation():
-    bad = np.diag([1.0, 1.0, -1.0])  # det = -1
-    with pytest.raises(ValueError):
-        Pose(bad, np.zeros(3))
-    with pytest.raises(ValueError):
-        Pose(np.eye(3) * 2.0, np.zeros(3))
 
 
 def test_quat_to_matrix_matches_scipy():

@@ -26,7 +26,6 @@ from oracles import (
 from synth import make_scene
 from sceneqa.geometry import (
     OrientedBox3,
-    Pose,
     box_box_distance,
     closest_point_on_box,
     quat_from_yaw,
@@ -147,9 +146,9 @@ def test_closest_point_bits_on_seeded_points():
 def test_world_to_camera_bits_on_seeded_poses():
     rng = np.random.default_rng(43)
     for _ in range(50):
-        pose = Pose(quat_to_matrix(unit_quat(rng)), rng.uniform(-5, 5, size=3))
+        rot, t = quat_to_matrix(unit_quat(rng)), rng.uniform(-5, 5, size=3)
         for p in rng.uniform(-10, 10, size=(10, 3)):
-            assert hexes(world_to_camera(p, pose)) == hexes(reference_world_to_camera(p, pose))
+            assert hexes(world_to_camera(p, rot, t)) == hexes(reference_world_to_camera(p, rot, t))
 
 
 # --- object_in_camera and the SceneContext memos -------------------------------------

@@ -71,6 +71,20 @@ def test_reflection_pose_rejected_with_field_path():
     assert "pose.rotation" in err.value.field_path
 
 
+def test_pose_rejects_non_rotation():
+    # the loader is the one place that checks a pose
+    for rotation, message in ((np.diag([1.0, 1.0, -1.0]), "rotation determinant is not +1"),
+                              (np.eye(3) * 2.0, "rotation is not orthonormal")):
+        doc = minimal_frames()
+        m = np.eye(4)
+        m[:3, :3] = rotation
+        doc["frames"][1]["pose_c2w"] = [float(v) for v in m.reshape(-1)]
+        with pytest.raises(SchemaViolation) as err:
+            frame_metadata_from_dict(doc)
+        assert err.value.field_path == "frames[1].pose.rotation"
+        assert message in str(err.value)
+
+
 @pytest.mark.parametrize("mutate,path_fragment", [
     (lambda d: d.pop("scene_id"), "scene_id"),
     (lambda d: d["objects"][0].pop("center"), "objects[0]"),

@@ -4,12 +4,16 @@
 arrays and hands anything it cannot clear to the walker. The accepted set,
 the error raised for a rejected document (with its field path) and every
 loaded pose and bbox bit must stay those of
-``oracles.reference_frame_metadata_from_dict``.
+``oracles.reference_frame_metadata_from_dict``, with one documented change:
+an intrinsics width or height too large for a float is a SchemaViolation
+naming the field (the former walker raised a bare OverflowError, or accepted
+a capture with no bbox to compare).
 """
 
 import copy
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,21 +54,50 @@ def outcome(loader, doc):
     except Exception as exc:  # noqa: BLE001 - compared, not handled
         return "raised", type(exc).__name__, str(exc)
     return "accepted", meta.scene_id, meta.intrinsics, [
-        (fr.frame_id, bits(fr.pose.rotation), bits(fr.pose.translation),
+        (fr.frame_id, bits(fr.rotation), bits(fr.position),
          fr.color_path, fr.depth_path,
          [(type(vid), vid, bits(bbox)) for vid, bbox in fr.visible_objects])
         for fr in meta.frames]
 
 
+def reference_outcome(doc):
+    """The former walker's outcome, except for a document whose intrinsics
+    it accepts with a width or height too large for a float: that is now a
+    SchemaViolation naming the field."""
+    if outcome(reference_frame_metadata_from_dict, {**doc, "frames": []})[0] == "accepted":
+        for key in ("width", "height"):
+            try:
+                float(doc["intrinsics"][key])
+            except OverflowError:
+                path = f"intrinsics.{key}"
+                return "rejected", path, f"{path}: number out of float range"
+    return outcome(reference_frame_metadata_from_dict, doc)
+
+
 def assert_same_outcome(doc):
     new = outcome(frame_metadata_from_dict, doc)
-    assert new == outcome(reference_frame_metadata_from_dict, doc)
+    assert new == reference_outcome(doc)
     return new
 
 
 def cleared_by_batched_pass(doc) -> bool:
-    intrinsics = frame_metadata_from_dict({**doc, "frames": []}).intrinsics
-    return metadata._frames_batched(copy.deepcopy(doc)["frames"], intrinsics) is not None
+    """Whether the batched pass accepts the document without the walker."""
+    with mock.patch.object(metadata, "_check_frames", wraps=metadata._check_frames) as walker:
+        try:
+            frame_metadata_from_dict(copy.deepcopy(doc))
+        except SchemaViolation:
+            return False
+    return not walker.called
+
+
+def float64_doc(doc) -> dict:
+    """The document with every bbox value an np.float64, as tests/synth.py
+    passes them."""
+    doc = copy.deepcopy(doc)
+    for fr in doc["frames"]:
+        for det in fr["visible_objects"]:
+            det["bbox_2d"] = [np.float64(v) for v in det["bbox_2d"]]
+    return doc
 
 
 # --- accepted captures ----------------------------------------------------------------
@@ -91,10 +124,43 @@ def test_fixtures_load_bit_for_bit(make):
 def test_loaded_arrays_are_read_only():
     meta = frame_metadata_from_dict(capture_doc(3200))
     for fr in meta.frames:
-        assert not fr.pose.rotation.flags.writeable
-        assert not fr.pose.translation.flags.writeable
+        assert not fr.rotation.flags.writeable
+        assert not fr.position.flags.writeable
         for _, bbox in fr.visible_objects:
             assert not bbox.flags.writeable
+
+
+def assert_views_into_one_stack(meta):
+    """Every rotation and position is a read-only view into one pose stack,
+    and every bbox into one bbox stack."""
+    poses = [a for fr in meta.frames for a in (fr.rotation, fr.position)]
+    bboxes = [bbox for fr in meta.frames for _, bbox in fr.visible_objects]
+    for arrays, per_item, items in ((poses, 16, len(meta.frames)), (bboxes, 4, len(bboxes))):
+        stack = arrays[0].base
+        assert stack is not None and stack.size == per_item * items
+        assert all(a.base is stack and not a.flags.writeable for a in arrays)
+
+
+def near_threshold_doc() -> dict:
+    """A capture whose frame-1 rotation has an orthonormality error of about
+    0.75 * ORTHO_TOL: past the batched pass's ORTHO_TOL / 2, so the walker
+    checks and accepts it."""
+    doc = minimal_frames()
+    t = 0.75 * ORTHO_TOL
+    doc["frames"][1]["pose_c2w"] = scaled_pose((t / 2, -t / 2, 0.0))
+    return doc
+
+
+@pytest.mark.parametrize("make,cleared", [
+    (lambda: capture_doc(3201), True),
+    (near_threshold_doc, False),
+    (lambda: float64_doc(capture_doc(3202)), True),
+], ids=["batched", "walker_near_threshold", "float64"])
+def test_frames_are_read_only_views_into_one_stack(make, cleared):
+    doc = make()
+    assert assert_same_outcome(doc)[0] == "accepted"
+    assert cleared_by_batched_pass(doc) == cleared
+    assert_views_into_one_stack(frame_metadata_from_dict(doc))
 
 
 # --- single bad fields -----------------------------------------------------------------
@@ -130,7 +196,12 @@ def test_each_bad_value_in_each_field_matches_the_walker():
             owner[key] = value
             with np.errstate(all="ignore"):
                 new = outcome(frame_metadata_from_dict, doc)
-                assert new == outcome(reference_frame_metadata_from_dict, doc), (field, value)
+                assert new == reference_outcome(doc), (field, value)
+                if field == "width" and value == 10 ** 400:
+                    # the one documented change from the former walker
+                    assert outcome(reference_frame_metadata_from_dict, doc)[:2] == \
+                        ("raised", "OverflowError")
+                    assert new[:2] == ("rejected", "intrinsics.width")
 
 
 @pytest.mark.parametrize("index,value", [
@@ -194,7 +265,8 @@ def test_rotations_just_under_at_and_over_the_tolerance(kind, target):
 
 # --- fuzzed documents -----------------------------------------------------------------
 
-BASE_DOCS = [capture_doc(3300 + i, frames=4) for i in range(4)] + [minimal_frames()]
+BASE_DOCS = [capture_doc(3300 + i, frames=4) for i in range(4)] + [
+    minimal_frames(), float64_doc(capture_doc(3304, frames=4))]
 
 def frame_fields(doc, data):
     frames = doc.get("frames")
@@ -238,14 +310,14 @@ def mutate(doc, data):
         if kind == "drop":
             del owner[key]
         else:
-            owner[key] = data.draw(st.sampled_from(BAD_VALUES), label="value")
+            owner[key] = copy.deepcopy(data.draw(st.sampled_from(BAD_VALUES), label="value"))
     elif kind == "retype_number":
         owner = data.draw(st.sampled_from(["pose", "bbox"]))
         values = (number_list(frame_fields(doc, data), "pose_c2w") if owner == "pose"
                   else number_list(detection_fields(doc, data), "bbox_2d"))
         if values:
             k = data.draw(st.integers(0, len(values) - 1))
-            values[k] = data.draw(st.sampled_from(BAD_VALUES), label="value")
+            values[k] = copy.deepcopy(data.draw(st.sampled_from(BAD_VALUES), label="value"))
     elif kind == "ragged":
         values = data.draw(st.sampled_from(["pose", "bbox"]))
         values = (number_list(frame_fields(doc, data), "pose_c2w") if values == "pose"
@@ -263,6 +335,8 @@ def mutate(doc, data):
         if isinstance(frames, list) and len(frames) >= 2:
             i = data.draw(st.integers(0, len(frames) - 2))
             a, b = frames[i], frames[i + 1]
+            if not ("frame_id" in a and "frame_id" in b):  # an earlier mutation dropped one
+                return
             if data.draw(st.booleans()):
                 a["frame_id"], b["frame_id"] = b["frame_id"], a["frame_id"]
             else:
