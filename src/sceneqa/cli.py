@@ -146,8 +146,15 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
             fh.write("\n")
 
     generators = task_generators()
-    return [((rec.scene_id, TASK_ORDER[rec.task], rec.qid), _dump_line(record_to_dict(rec)))
-            for task in TASKS if task in tasks for rec in generators[task](ctx, cfg)]
+    keyed = []
+    for task in (t for t in TASKS if t in tasks):
+        try:  # a truth that breaks the record invariants, e.g. an overflowing distance
+            records = generators[task](ctx, cfg)
+        except ValueError as exc:
+            raise InputError(f"{inputs.scene_path}: {task}: {exc}") from None
+        keyed += [((rec.scene_id, TASK_ORDER[rec.task], rec.qid),
+                   _dump_line(record_to_dict(rec))) for rec in records]
+    return keyed
 
 
 def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
@@ -170,23 +177,27 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
 def cmd_ingest(args) -> int:
     cloud = _load(args.ply, parse_ply)
     doc = _load(args.label_map, _read_json)
+    label_map, keys = {}, {}
     try:
-        label_map = {int(k): v for k, v in doc.items()}
+        for key, category in doc.items():
+            label = int(key)
+            if label in keys:
+                raise InputError(f"{args.label_map}: keys {keys[label]!r} and {key!r} "
+                                 f"both name label {label}")
+            if not isinstance(category, str) or not category:
+                raise InputError(f"{args.label_map}: label {label}: category must be a "
+                                 f"nonempty string, got {category!r}")
+            label_map[label], keys[label] = category, key
     except (AttributeError, ValueError) as exc:
         raise InputError(f"{args.label_map}: expected an object keyed by integer "
                          f"label ids ({exc})") from None
-    for label, category in label_map.items():
-        if not isinstance(category, str) or not category:
-            raise InputError(f"{args.label_map}: label {label}: category must be a "
-                             f"nonempty string, got {category!r}")
-    instances = derive_instance_boxes(cloud, label_map,
-                                      min_points=args.min_points,
-                                      oriented=args.oriented)
-    total_groups = len(np.unique(cloud.instance_labels))
+    instances, dropped = derive_instance_boxes(cloud, label_map,
+                                               min_points=args.min_points,
+                                               oriented=args.oriented)
     meta = build_scene_metadata(args.scene_id, instances, cloud.positions)
     save_scene_metadata(args.out, meta)
     print(f"scene {args.scene_id}: {len(instances)} instance(s), "
-          f"{total_groups - len(instances)} dropped (< {args.min_points} points)")
+          f"{dropped} dropped (< {args.min_points} points)")
     return EXIT_OK
 
 

@@ -429,25 +429,33 @@ def read_jsonl(path, parse):
 def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
                           min_points: int = DEFAULT_MIN_POINTS,
                           oriented: bool = False):
-    """Fit one box per instance id with at least ``min_points`` points.
+    """Fit one box per instance id with at least ``min_points`` points;
+    returns (instances in increasing id order, number of ids dropped).
+
+    The points are grouped once: a stable sort of the instance ids makes
+    each instance's point indices one contiguous slice of the sort order, in
+    file order, so the grouping costs O(N log N) for N points however many
+    instances there are.
 
     ``label_map`` maps semantic label ids to category names; an instance's
-    category comes from the majority semantic label of its points (ids not
-    in the map become "class_<id>"). Boxes are axis-aligned min/max fits by
-    default; with ``oriented=True`` a PCA-derived yaw (rotation about +Z
-    only) is removed before fitting.
+    category comes from the majority semantic label of its points, the
+    smallest such id on a tie (ids not in the map become "class_<id>").
+    Boxes are axis-aligned min/max fits by default; with ``oriented=True`` a
+    PCA-derived yaw (rotation about +Z only) is removed before fitting.
 
     Raises EmptyAfterFiltering when no instance survives.
     """
+    order = np.argsort(cloud.instance_labels, kind="stable")
+    ids, starts, counts = np.unique(cloud.instance_labels[order],
+                                    return_index=True, return_counts=True)
     instances = []
-    for inst_id in np.unique(cloud.instance_labels):
-        mask = cloud.instance_labels == inst_id
-        if int(mask.sum()) < min_points:
+    for inst_id, start, n in zip(ids.tolist(), starts.tolist(), counts.tolist()):
+        if n < min_points:
             continue
-        pts = cloud.positions[mask]
-        sem = cloud.semantic_labels[mask]
-        ids, freq = np.unique(sem, return_counts=True)
-        majority = int(ids[np.argmax(freq)])
+        rows = order[start:start + n]
+        pts = cloud.positions[rows]
+        labels, freq = np.unique(cloud.semantic_labels[rows], return_counts=True)
+        majority = int(labels[np.argmax(freq)])
         category = label_map.get(majority, f"class_{majority}")
 
         if oriented:
@@ -472,12 +480,12 @@ def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
             quat = np.array([1.0, 0.0, 0.0, 0.0])
 
         size = np.maximum(hi - lo, 1e-6)  # avoid zero extents on planar blobs
-        instances.append(ObjectInstance(int(inst_id), category, OrientedBox3(center, size, quat)))
+        instances.append(ObjectInstance(inst_id, category, OrientedBox3(center, size, quat)))
 
     if not instances:
         raise EmptyAfterFiltering(
             f"no instance has at least {min_points} points")
-    return instances
+    return instances, len(ids) - len(instances)
 
 
 def build_scene_metadata(scene_id: str, objects, points=None) -> SceneMetadata:

@@ -18,13 +18,15 @@ from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial.transform import Rotation
 
 from sceneqa.cli import task_generators
-from sceneqa.errors import SchemaViolation
-from sceneqa.geometry import ORTHO_TOL
+from sceneqa.errors import EmptyAfterFiltering, SchemaViolation
+from sceneqa.geometry import ORTHO_TOL, OrientedBox3, quat_from_yaw
 from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import (
+    DEFAULT_MIN_POINTS,
     CameraFrame,
     FrameMetadata,
     Intrinsics,
+    ObjectInstance,
     _integer,
     _number,
     _require,
@@ -191,6 +193,53 @@ def reference_hull_area_xy(points: np.ndarray) -> float:
     hull = np.array(lower[:-1] + upper[:-1])
     x, y = hull[:, 0], hull[:, 1]
     return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+
+
+def reference_derive_instance_boxes(cloud, label_map: dict,
+                                    min_points: int = DEFAULT_MIN_POINTS,
+                                    oriented: bool = False):
+    """The former ``metadata.derive_instance_boxes``, kept verbatim: one
+    boolean mask over the whole cloud per instance id. The one-sort grouping
+    must fit the same boxes, bit for bit."""
+    instances = []
+    for inst_id in np.unique(cloud.instance_labels):
+        mask = cloud.instance_labels == inst_id
+        if int(mask.sum()) < min_points:
+            continue
+        pts = cloud.positions[mask]
+        sem = cloud.semantic_labels[mask]
+        ids, freq = np.unique(sem, return_counts=True)
+        majority = int(ids[np.argmax(freq)])
+        category = label_map.get(majority, f"class_{majority}")
+
+        if oriented:
+            xy = pts[:, :2] - pts[:, :2].mean(axis=0)
+            cov = xy.T @ xy
+            _, vecs = np.linalg.eigh(cov)
+            major = vecs[:, -1]  # eigh sorts ascending
+            yaw = float(np.arctan2(major[1], major[0]))
+            quat = quat_from_yaw(yaw)
+            c, s = np.cos(-yaw), np.sin(-yaw)
+            unrot = pts.copy()
+            unrot[:, 0] = c * pts[:, 0] - s * pts[:, 1]
+            unrot[:, 1] = s * pts[:, 0] + c * pts[:, 1]
+            lo, hi = unrot.min(axis=0), unrot.max(axis=0)
+            center_local = (lo + hi) / 2.0
+            center = np.array([np.cos(yaw) * center_local[0] - np.sin(yaw) * center_local[1],
+                               np.sin(yaw) * center_local[0] + np.cos(yaw) * center_local[1],
+                               center_local[2]])
+        else:
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            center = (lo + hi) / 2.0
+            quat = np.array([1.0, 0.0, 0.0, 0.0])
+
+        size = np.maximum(hi - lo, 1e-6)  # avoid zero extents on planar blobs
+        instances.append(ObjectInstance(int(inst_id), category, OrientedBox3(center, size, quat)))
+
+    if not instances:
+        raise EmptyAfterFiltering(
+            f"no instance has at least {min_points} points")
+    return instances
 
 
 # --- the former geometry path, kept verbatim as the bitwise reference ---------

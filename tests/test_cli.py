@@ -407,6 +407,59 @@ def test_label_map_bad_category_is_input_error(tmp_path, capsys, category):
     assert str(labels) in err and "label 4" in err, err
 
 
+@pytest.mark.parametrize("other", ["04", "+4", " 4"])
+def test_label_map_duplicate_label_is_input_error(tmp_path, capsys, other):
+    ply = tmp_path / "scan.ply"
+    write_ply(ply, make_cluster_cloud(11, [(1, 4, [0, 0, 0.5], [1, 1, 1], 200)]))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"4": "chair", other: "table"}))
+    out = tmp_path / "o.json"
+    assert main(["ingest", "--ply", str(ply), "--label-map", str(labels),
+                 "--scene-id", "x", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(labels) in err and "'4'" in err and repr(other) in err, err
+    assert not out.exists()
+
+
+def test_ingest_stdout_counts_instances_and_dropped(tmp_path, capsys):
+    cloud = make_cluster_cloud(11, [(3, 4, [0, 0, 0.5], [1, 1, 1], 120),
+                                    (0, 7, [4, 4, 0.5], [1, 1, 1], 49),
+                                    (9, 7, [4, 0, 0.5], [1, 1, 1], 50),
+                                    (5, 4, [0, 4, 0.5], [1, 1, 1], 3)])
+    perm = np.random.default_rng(11).permutation(len(cloud))
+    cloud = type(cloud)(cloud.positions[perm], cloud.colors[perm],
+                        cloud.semantic_labels[perm], cloud.instance_labels[perm])
+    ply = tmp_path / "scan.ply"
+    write_ply(ply, cloud, binary=True)
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"4": "chair", "7": "table"}))
+    assert main(["ingest", "--ply", str(ply), "--label-map", str(labels),
+                 "--scene-id", "scan0", "--out", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().out == "scene scan0: 2 instance(s), 2 dropped (< 50 points)\n"
+    meta = load_scene_metadata(tmp_path / "o.json")
+    assert [o.instance_id for o in meta.objects] == [3, 9]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("coord", [1e160, 1e300])
+def test_gen_overflowing_truth_names_the_scene_file(tmp_path, workers, coord):
+    root = tmp_path / "scenes"
+    write_scene_dir(root, *make_scene(seed=2024, scene_id="h00"))
+    write_scene_dir(root, *make_scene(seed=3100, scene_id="h01"))
+    path = root / "h00" / "scene_metadata.json"
+    doc = json.loads(path.read_text())
+    doc["objects"][0]["center"] = [coord, coord, 1.0]  # finite, but its distances overflow
+    path.write_text(json.dumps(doc))
+    src = str(Path(sceneqa.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "sceneqa.cli", "gen", "--input-root", str(root),
+                          "--out", str(tmp_path / "r.jsonl"), "--workers", workers],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 2, run.stderr
+    assert f"error: {path}: abs_dist: " in run.stderr and "Traceback" not in run.stderr
+
+
 def test_huge_waypoint_is_input_error(scene_dir, tmp_path, capsys):
     path = scene_dir / "trajectories.jsonl"
     path.write_text(json.dumps({"scene_id": "cli000",

@@ -148,7 +148,8 @@ def test_uniform_cube_box_matches_minmax_oracle():
     cloud = make_cluster_cloud(0, [(1, 4, [0, 0, 0], [1, 1, 1], 10)])
     cloud = type(cloud)(pts, np.zeros((100, 3), dtype=np.uint8),
                         np.full(100, 4, dtype=np.int64), np.ones(100, dtype=np.int64))
-    [inst] = derive_instance_boxes(cloud, {4: "crate"}, min_points=50)
+    [inst], dropped = derive_instance_boxes(cloud, {4: "crate"}, min_points=50)
+    assert dropped == 0
     lo, hi = pts.min(axis=0), pts.max(axis=0)  # direct min/max oracle
     assert np.allclose(inst.box.center, (lo + hi) / 2, atol=1e-12)
     assert np.allclose(inst.box.size, hi - lo, atol=1e-12)
@@ -160,7 +161,7 @@ def test_uniform_cube_box_matches_minmax_oracle():
 def test_two_clusters_give_disjoint_boxes():
     cloud = make_cluster_cloud(9, [(1, 4, [0, 0, 0.5], [1, 1, 1], 120),
                                    (2, 7, [5, 5, 0.5], [1, 1, 1], 120)])
-    boxes = derive_instance_boxes(cloud, {4: "chair", 7: "table"})
+    boxes, _ = derive_instance_boxes(cloud, {4: "chair", 7: "table"})
     assert [b.instance_id for b in boxes] == [1, 2]
     a, b = boxes
     assert box_box_distance(a.box, b.box) > 1.0  # well separated solids
@@ -169,8 +170,8 @@ def test_two_clusters_give_disjoint_boxes():
 def test_small_instances_dropped_and_empty_error():
     cloud = make_cluster_cloud(9, [(1, 4, [0, 0, 0], [1, 1, 1], 120),
                                    (2, 7, [5, 5, 0], [1, 1, 1], 10)])
-    boxes = derive_instance_boxes(cloud, {}, min_points=50)
-    assert [b.instance_id for b in boxes] == [1]
+    boxes, dropped = derive_instance_boxes(cloud, {}, min_points=50)
+    assert [b.instance_id for b in boxes] == [1] and dropped == 1
     with pytest.raises(EmptyAfterFiltering):
         derive_instance_boxes(cloud, {}, min_points=1000)
 
@@ -194,7 +195,7 @@ def test_all_source_points_inside_emitted_box(oriented):
     cloud_t = make_cluster_cloud(0, [(1, 0, [0, 0, 0], [1, 1, 1], 5)])
     cloud = type(cloud_t)(pts, np.zeros((len(pts), 3), dtype=np.uint8),
                           np.zeros(len(pts), dtype=np.int64), inst_ids)
-    boxes = derive_instance_boxes(cloud, {}, min_points=50, oriented=oriented)
+    boxes, _ = derive_instance_boxes(cloud, {}, min_points=50, oriented=oriented)
     for inst in boxes:
         mask = inst_ids == inst.instance_id
         for p in pts[mask]:
@@ -205,7 +206,7 @@ def test_build_scene_metadata_counts():
     cloud = make_cluster_cloud(9, [(1, 4, [0, 0, 0.5], [1, 1, 1], 120),
                                    (2, 4, [5, 5, 0.5], [1, 1, 1], 120),
                                    (3, 7, [5, 0, 0.5], [1, 1, 1], 120)])
-    objs = derive_instance_boxes(cloud, {4: "chair", 7: "table"})
+    objs, _ = derive_instance_boxes(cloud, {4: "chair", 7: "table"})
     meta = build_scene_metadata("s", objs, cloud.positions)
     assert meta.category_counts == {"chair": 2, "table": 1}
     lo, hi = meta.scene_extents
