@@ -177,17 +177,17 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
 def cmd_ingest(args) -> int:
     cloud = _load(args.ply, parse_ply)
     doc = _load(args.label_map, _read_json)
-    label_map, keys = {}, {}
+    label_map = {}
     try:
         for key, category in doc.items():
             label = int(key)
-            if label in keys:
-                raise InputError(f"{args.label_map}: keys {keys[label]!r} and {key!r} "
-                                 f"both name label {label}")
+            if str(label) != key:  # canonical keys cannot name one label twice
+                raise InputError(f"{args.label_map}: key {key!r} is not a canonical "
+                                 f"decimal integer (write '{label}')")
             if not isinstance(category, str) or not category:
                 raise InputError(f"{args.label_map}: label {label}: category must be a "
                                  f"nonempty string, got {category!r}")
-            label_map[label], keys[label] = category, key
+            label_map[label] = category
     except (AttributeError, ValueError) as exc:
         raise InputError(f"{args.label_map}: expected an object keyed by integer "
                          f"label ids ({exc})") from None

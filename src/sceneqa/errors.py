@@ -99,10 +99,6 @@ class NoNearbyObject(SceneQaError):
 
 # --- evaluation -------------------------------------------------------------
 
-class NonPositiveTruth(SceneQaError):
-    """Relative-accuracy scoring needs a strictly positive ground truth."""
-
-
 class NoNumberFound(SceneQaError):
     """No decimal numeral could be extracted from a prediction."""
 

@@ -12,13 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    AmbiguousMatch,
-    DuplicateQid,
-    NoMatch,
-    NoNumberFound,
-    NonPositiveTruth,
-)
+from .errors import AmbiguousMatch, DuplicateQid, NoMatch, NoNumberFound
 from .qa_records import ANSWER_NA, TASK_ORDER
 
 # The ten tolerance levels, written out so the grid is exact and auditable.
@@ -43,9 +37,9 @@ class Prediction:
 
 
 def mra(pred: float, truth: float) -> float:
-    """Mean relative accuracy: fraction of tolerance levels the prediction meets."""
-    if truth <= 0:
-        raise NonPositiveTruth(f"ground truth must be positive, got {truth}")
+    """Mean relative accuracy: fraction of tolerance levels the prediction
+    meets. ``truth`` is positive: ``validate_record`` rejects any other
+    numeric truth when a record is made and when it is read."""
     rel = abs(pred - truth) / truth
     passed = sum(1 for theta in THETA_GRID if rel < 1.0 - theta)
     return passed / len(THETA_GRID)

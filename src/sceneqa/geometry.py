@@ -9,17 +9,16 @@ Conventions (pinned once, stamped into output metadata by the generators):
 
 All functions here are pure; there is no shared mutable state.
 
-Validation contract: a box is validated once, when an OrientedBox3 is
-constructed, and a point when it enters a public function
-(``world_to_camera``, ``closest_point_on_box``, ``OrientedBox3.to_local``,
-...). A camera pose is two plain arrays, a 3x3 rotation and a position;
-what makes a pose valid (finite, orthonormal, determinant +1) is checked
-only where poses enter the package, by the frame-metadata loader. The
-private helpers ``_world_to_camera`` and ``_closest_point`` trust their
-arguments; the hot loops (``box_box_distance``, ``graph.object_in_camera``)
-call only them. A box derives its rotation matrix and half extents once, at
-construction, and every array it holds is read-only, so the derived arrays
-cannot go stale.
+Validation contract: data is checked once, where it enters the package,
+and nowhere after. The frame-metadata loader checks every camera pose
+(finite, orthonormal, determinant +1) and hands it on as two read-only
+arrays, a 3x3 rotation and a (3,) position; the ``OrientedBox3``
+constructor checks every box (finite, centre and size components within
+``MAX_COORD``, positive size, unit quaternion). The functions here, and
+the generators that call them, take those float arrays as they are and
+re-check nothing. A box derives its rotation matrix and half extents once,
+at construction, and every array it holds is read-only, so the derived
+arrays cannot go stale.
 """
 
 from __future__ import annotations
@@ -36,6 +35,10 @@ from .errors import DegenerateDirection
 ORTHO_TOL = 1e-9
 STEP_TOL = 1e-7
 MAX_PROJECTION_ITERS = 200
+# Largest magnitude, in meters, of a box centre or size component. The
+# squared norm of a difference of two centres, up to 3 * (2e150)**2, then
+# stays far below the float maximum, so no distance overflows.
+MAX_COORD = 1e150
 
 
 def _as_vec3(v, name="vector"):
@@ -74,16 +77,10 @@ def quat_from_yaw(yaw_rad: float) -> np.ndarray:
     return np.array([math.cos(yaw_rad / 2.0), 0.0, 0.0, math.sin(yaw_rad / 2.0)])
 
 
-def _world_to_camera(p: np.ndarray, rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """R^T (p - t) on trusted float inputs."""
-    return rotation.T @ (p - position)
-
-
-def world_to_camera(p, rotation, position) -> np.ndarray:
+def world_to_camera(p: np.ndarray, rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
     """A world point in the camera frame of a camera-to-world pose (3x3
     ``rotation``, camera center ``position``): R^T (p - t)."""
-    return _world_to_camera(_as_vec3(p, "point"), np.asarray(rotation, dtype=float),
-                            _as_vec3(position, "position"))
+    return rotation.T @ (p - position)
 
 
 # Unit-cube corner signs, fixed order (used by corners()).
@@ -97,15 +94,15 @@ _CORNER_SIGNS = np.array([
 class OrientedBox3:
     """Oriented 3D box: center, full extents (meters) and box-to-world quaternion.
 
-    The rotation matrix and half extents are derived once at construction;
-    every array the box holds is a read-only copy.
+    The rotation ``matrix`` and ``half`` extents are derived once at
+    construction; every array the box holds is a read-only copy.
     """
 
     center: np.ndarray
     size: np.ndarray
     rotation: np.ndarray  # quaternion (w, x, y, z)
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _half: np.ndarray = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    half: np.ndarray = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,6 +111,8 @@ class OrientedBox3:
         q = np.array(self.rotation, dtype=float)
         if (s <= 0).any():
             raise ValueError("size components must be strictly positive")
+        if (np.abs(c) > MAX_COORD).any() or (s > MAX_COORD).any():
+            raise ValueError(f"center and size components must be at most {MAX_COORD:g} m")
         if q.shape != (4,):
             raise ValueError(f"rotation quaternion must have shape (4,), got {q.shape}")
         if not np.isfinite(q).all():
@@ -123,45 +122,29 @@ class OrientedBox3:
         object.__setattr__(self, "center", _read_only(c))
         object.__setattr__(self, "size", _read_only(s))
         object.__setattr__(self, "rotation", _read_only(q))
-        object.__setattr__(self, "_matrix", _read_only(quat_to_matrix(q)))
-        object.__setattr__(self, "_half", _read_only(s / 2.0))
+        object.__setattr__(self, "matrix", _read_only(quat_to_matrix(q)))
+        object.__setattr__(self, "half", _read_only(s / 2.0))
         # canonical argument order of box_box_distance
         object.__setattr__(self, "_key", tuple(c.tolist() + s.tolist() + q.tolist()))
 
-    def rotation_matrix(self) -> np.ndarray:
-        return self._matrix
-
-    def half_size(self) -> np.ndarray:
-        return self._half
-
-    def to_local(self, p) -> np.ndarray:
-        return self._matrix.T @ (_as_vec3(p, "point") - self.center)
-
-    def to_world(self, p_local) -> np.ndarray:
-        return self._matrix @ np.asarray(p_local, dtype=float) + self.center
-
     def corners(self) -> np.ndarray:
         """The 8 corners in world coordinates, shape (8, 3), fixed order."""
-        local = _CORNER_SIGNS * self._half
-        return local @ self._matrix.T + self.center
-
-    def contains(self, p, atol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.to_local(p)) <= self._half + atol))
+        local = _CORNER_SIGNS * self.half
+        return local @ self.matrix.T + self.center
 
 
 def _closest_point(p: np.ndarray, box: OrientedBox3) -> np.ndarray:
-    """Closest point of the solid box to a trusted float (3,) point."""
-    rot, half = box._matrix, box._half
+    """Closest point of the solid box to a (3,) point."""
+    rot, half = box.matrix, box.half
     local = rot.T @ (p - box.center)
     return rot @ np.clip(local, -half, half) + box.center
 
 
-def closest_point_on_box(p, box: OrientedBox3):
+def closest_point_on_box(p: np.ndarray, box: OrientedBox3):
     """Closest point of a solid oriented box to p, with its Euclidean distance.
 
     Returns (point, distance). Distance is exactly 0 when p lies inside.
     """
-    p = _as_vec3(p, "point")
     point = _closest_point(p, box)
     return point, vector_norm(p - point)
 
@@ -186,14 +169,14 @@ def box_box_distance(a: OrientedBox3, b: OrientedBox3) -> float:
     return vector_norm(p - _closest_point(p, b))
 
 
-def planar_signed_angle(from_dir, to_dir) -> float:
+def planar_signed_angle(from_dir: np.ndarray, to_dir: np.ndarray) -> float:
     """CCW angle in degrees, in [-180, 180), between two floor-projected directions.
 
     Both vectors are projected onto the world XY plane (Z-up); raises
     DegenerateDirection when a projection has norm < 1e-9.
     """
-    u = _as_vec3(from_dir, "from_dir")[:2]
-    v = _as_vec3(to_dir, "to_dir")[:2]
+    u = from_dir[:2]
+    v = to_dir[:2]
     if vector_norm(u) < 1e-9:
         raise DegenerateDirection("from_dir has no floor-plane component")
     if vector_norm(v) < 1e-9:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DanglingInstanceRef, TooFewFrames, UnknownFrame, UnknownInstance
-from .geometry import _world_to_camera, box_box_distance
+from .geometry import box_box_distance, world_to_camera
 from .metadata import FrameMetadata, SceneMetadata
 
 DEFAULT_MIN_BBOX_AREA_PX = 400.0
@@ -94,7 +94,7 @@ def object_in_camera(g: SceneGraph, frame_id: int, instance_id: int) -> np.ndarr
     """The 8 box corners of an instance in the frame's camera coordinates."""
     fr = g.frame(frame_id)
     rot, t = fr.rotation, fr.position
-    return np.stack([_world_to_camera(c, rot, t) for c in g.object(instance_id).box.corners()])
+    return np.stack([world_to_camera(c, rot, t) for c in g.object(instance_id).box.corners()])
 
 
 def sample_frame_sequence(g: SceneGraph, n: int = 32):

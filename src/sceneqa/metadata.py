@@ -78,10 +78,6 @@ class ObjectInstance:
     category: str
     box: OrientedBox3
 
-    def __post_init__(self):
-        if not self.category:
-            raise ValueError("category must be nonempty")
-
 
 @dataclass(frozen=True)
 class SceneMetadata:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedHeader, TruncatedBody, UnsupportedEncoding
+from .geometry import MAX_COORD
 
 _SCALAR_TYPES = {
     "char": "i1", "int8": "i1",
@@ -47,7 +48,9 @@ class LabeledPointCloud:
 
     positions: (n, 3) float64, colors: (n, 3) uint8,
     semantic_labels / instance_labels: (n,) int64. Missing color or label
-    properties in the source file default to zeros.
+    properties in the source file default to zeros. Every coordinate lies
+    within a quarter of ``geometry.MAX_COORD``, so that a box fitted to the
+    points, yawed or not, has its centre and size within the box bound.
     """
 
     positions: np.ndarray
@@ -59,8 +62,9 @@ class LabeledPointCloud:
         n = len(self.positions)
         if n == 0:
             raise ValueError("point cloud is empty")
-        if not np.all(np.isfinite(self.positions)):
-            raise ValueError("point cloud has non-finite positions")
+        bound = MAX_COORD / 4
+        if not (-bound <= self.positions.min() and self.positions.max() <= bound):  # or NaN
+            raise ValueError(f"point cloud positions must be finite and within {bound:g} m")
         if np.any(self.instance_labels < 0):
             raise ValueError("instance labels must be >= 0")
         for name in ("colors", "semantic_labels", "instance_labels"):

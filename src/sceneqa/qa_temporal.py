@@ -9,7 +9,6 @@ every generator here then emits nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -25,19 +24,6 @@ from .qa_records import (
     round_tenth,
     subsample,
 )
-
-
-@dataclass(frozen=True)
-class FramePairSpec:
-    """1-based positions of a frame pair within the sampled sequence."""
-
-    i: int
-    j: int
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.i < self.j <= self.n:
-            raise ValueError(f"need 1 <= i < j <= n, got ({self.i}, {self.j}, {self.n})")
 
 
 def gen_cam_obj_abs_dist(ctx: SceneContext, cfg: GenConfig):
@@ -155,7 +141,6 @@ def gen_cam_displacement(ctx: SceneContext, cfg: GenConfig):
                       rng_stream(cfg.seed, ctx.scene_id, "cam_displacement", "select"))
     records = []
     for i, j in pairs:
-        pair = FramePairSpec(i + 1, j + 1, n)
         t_i = camera_position(g, seq[i])
         t_j = camera_position(g, seq[j])
         dist = vector_norm(t_j - t_i)
@@ -164,10 +149,10 @@ def gen_cam_displacement(ctx: SceneContext, cfg: GenConfig):
         records.append(make_record(
             ctx.scene_id, "cam_displacement", len(records), ANSWER_NA,
             f"Approximately how far (in meters) did the camera move between "
-            f"frame {pair.i} and frame {pair.j} of {pair.n}?",
+            f"frame {i + 1} and frame {j + 1} of {n}?",
             round_tenth(dist),
             frame_refs=[seq[i], seq[j]],
-            meta={"positions": [pair.i, pair.j], "of": pair.n},
+            meta={"positions": [i + 1, j + 1], "of": n},
         ))
     return records
 
@@ -204,7 +189,6 @@ def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
                       rng_stream(cfg.seed, ctx.scene_id, "cam_move_dir", "select"))
     records = []
     for i, j in pairs:
-        pair = FramePairSpec(i + 1, j + 1, n)
         start = g.frame(seq[i])
         net = camera_position(g, seq[j]) - start.position
         if vector_norm(net) < cfg.min_displacement_m:
@@ -214,12 +198,12 @@ def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
             continue
         records.append(make_record(
             ctx.scene_id, "cam_move_dir", len(records), ANSWER_MCA,
-            f"Relative to its orientation in frame {pair.i}, in which direction "
-            f"did the camera mainly move between frame {pair.i} and frame "
-            f"{pair.j} of {pair.n}?",
+            f"Relative to its orientation in frame {i + 1}, in which direction "
+            f"did the camera mainly move between frame {i + 1} and frame "
+            f"{j + 1} of {n}?",
             direction, options=list(MOVE_DIR_OPTIONS),
             frame_refs=[seq[i], seq[j]],
-            meta={"positions": [pair.i, pair.j], "of": pair.n},
+            meta={"positions": [i + 1, j + 1], "of": n},
         ))
     return records
 

@@ -421,6 +421,21 @@ def test_label_map_duplicate_label_is_input_error(tmp_path, capsys, other):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,canonical", [("4_0", "40"), ("\u0664", "4"), ("04", "4")],
+                         ids=["underscore", "arabic_indic_digit", "leading_zero"])
+def test_label_map_non_canonical_key_is_input_error(tmp_path, capsys, key, canonical):
+    ply = tmp_path / "scan.ply"
+    write_ply(ply, make_cluster_cloud(11, [(1, 4, [0, 0, 0.5], [1, 1, 1], 200)]))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({key: "chair"}))
+    out = tmp_path / "o.json"
+    assert main(["ingest", "--ply", str(ply), "--label-map", str(labels),
+                 "--scene-id", "x", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(labels) in err and repr(key) in err and f"(write '{canonical}')" in err, err
+    assert not out.exists()
+
+
 def test_ingest_stdout_counts_instances_and_dropped(tmp_path, capsys):
     cloud = make_cluster_cloud(11, [(3, 4, [0, 0, 0.5], [1, 1, 1], 120),
                                     (0, 7, [4, 4, 0.5], [1, 1, 1], 49),
@@ -448,7 +463,7 @@ def test_gen_overflowing_truth_names_the_scene_file(tmp_path, workers, coord):
     write_scene_dir(root, *make_scene(seed=3100, scene_id="h01"))
     path = root / "h00" / "scene_metadata.json"
     doc = json.loads(path.read_text())
-    doc["objects"][0]["center"] = [coord, coord, 1.0]  # finite, but its distances overflow
+    doc["objects"][0]["center"] = [coord, coord, 1.0]  # finite, but its distances would overflow
     path.write_text(json.dumps(doc))
     src = str(Path(sceneqa.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -457,7 +472,9 @@ def test_gen_overflowing_truth_names_the_scene_file(tmp_path, workers, coord):
                           "--out", str(tmp_path / "r.jsonl"), "--workers", workers],
                          capture_output=True, text=True, timeout=120, env=env)
     assert run.returncode == 2, run.stderr
-    assert f"error: {path}: abs_dist: " in run.stderr and "Traceback" not in run.stderr
+    # rejected where it is loaded, before numpy can warn of an overflow
+    assert run.stderr.startswith(f"error: {path}: objects[0]: ") and \
+        run.stderr.count("\n") == 1, run.stderr
 
 
 def test_huge_waypoint_is_input_error(scene_dir, tmp_path, capsys):

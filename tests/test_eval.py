@@ -15,7 +15,6 @@ from sceneqa.errors import (
     InputError,
     NoMatch,
     NoNumberFound,
-    NonPositiveTruth,
 )
 from sceneqa.evaluate import (
     Prediction,
@@ -51,13 +50,6 @@ def test_mra_hand_enumerated_example():
 def test_mra_boundary_is_strict():
     # rel err exactly 0.5 fails even the loosest threshold
     assert mra(3.0, 2.0) == 0.0
-
-
-def test_mra_non_positive_truth():
-    with pytest.raises(NonPositiveTruth):
-        mra(1.0, 0.0)
-    with pytest.raises(NonPositiveTruth):
-        mra(1.0, -2.0)
 
 
 def test_mra_equals_loop_oracle_on_random_pairs():

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_box_box_distance, oracle_point_box_distance, rot_from_quat_wxyz
+from oracles import (
+    oracle_box_box_distance,
+    oracle_point_box_distance,
+    points_inside_box,
+    rot_from_quat_wxyz,
+)
 from sceneqa.errors import DegenerateDirection
 from sceneqa.geometry import (
+    MAX_COORD,
     OrientedBox3,
     box_box_distance,
     closest_point_on_box,
@@ -41,7 +47,8 @@ def test_world_to_camera_identity():
 
 
 def test_world_to_camera_translation_cancels():
-    assert np.allclose(world_to_camera([0, 0, 5], np.eye(3), [0, 0, 5]), [0, 0, 0])
+    t = np.array([0, 0, 5])
+    assert np.allclose(world_to_camera(t, np.eye(3), t), [0, 0, 0])
 
 
 def test_world_to_camera_rotation_matches_matrix_oracle():
@@ -90,7 +97,7 @@ def test_closest_point_zero_iff_inside_rejection_sampling():
     for _ in range(500):
         p = rng.uniform(-4, 4, size=3)
         _, dist = closest_point_on_box(p, box)
-        assert (dist == 0.0) == box.contains(p)
+        assert (dist == 0.0) == points_inside_box(p, box, atol=0.0)[0]
 
 
 def test_closest_point_rotated_matches_sampling_oracle():
@@ -143,27 +150,42 @@ def test_box_validation():
         OrientedBox3([0, 0, 0], [1, 1, 1], [1, 0.1, 0, 0])  # non-unit quaternion
 
 
+def test_box_coordinate_bound():
+    OrientedBox3([MAX_COORD, -MAX_COORD, 0], [MAX_COORD, 1, 1], [1, 0, 0, 0])
+    beyond = math.nextafter(MAX_COORD, math.inf)
+    for center, size in (([0, -beyond, 0], [1, 1, 1]), ([0, 0, 0], [1, beyond, 1])):
+        with pytest.raises(ValueError, match="at most"):
+            OrientedBox3(center, size, [1, 0, 0, 0])
+    # the distance of two boxes at opposite corners of the bound stays finite
+    a = OrientedBox3([-MAX_COORD] * 3, [1, 1, 1], [1, 0, 0, 0])
+    b = OrientedBox3([MAX_COORD] * 3, [1, 1, 1], [1, 0, 0, 0])
+    assert math.isfinite(box_box_distance(a, b))
+
+
 # --- planar_signed_angle -------------------------------------------------------
 
+X = np.array([1, 0, 0])
+
+
 def test_planar_angle_quarter_turn():
-    assert planar_signed_angle([1, 0, 0], [0, 1, 0]) == pytest.approx(90.0)
+    assert planar_signed_angle(X, np.array([0, 1, 0])) == pytest.approx(90.0)
 
 
 def test_planar_angle_identity():
-    assert planar_signed_angle([1, 0, 0], [1, 0, 0]) == 0.0
+    assert planar_signed_angle(X, X) == 0.0
 
 
 def test_planar_angle_antipodal_maps_to_minus_180():
-    ang = planar_signed_angle([1, 0, 0], [-1, -1e-12, 0])
+    ang = planar_signed_angle(X, np.array([-1, -1e-12, 0]))
     assert -180.0 <= ang < 180.0
     assert ang == pytest.approx(-180.0, abs=1e-6)
     # exactly opposite: atan2(+0, -1) gives +180, which must wrap
-    assert planar_signed_angle([1, 0, 0], [-1, 0, 0]) == -180.0
+    assert planar_signed_angle(X, -X) == -180.0
 
 
 def test_planar_angle_degenerate():
     with pytest.raises(DegenerateDirection):
-        planar_signed_angle([0, 0, 1], [1, 0, 0])
+        planar_signed_angle(np.array([0, 0, 1]), X)
 
 
 @settings(max_examples=200, deadline=None)

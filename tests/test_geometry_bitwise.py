@@ -187,10 +187,10 @@ def test_context_box_distance_is_order_free_and_exact(synth_context):
 def test_box_arrays_are_read_only_copies():
     center = np.array([1.0, 2.0, 3.0])
     box = OrientedBox3(center, [1.0, 2.0, 3.0], quat_from_yaw(0.5))
-    for arr in (box.center, box.size, box.rotation, box.rotation_matrix(), box.half_size()):
+    for arr in (box.center, box.size, box.rotation, box.matrix, box.half):
         with pytest.raises(ValueError):
             arr[0] = 9.0
     center[0] = 9.0  # the caller's array stays writable and the box keeps its copy
     assert box.center[0] == 1.0
-    assert hexes(box.rotation_matrix()) == hexes(quat_to_matrix(box.rotation))
-    assert hexes(box.half_size()) == hexes(box.size / 2.0)
+    assert hexes(box.matrix) == hexes(quat_to_matrix(box.rotation))
+    assert hexes(box.half) == hexes(box.size / 2.0)

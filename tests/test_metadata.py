@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import points_inside_box
 from synth import make_cluster_cloud, make_scene, upright_pose_matrix
 from sceneqa.errors import EmptyAfterFiltering, SchemaViolation
-from sceneqa.geometry import box_box_distance
+from sceneqa.geometry import MAX_COORD, box_box_distance
 from sceneqa.metadata import (
     build_scene_metadata,
     derive_instance_boxes,
@@ -19,6 +20,7 @@ from sceneqa.metadata import (
     scene_metadata_from_dict,
     scene_metadata_to_dict,
 )
+from sceneqa.ply_io import LabeledPointCloud
 
 MINIMAL_SCENE = {
     "scene_id": "demo",
@@ -198,8 +200,24 @@ def test_all_source_points_inside_emitted_box(oriented):
     boxes, _ = derive_instance_boxes(cloud, {}, min_points=50, oriented=oriented)
     for inst in boxes:
         mask = inst_ids == inst.instance_id
-        for p in pts[mask]:
-            assert inst.box.contains(p, atol=1e-6)
+        assert points_inside_box(pts[mask], inst.box, atol=1e-6).all()
+
+
+@pytest.mark.parametrize("oriented", [False, True])
+def test_boxes_fitted_to_a_cloud_at_the_bound_are_valid(oriented):
+    # a cloud holds coordinates up to MAX_COORD / 4, so that every box fitted
+    # to it, yawed or not, passes the OrientedBox3 bound
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, size=(200, 3))
+    pts[:8] = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+    pts *= MAX_COORD / 4
+    cloud = LabeledPointCloud(pts, np.zeros((200, 3), dtype=np.uint8),
+                              np.zeros(200, dtype=np.int64), np.zeros(200, dtype=np.int64))
+    (inst,), _ = derive_instance_boxes(cloud, {}, min_points=1, oriented=oriented)
+    assert np.all(inst.box.size <= MAX_COORD) and np.all(np.abs(inst.box.center) <= MAX_COORD)
+    with pytest.raises(ValueError):
+        LabeledPointCloud(np.nextafter(pts, np.inf), cloud.colors, cloud.semantic_labels,
+                          cloud.instance_labels)
 
 
 def test_build_scene_metadata_counts():

@@ -200,7 +200,12 @@ def test_awkward_literals_match_reference(tmp_path):
         rows.append(f"{text} {text} {text} {i % 256 - 128} {-i} {i * 7919} {i}")
     blob = (WIDE_HEADER.format(n=len(rows)) + "\n".join(rows) + "\n").encode("ascii")
     assert_same_table(blob)
-    cloud = parse_ply(write(tmp_path / "wide.ply", blob.decode("ascii")))
+    # the float-max y of AWKWARD_ROWS[1] reads exactly, but a cloud bounds its coordinates
+    with pytest.raises(MalformedHeader, match="within"):
+        parse_ply(write(tmp_path / "wide.ply", blob.decode("ascii")))
+    del rows[1]
+    text = WIDE_HEADER.format(n=len(rows)) + "\n".join(rows) + "\n"
+    cloud = parse_ply(write(tmp_path / "wide.ply", text))
     assert np.signbit(cloud.positions[0, 2])
 
 
@@ -275,6 +280,8 @@ MALFORMED_CASES = {
     "empty_vertex_element": ASCII_FIXTURE.replace("element vertex 3", "element vertex 0")
                                          .split("end_header\n")[0] + "end_header\n",
     "nan_position_ascii": ASCII_FIXTURE.replace("0.5 1.5 2.5", "0.5 nan 2.5"),
+    "huge_position_double": ASCII_FIXTURE.replace("property float y", "property double y")
+                                         .replace("0.5 1.5 2.5", "0.5 1e200 2.5"),
     "negative_instance": ASCII_FIXTURE.replace("7 2\n", "7 -2\n"),
     "nan_position_binary": None,
     "nan_label": with_first_row(FLOAT_IDS_FIXTURE, "0.5 1.5 2.5 255 0 0 nan 1"),

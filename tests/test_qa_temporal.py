@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from oracles import oracle_point_box_distance
 from synth import upright_pose_matrix
@@ -10,7 +9,6 @@ from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 from sceneqa.qa_records import GenConfig, validate_record
 from sceneqa.qa_temporal import (
-    FramePairSpec,
     classify_camera_motion,
     gen_cam_displacement,
     gen_cam_move_dir,
@@ -167,16 +165,6 @@ def test_rel_pos_up_down_y_convention():
 
 
 # --- camera displacement -----------------------------------------------------------
-
-def test_frame_pair_spec_invariant():
-    FramePairSpec(1, 16, 32)
-    with pytest.raises(ValueError):
-        FramePairSpec(16, 1, 32)
-    with pytest.raises(ValueError):
-        FramePairSpec(0, 5, 32)
-    with pytest.raises(ValueError):
-        FramePairSpec(5, 33, 32)
-
 
 def test_cam_displacement_345_triangle():
     poses = [np.eye(4), np.eye(4)]
