@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import multiprocessing
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -163,8 +162,11 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
     into the canonical record order."""
     jobs = [(inp, cfg, tuple(tasks), dump_dir) for inp in scene_inputs]
     if workers > 1 and len(jobs) > 1:
+        import multiprocessing  # only a fan-out pays for the import
+
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.starmap(generate_scene_records, jobs)
+            # one scene per task, so no worker idles while another holds a chunk
+            chunks = pool.starmap(generate_scene_records, jobs, chunksize=1)
     else:
         chunks = [generate_scene_records(*job) for job in jobs]
     keyed = [item for chunk in chunks for item in chunk]

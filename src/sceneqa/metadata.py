@@ -29,8 +29,9 @@ field path. serialize(parse(x)) re-parses to a structurally identical
 object.
 
 A frame's camera view is a 3x3 ``rotation`` and a (3,) ``position``
-(p_world = rotation @ p_cam + position). This loader is the one place that
-checks a pose. It checks a whole capture in one batched pass over one
+(p_world = rotation @ p_cam + position); position components are bounded
+by ``geometry.MAX_COORD``, like box centres. This loader is the one place
+that checks a pose. It checks a whole capture in one batched pass over one
 (F, 4, 4) pose stack and one (N, 4) bbox stack; a document that pass cannot
 clear goes to the per-field walker, which raises naming the first bad field
 or accepts it. Either way the frames are read-only views into the stacks.
@@ -48,7 +49,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import EmptyAfterFiltering, InputError, SchemaViolation
-from .geometry import ORTHO_TOL, OrientedBox3, quat_from_yaw
+from .geometry import MAX_COORD, ORTHO_TOL, OrientedBox3, quat_from_yaw
 from .ply_io import LabeledPointCloud
 
 DEFAULT_MIN_POINTS = 50
@@ -303,6 +304,7 @@ def _frames(frames_doc: list, intrinsics: Intrinsics) -> tuple:
                        and (np.abs(m[:, 3] - np.array([0.0, 0.0, 0.0, 1.0])).max(axis=1)
                             <= ORTHO_TOL).all()
                        and (ortho_err <= ORTHO_TOL / 2).all() and (det_err <= ORTHO_TOL / 2).all()
+                       and (np.abs(m[:, :3, 3]) <= MAX_COORD).all()
                        and ((b[:, 0] < b[:, 2]) & (b[:, 1] < b[:, 3])).all()
                        and ((b[:, 0] >= 0) & (b[:, 1] >= 0) & (b[:, 2] <= intrinsics.width)
                             & (b[:, 3] <= intrinsics.height)).all())
@@ -344,6 +346,9 @@ def _check_frames(frames_doc: list, intrinsics: Intrinsics):
             raise SchemaViolation(pose_path, "rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > ORTHO_TOL:
             raise SchemaViolation(pose_path, "rotation determinant is not +1")
+        if np.abs(m[:3, 3]).max() > MAX_COORD:  # the box bound: no camera distance overflows
+            raise SchemaViolation(f"{path}.pose_c2w", "camera position components must be "
+                                                      f"at most {MAX_COORD:g} m")
 
         _string(_require(fr, "color_path", path), f"{path}.color_path")
         _string(_require(fr, "depth_path", path), f"{path}.depth_path")

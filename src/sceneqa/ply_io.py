@@ -10,6 +10,14 @@ line inside the vertex block counts as truncation. Ids and colors may be
 declared with any scalar type but must hold integers that fit int64 (ids) or
 0-255 (colors).
 
+The header is read line by line up to the first ``end_header\\n`` and the
+vertex block straight from the open file: an ASCII block goes row by row
+into ``np.loadtxt``, a binary one is one read of the vertex bytes after the
+elements before it. Only the vertex table is held, never the file, so peak
+memory follows the cloud and not the file size. A file that cannot seek (a
+pipe) is read into memory first and parsed the same way; error offsets are
+byte offsets into the file, and "the file length" for a truncated body.
+
 Limitations (documented, raise rather than guess): binary big-endian files,
 list-typed vertex properties, and list-typed elements that precede the
 vertex element in a binary file.
@@ -83,13 +91,23 @@ class _Element:
         self.has_list = False
 
 
-def _parse_header(blob: bytes):
-    """Parse header lines; returns (format, elements, body offset)."""
-    end = blob.find(b"end_header\n")
-    if end < 0:
-        raise MalformedHeader("missing end_header", offset=len(blob))
-    body_offset = end + len(b"end_header\n")
-    lines = blob[:end].decode("ascii", errors="replace").splitlines()
+_END_HEADER = b"end_header\n"
+
+
+def _parse_header(fh):
+    """Parse the header of a file object read from its start; returns
+    (format, elements, body offset) and leaves the file at the body. The
+    header ends at the first ``end_header\\n`` in the file, also where that
+    closes a longer line such as ``comment end_header``."""
+    head = []
+    for line in iter(fh.readline, b""):
+        head.append(line)
+        if line.endswith(_END_HEADER):  # the only place a first occurrence can end
+            break
+    else:
+        raise MalformedHeader("missing end_header", offset=fh.tell())
+    body_offset = fh.tell()
+    lines = b"".join(head)[:-len(_END_HEADER)].decode("ascii", errors="replace").splitlines()
     if not lines or lines[0].strip() != "ply":
         raise MalformedHeader("missing 'ply' magic", offset=0)
 
@@ -151,8 +169,8 @@ def _vertex_element(elements):
     raise MalformedHeader("header declares no vertex element")
 
 
-def _read_binary_vertices(blob, body_offset, before, count, dtype):
-    offset = body_offset
+def _read_binary_vertices(fh, size, before, count, dtype):
+    offset = fh.tell()
     for el in before:
         if el.has_list:
             raise UnsupportedEncoding(
@@ -160,20 +178,18 @@ def _read_binary_vertices(blob, body_offset, before, count, dtype):
         row = sum(np.dtype(t).itemsize for _, t in el.properties)
         offset += row * el.count
     need = dtype.itemsize * count
-    if len(blob) - offset < need:
+    if size - offset < need:
         raise TruncatedBody(
-            f"vertex element needs {need} bytes, file has {len(blob) - offset}",
-            offset=len(blob))
-    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+            f"vertex element needs {need} bytes, file has {size - offset}", offset=size)
+    fh.seek(offset)
+    return np.frombuffer(fh.read(need), dtype=dtype, count=count)
 
 
-def _read_ascii_vertices(blob, body_offset, before, count, dtype):
-    body = io.BytesIO(blob)
-    body.seek(body_offset)
+def _read_ascii_vertices(fh, size, before, count, dtype):
     # One row per line. islice bounds must fit a machine word, and a body
     # never holds more lines than bytes, so clamping changes no result.
     skip = sum(el.count for el in before)
-    rows = itertools.islice(body, min(skip, len(blob)), min(skip + count, len(blob)))
+    rows = itertools.islice(fh, min(skip, size), min(skip + count, size))
     with warnings.catch_warnings():
         # An empty block is reported below as truncation, not as a warning.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -185,8 +201,7 @@ def _read_ascii_vertices(blob, body_offset, before, count, dtype):
     # loadtxt skips blank lines, so a blank line inside the block shows up here.
     if len(table) < count:
         raise TruncatedBody(
-            f"vertex element declares {count} rows, body holds {len(table)}",
-            offset=len(blob))
+            f"vertex element declares {count} rows, body holds {len(table)}", offset=size)
     return table
 
 
@@ -214,11 +229,20 @@ def _int_column(table, aliases):
 def parse_ply(path) -> LabeledPointCloud:
     """Parse a labeled PLY file (ascii or binary little-endian).
 
-    Every malformed input raises a SceneQaError subclass.
+    The vertex block is read from the open file; a file that cannot seek (a
+    pipe) is read into memory first. Every malformed input raises a
+    SceneQaError subclass.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    fmt, elements, body_offset = _parse_header(blob)
+        if fh.seekable():
+            return _parse(fh)
+        return _parse(io.BytesIO(fh.read()))
+
+
+def _parse(fh) -> LabeledPointCloud:
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    fmt, elements, body_offset = _parse_header(fh)
     v_idx, vertex = _vertex_element(elements)
     if vertex.has_list:
         raise UnsupportedEncoding("list-typed vertex properties are not supported",
@@ -232,9 +256,9 @@ def parse_ply(path) -> LabeledPointCloud:
             raise MalformedHeader(f"vertex element lacks property {axis!r}")
 
     read = _read_binary_vertices if fmt == "binary_little_endian" else _read_ascii_vertices
-    table = read(blob, body_offset, elements[:v_idx], vertex.count, dtype)
+    table = read(fh, size, elements[:v_idx], vertex.count, dtype)
 
-    positions = np.stack([table["x"], table["y"], table["z"]], axis=1).astype(np.float64)
+    positions = np.stack([table["x"], table["y"], table["z"]], axis=1, dtype=np.float64)
     colors = np.zeros((len(table), 3), dtype=np.uint8)
     if all(c in dtype.names for c in ("red", "green", "blue")):
         colors = np.stack([_cast_column(table, c, np.uint8) for c in ("red", "green", "blue")],

@@ -6,7 +6,6 @@ temporal and route modules stay independent of each other.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -159,6 +158,8 @@ def rng_stream(seed: int, *parts) -> np.random.Generator:
     draw sequence never depends on scheduling or on questions discarded
     elsewhere.
     """
+    import hashlib  # here, not at module level: loading OpenSSL costs every command memory
+
     name = ":".join([str(seed), *map(str, parts)])
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = np.frombuffer(digest, dtype=np.uint32)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, TooShort
-from .geometry import planar_signed_angle, vector_norm
+from .geometry import MAX_COORD, planar_signed_angle, vector_norm
 from .graph import SceneGraph
 from .metadata import read_jsonl
 from .qa_records import ANSWER_MCA, GenConfig, QaRecord, make_record
@@ -44,8 +44,9 @@ TEMPLATE_2 = (
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered floor-plane waypoints. Consecutive waypoints must be distinct;
-    a single-waypoint path is representable but unclassifiable (TooShort)."""
+    """Ordered floor-plane waypoints, each coordinate within
+    ``geometry.MAX_COORD``. Consecutive waypoints must be distinct; a
+    single-waypoint path is representable but unclassifiable (TooShort)."""
 
     waypoints: np.ndarray  # (m, 3)
 
@@ -55,8 +56,8 @@ class Trajectory:
             w = np.column_stack([w, np.zeros(len(w))])
         if w.shape[1] != 3:
             raise ValueError(f"waypoints must be (m, 3), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("waypoints must be finite")
+        if not np.all(np.abs(w) <= MAX_COORD):  # or NaN; bounded, so no step overflows
+            raise ValueError(f"waypoints must be finite and within {MAX_COORD:g} m")
         steps = np.linalg.norm(np.diff(w, axis=0), axis=1)
         if np.any(steps <= 1e-6):
             raise ValueError("consecutive waypoints must be more than 1e-6 m apart")

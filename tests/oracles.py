@@ -11,14 +11,23 @@ for bit against them.
 from __future__ import annotations
 
 import dataclasses
+import io
+import itertools
 import json
+import warnings
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial.transform import Rotation
 
 from sceneqa.cli import task_generators
-from sceneqa.errors import EmptyAfterFiltering, SchemaViolation
+from sceneqa.errors import (
+    EmptyAfterFiltering,
+    MalformedHeader,
+    SchemaViolation,
+    TruncatedBody,
+    UnsupportedEncoding,
+)
 from sceneqa.geometry import ORTHO_TOL, OrientedBox3, quat_from_yaw
 from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import (
@@ -34,7 +43,17 @@ from sceneqa.metadata import (
     _vec,
     load_scene_metadata,
 )
-from sceneqa.ply_io import parse_ply
+from sceneqa.ply_io import (
+    _INSTANCE_NAMES,
+    _SCALAR_TYPES,
+    _SEMANTIC_NAMES,
+    LabeledPointCloud,
+    _cast_column,
+    _Element,
+    _int_column,
+    _vertex_element,
+    parse_ply,
+)
 from sceneqa.qa_records import TASK_ORDER, TASKS, record_to_dict
 from sceneqa.route_plan import load_trajectories
 
@@ -423,6 +442,142 @@ def reference_frame_metadata_from_dict(doc):
                                   tuple(visible)))
 
     return FrameMetadata(scene_id, intrinsics, tuple(frames))
+
+
+# --- the former whole-file PLY reader ----------------------------------------------
+
+def _reference_parse_header(blob: bytes):
+    """Parse header lines; returns (format, elements, body offset)."""
+    end = blob.find(b"end_header\n")
+    if end < 0:
+        raise MalformedHeader("missing end_header", offset=len(blob))
+    body_offset = end + len(b"end_header\n")
+    lines = blob[:end].decode("ascii", errors="replace").splitlines()
+    if not lines or lines[0].strip() != "ply":
+        raise MalformedHeader("missing 'ply' magic", offset=0)
+
+    fmt = None
+    elements = []
+    offset = len(lines[0]) + 1
+    for line in lines[1:]:
+        tokens = line.split()
+        if not tokens or tokens[0] == "comment":
+            offset += len(line) + 1
+            continue
+        kind = tokens[0]
+        if kind == "format":
+            if len(tokens) != 3:
+                raise MalformedHeader(f"bad format line: {line!r}", offset=offset)
+            if tokens[1] == "binary_big_endian":
+                raise UnsupportedEncoding("binary_big_endian is not supported", offset=offset)
+            if tokens[1] not in ("ascii", "binary_little_endian"):
+                raise MalformedHeader(f"unknown format {tokens[1]!r}", offset=offset)
+            fmt = tokens[1]
+        elif kind == "element":
+            if len(tokens) != 3:
+                raise MalformedHeader(f"bad element line: {line!r}", offset=offset)
+            try:
+                count = int(tokens[2])
+            except ValueError:
+                raise MalformedHeader(f"bad element count: {line!r}", offset=offset) from None
+            if count < 0:
+                raise MalformedHeader(f"negative element count: {line!r}", offset=offset)
+            elements.append(_Element(tokens[1], count))
+        elif kind == "property":
+            if not elements:
+                raise MalformedHeader("property before any element", offset=offset)
+            if tokens[1:2] == ["list"]:
+                if len(tokens) != 5:
+                    raise MalformedHeader(f"bad list property: {line!r}", offset=offset)
+                elements[-1].has_list = True
+                elements[-1].properties.append((tokens[4], None))
+            else:
+                if len(tokens) != 3:
+                    raise MalformedHeader(f"bad property line: {line!r}", offset=offset)
+                np_type = _SCALAR_TYPES.get(tokens[1])
+                if np_type is None:
+                    raise MalformedHeader(f"unknown property type {tokens[1]!r}", offset=offset)
+                elements[-1].properties.append((tokens[2], "<" + np_type))
+        else:
+            raise MalformedHeader(f"unexpected header line: {line!r}", offset=offset)
+        offset += len(line) + 1
+
+    if fmt is None:
+        raise MalformedHeader("header has no format line", offset=body_offset)
+    return fmt, elements, body_offset
+
+
+def _reference_read_binary_vertices(blob, body_offset, before, count, dtype):
+    offset = body_offset
+    for el in before:
+        if el.has_list:
+            raise UnsupportedEncoding(
+                f"cannot skip list-typed element {el.name!r} before vertex", offset=offset)
+        row = sum(np.dtype(t).itemsize for _, t in el.properties)
+        offset += row * el.count
+    need = dtype.itemsize * count
+    if len(blob) - offset < need:
+        raise TruncatedBody(
+            f"vertex element needs {need} bytes, file has {len(blob) - offset}",
+            offset=len(blob))
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+
+
+def _reference_read_ascii_vertices(blob, body_offset, before, count, dtype):
+    body = io.BytesIO(blob)
+    body.seek(body_offset)
+    # One row per line. islice bounds must fit a machine word, and a body
+    # never holds more lines than bytes, so clamping changes no result.
+    skip = sum(el.count for el in before)
+    rows = itertools.islice(body, min(skip, len(blob)), min(skip + count, len(blob)))
+    with warnings.catch_warnings():
+        # An empty block is reported below as truncation, not as a warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(rows, dtype=dtype, comments=None,
+                               usecols=range(len(dtype)), ndmin=1)
+        except ValueError as exc:
+            raise MalformedHeader(f"vertex element: {exc}") from None
+    # loadtxt skips blank lines, so a blank line inside the block shows up here.
+    if len(table) < count:
+        raise TruncatedBody(
+            f"vertex element declares {count} rows, body holds {len(table)}",
+            offset=len(blob))
+    return table
+
+
+def reference_parse_ply(path) -> LabeledPointCloud:
+    """The former ``parse_ply``: the whole file read into one bytes blob,
+    then parsed from it."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    fmt, elements, body_offset = _reference_parse_header(blob)
+    v_idx, vertex = _vertex_element(elements)
+    if vertex.has_list:
+        raise UnsupportedEncoding("list-typed vertex properties are not supported",
+                                  offset=body_offset)
+    try:
+        dtype = np.dtype(vertex.properties)
+    except ValueError as exc:
+        raise MalformedHeader(f"vertex element: {exc}") from None
+    for axis in ("x", "y", "z"):
+        if axis not in dtype.names:
+            raise MalformedHeader(f"vertex element lacks property {axis!r}")
+
+    read = (_reference_read_binary_vertices if fmt == "binary_little_endian"
+            else _reference_read_ascii_vertices)
+    table = read(blob, body_offset, elements[:v_idx], vertex.count, dtype)
+
+    positions = np.stack([table["x"], table["y"], table["z"]], axis=1).astype(np.float64)
+    colors = np.zeros((len(table), 3), dtype=np.uint8)
+    if all(c in dtype.names for c in ("red", "green", "blue")):
+        colors = np.stack([_cast_column(table, c, np.uint8) for c in ("red", "green", "blue")],
+                          axis=1)
+    try:
+        return LabeledPointCloud(positions, colors, _int_column(table, _SEMANTIC_NAMES),
+                                 _int_column(table, _INSTANCE_NAMES))
+    except ValueError as exc:
+        raise MalformedHeader(f"vertex element: {exc}") from None
 
 
 def _reference_dump_line(doc: dict) -> str:

@@ -169,8 +169,8 @@ def break_trajectory(doc, data):
     draw = data.draw
     waypoints = doc["waypoints"]
     k = draw(st.integers(0, len(waypoints) - 1), label="waypoint")
-    kind = draw(st.sampled_from(["drop", "scene_id", "waypoints", "coordinate", "ragged",
-                                 "repeat", "not_an_object", "text"]), label="kind")
+    kind = draw(st.sampled_from(["drop", "scene_id", "waypoints", "coordinate", "far",
+                                 "ragged", "repeat", "not_an_object", "text"]), label="kind")
     if kind == "drop":
         del doc[draw(st.sampled_from(["scene_id", "waypoints"]))]
     elif kind == "scene_id":
@@ -182,6 +182,10 @@ def break_trajectory(doc, data):
         point = waypoints[k]
         point[draw(st.integers(0, len(point) - 1))] = copy.deepcopy(
             draw(st.sampled_from(NOT_A_NUMBER)))
+    elif kind == "far":  # finite, but the steps between waypoints could overflow
+        point = waypoints[k]
+        point[draw(st.integers(0, len(point) - 1))] = draw(st.sampled_from(
+            [math.nextafter(MAX_COORD, math.inf), -1e160, 1e308, -1e308]))
     elif kind == "ragged":
         if draw(st.booleans()):
             waypoints[k].append(0.0)

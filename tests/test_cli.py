@@ -486,6 +486,35 @@ def test_huge_waypoint_is_input_error(scene_dir, tmp_path, capsys):
     assert f"{path}:1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coord", [1e160, 1e300])
+def test_gen_far_camera_names_the_frame_file(tmp_path, coord):
+    root = tmp_path / "scenes"
+    write_scene_dir(root, *make_scene(seed=2024, scene_id="h00"))
+    path = root / "h00" / "frame_metadata.json"
+    doc = json.loads(path.read_text())
+    for fr in doc["frames"]:
+        fr["pose_c2w"][3] = coord  # finite, but camera-object distances would overflow
+    path.write_text(json.dumps(doc))
+    src = str(Path(sceneqa.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "sceneqa.cli", "gen", "--input-root", str(root),
+                          "--out", str(tmp_path / "r.jsonl")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith(f"error: {path}: frames[0].pose_c2w: ") and \
+        run.stderr.count("\n") == 1, run.stderr
+
+
+def test_waypoints_whose_steps_overflow_are_input_error(scene_dir, tmp_path, capsys):
+    path = scene_dir / "trajectories.jsonl"
+    path.write_text(json.dumps({"scene_id": "cli000",
+                                "waypoints": [[-1e308, 0], [1e308, 0], [1e308, 5]]}) + "\n")
+    assert main(["gen", "--input-root", str(scene_dir.parent), "--tasks", "route_plan",
+                 "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert f"{path}:1: waypoints must be finite and within 1e+150 m" in capsys.readouterr().err
+
+
 def test_task_registry_resolves_every_task_once(scene_dir):
     sources = (set(qa_spatial.SPATIAL_GENERATORS), set(qa_temporal.TEMPORAL_GENERATORS),
                {"route_plan"})

@@ -4,10 +4,14 @@
 arrays and hands anything it cannot clear to the walker. The accepted set,
 the error raised for a rejected document (with its field path) and every
 loaded pose and bbox bit must stay those of
-``oracles.reference_frame_metadata_from_dict``, with one documented change:
-an intrinsics width or height too large for a float is a SchemaViolation
-naming the field (the former walker raised a bare OverflowError, or accepted
-a capture with no bbox to compare).
+``oracles.reference_frame_metadata_from_dict``, with two documented changes:
+
+- an intrinsics width or height too large for a float is a SchemaViolation
+  naming the field (the former walker raised a bare OverflowError, or
+  accepted a capture with no bbox to compare);
+- a pose whose camera position has a component beyond ``MAX_COORD`` is a
+  SchemaViolation naming ``frames[i].pose_c2w`` (the former walker accepted
+  it, and a camera-object distance then overflowed in a generator).
 """
 
 import copy
@@ -25,7 +29,7 @@ from synth import make_scene, upright_pose_matrix
 from test_metadata import minimal_frames
 from sceneqa import metadata
 from sceneqa.errors import SchemaViolation
-from sceneqa.geometry import ORTHO_TOL
+from sceneqa.geometry import MAX_COORD, ORTHO_TOL
 from sceneqa.metadata import frame_metadata_from_dict, frame_metadata_to_dict
 
 
@@ -60,10 +64,24 @@ def outcome(loader, doc):
         for fr in meta.frames]
 
 
+def first_far_camera(doc):
+    """Index of the first frame whose pose_c2w is a 16-list holding a
+    position component beyond MAX_COORD, or None."""
+    frames = doc.get("frames") if isinstance(doc, dict) else None
+    for i, fr in enumerate(frames if isinstance(frames, list) else []):
+        pose = fr.get("pose_c2w") if isinstance(fr, dict) else None
+        if isinstance(pose, list) and len(pose) == 16 and any(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) > MAX_COORD
+                for v in pose[3:12:4]):
+            return i
+    return None
+
+
 def reference_outcome(doc):
-    """The former walker's outcome, except for a document whose intrinsics
-    it accepts with a width or height too large for a float: that is now a
-    SchemaViolation naming the field."""
+    """The former walker's outcome, except for two documents it accepts:
+    intrinsics with a width or height too large for a float, and a camera
+    position beyond MAX_COORD in a frame whose id and pose rotation pass.
+    Each is now a SchemaViolation naming the field."""
     if outcome(reference_frame_metadata_from_dict, {**doc, "frames": []})[0] == "accepted":
         for key in ("width", "height"):
             try:
@@ -71,6 +89,15 @@ def reference_outcome(doc):
             except OverflowError:
                 path = f"intrinsics.{key}"
                 return "rejected", path, f"{path}: number out of float range"
+    i = first_far_camera(doc)
+    if i is not None:
+        # the walker checks a frame's id and pose before its other fields
+        rest = {"color_path": "c.jpg", "depth_path": "d.png", "visible_objects": []}
+        head = {**doc, "frames": doc["frames"][:i] + [{**doc["frames"][i], **rest}]}
+        if outcome(reference_frame_metadata_from_dict, head)[0] == "accepted":
+            path = f"frames[{i}].pose_c2w"
+            return ("rejected", path,
+                    f"{path}: camera position components must be at most {MAX_COORD:g} m")
     return outcome(reference_frame_metadata_from_dict, doc)
 
 
@@ -198,10 +225,14 @@ def test_each_bad_value_in_each_field_matches_the_walker():
                 new = outcome(frame_metadata_from_dict, doc)
                 assert new == reference_outcome(doc), (field, value)
                 if field == "width" and value == 10 ** 400:
-                    # the one documented change from the former walker
+                    # a documented change from the former walker
                     assert outcome(reference_frame_metadata_from_dict, doc)[:2] == \
                         ("raised", "OverflowError")
                     assert new[:2] == ("rejected", "intrinsics.width")
+                if field == "pose_translation_entry" and value == 1e308:
+                    # the other one
+                    assert outcome(reference_frame_metadata_from_dict, doc)[0] == "accepted"
+                    assert new[:2] == ("rejected", "frames[1].pose_c2w")
 
 
 @pytest.mark.parametrize("index,value", [
@@ -215,6 +246,19 @@ def test_bboxes_on_the_image_edge_match_the_walker(index, value):
     doc["frames"][0]["visible_objects"][0]["bbox_2d"][index] = value
     outcome_ = assert_same_outcome(doc)
     assert cleared_by_batched_pass(doc) == (outcome_[0] == "accepted")
+
+
+@pytest.mark.parametrize("index", [3, 7, 11])
+@pytest.mark.parametrize("value", [MAX_COORD, -MAX_COORD, math.nextafter(MAX_COORD, math.inf),
+                                   -1e160, 1e300])
+def test_camera_positions_are_bounded_by_max_coord(index, value):
+    doc = minimal_frames()
+    doc["frames"][1]["pose_c2w"][index] = value
+    new = assert_same_outcome(doc)
+    if abs(value) <= MAX_COORD:
+        assert new[0] == "accepted" and cleared_by_batched_pass(doc)
+    else:
+        assert new[:2] == ("rejected", "frames[1].pose_c2w")
 
 
 # --- rotations at the tolerance -------------------------------------------------------
@@ -298,7 +342,7 @@ def plain_number(value, default):
 def mutate(doc, data):
     kind = data.draw(st.sampled_from([
         "drop", "retype", "retype_number", "ragged", "order", "bbox_edge", "rotation",
-        "last_row"]), label="mutation")
+        "last_row", "far_camera"]), label="mutation")
     if kind in ("drop", "retype"):
         where = data.draw(st.sampled_from(["doc", "intrinsics", "frame", "detection"]))
         owner = {"doc": lambda: doc, "intrinsics": lambda: doc.get("intrinsics"),
@@ -359,6 +403,12 @@ def mutate(doc, data):
             scales = data.draw(st.sampled_from(probe_scales(target, data.draw(
                 st.sampled_from(["ortho", "det"])))), label="scales")
             fr["pose_c2w"] = scaled_pose(scales)
+    elif kind == "far_camera":
+        pose = number_list(frame_fields(doc, data), "pose_c2w")
+        if pose and len(pose) == 16:
+            pose[data.draw(st.sampled_from([3, 7, 11]))] = data.draw(st.sampled_from(
+                [MAX_COORD, -MAX_COORD, math.nextafter(MAX_COORD, math.inf), -1e160, 1e308]),
+                label="position")
     else:
         pose = number_list(frame_fields(doc, data), "pose_c2w")
         if pose and len(pose) == 16:

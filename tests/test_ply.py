@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -142,7 +143,7 @@ def test_cloud_invariants():
 def reference_ascii_table(blob):
     """The former ASCII reader: split each row, convert every token with
     Python float() or int(), one column at a time."""
-    _, elements, body_offset = _parse_header(blob)
+    _, elements, body_offset = _parse_header(io.BytesIO(blob))
     v_idx, vertex = _vertex_element(elements)
     lines = blob[body_offset:].split(b"\n")
     skip = sum(el.count for el in elements[:v_idx])
@@ -155,9 +156,10 @@ def reference_ascii_table(blob):
 
 
 def ascii_table(blob):
-    _, elements, body_offset = _parse_header(blob)
+    body = io.BytesIO(blob)
+    _, elements, _ = _parse_header(body)
     v_idx, vertex = _vertex_element(elements)
-    return _read_ascii_vertices(blob, body_offset, elements[:v_idx], vertex.count,
+    return _read_ascii_vertices(body, len(blob), elements[:v_idx], vertex.count,
                                 np.dtype(vertex.properties))
 
 
@@ -372,32 +374,43 @@ def byte_edits(draw):
     return binary, cut, flips
 
 
-@pytest.fixture(scope="module")
-def fuzz_fixtures(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fuzz")
+def fuzz_blobs(root) -> dict:
+    """The fixtures ``byte_edits`` edits: {binary?: file bytes}."""
     cloud = make_cluster_cloud(5, [(1, 4, [0, 0, 0], [1, 1, 1], 6),
                                    (2, 7, [2, 2, 0], [1, 1, 1], 6)])
     write_ply(root / "binary.ply", cloud, binary=True)
-    return root, {False: ASCII_FIXTURE.encode("ascii"),
-                  True: (root / "binary.ply").read_bytes()}
+    return {False: ASCII_FIXTURE.encode("ascii"), True: (root / "binary.ply").read_bytes()}
+
+
+def edited_blob(fixtures, edit) -> bytes:
+    """The file bytes a drawn fuzz edit stands for."""
+    if isinstance(edit, bytes):
+        return edit
+    binary, cut, flips = edit
+    blob = bytearray(fixtures[binary])
+    if cut is not None:
+        del blob[cut % (len(blob) + 1):]
+    for pos, mask in flips:
+        if blob:
+            blob[pos % len(blob)] ^= mask
+    return bytes(blob)
+
+
+FUZZED_EDITS = st.one_of(edited_headers(), edited_values(), byte_edits())
+
+
+@pytest.fixture(scope="module")
+def fuzz_fixtures(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, fuzz_blobs(root)
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(edit=st.one_of(edited_headers(), edited_values(), byte_edits()))
+@given(edit=FUZZED_EDITS)
 def test_fuzzed_input_yields_cloud_or_scene_error(fuzz_fixtures, edit):
     root, fixtures = fuzz_fixtures
-    if isinstance(edit, bytes):
-        blob = edit
-    else:
-        binary, cut, flips = edit
-        blob = bytearray(fixtures[binary])
-        if cut is not None:
-            del blob[cut % (len(blob) + 1):]
-        for pos, mask in flips:
-            if blob:
-                blob[pos % len(blob)] ^= mask
     path = root / "case.ply"
-    path.write_bytes(bytes(blob))
+    path.write_bytes(edited_blob(fixtures, edit))
     try:
         cloud = parse_ply(path)
     except SceneQaError:
