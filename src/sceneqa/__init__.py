@@ -1,5 +1,23 @@
 """Deterministic scene-graph QA generation and scoring for 3D captures."""
 
+import os as _os
+
+# numpy's OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and
+# by default starts a pool of worker threads that busy-wait. Every BLAS call
+# sceneqa makes is tiny (3x3 rotations, (K*8, 3) corner products, 2x2
+# covariances) and `gen --workers` parallelises with processes, so load it
+# single-threaded unless the user chose a count. The environment is restored
+# exactly, so the children of a program that imports sceneqa see no change.
+_blas_threads = _os.environ.get("OPENBLAS_NUM_THREADS")
+if _blas_threads is None:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as _numpy  # a no-op when numpy was imported first
+finally:
+    if _blas_threads is None:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+del _os, _numpy, _blas_threads
+
 from .errors import SceneQaError
 from .geometry import (
     OrientedBox3,

@@ -1,10 +1,10 @@
 """Command-line surface: ingest -> gen -> eval -> stats, plus fusion-check.
 
-Exit codes: 0 success, 2 input error (missing/malformed files), 3 evaluation
-error. All outputs are deterministic: each scene's records are generated
-and encoded as JSON lines where the scene is processed, then the lines of
-all scenes are stable-sorted by (scene_id, task order, qid) before writing,
-so the worker count never changes the bytes on disk.
+Exit codes: 0 success, 2 input error (missing/unreadable/malformed files),
+3 evaluation error. All outputs are deterministic: each scene's records are
+generated and encoded as JSON lines where the scene is processed, then the
+lines of all scenes are stable-sorted by (scene_id, task order, qid) before
+writing, so the worker count never changes the bytes on disk.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     except DuplicateQid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    except (SceneQaError, FileNotFoundError) as exc:
+    except (SceneQaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

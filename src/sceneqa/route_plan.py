@@ -72,7 +72,6 @@ class ClassifiedRoute:
     kind: str  # "TurnLeft" | "TurnRight" | "TurnBack"
     anchors: tuple  # (src, mid, tgt) positions, each (3,)
     turn_angle_deg: float
-    template_mode: str  # "Template1" | "Template2"
 
 
 def _arclength_midpoint(w: np.ndarray) -> np.ndarray:
@@ -126,9 +125,9 @@ def classify_trajectory(t: Trajectory, cfg: GenConfig | None = None) -> Classifi
         peak = max(range(first, last + 1), key=lambda k: abs(deltas[k]))
         turn_point = w[peak + 1]  # junction k sits at waypoint k+1
         kind = "TurnLeft" if angle > 0 else "TurnRight"
-        return ClassifiedRoute(kind, (w[0], turn_point, w[-1]), float(angle), "Template1")
+        return ClassifiedRoute(kind, (w[0], turn_point, w[-1]), float(angle))
 
-    return ClassifiedRoute("TurnBack", (w[0], _arclength_midpoint(w), w[-1]), 0.0, "Template2")
+    return ClassifiedRoute("TurnBack", (w[0], _arclength_midpoint(w), w[-1]), 0.0)
 
 
 def label_anchors(route: ClassifiedRoute, g: SceneGraph,

@@ -334,6 +334,48 @@ def test_unreadable_json_names_the_file(scene_dir, tmp_path, capsys, command, ta
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("gen", "--out"), ("gen", "--config"), ("gen", "--input-root"),
+    ("ingest", "--ply"), ("ingest", "--label-map"), ("stats", "--records"),
+])
+def test_unopenable_path_is_input_error(scene_dir, tmp_path, capsys, command, flag):
+    # a directory where a file is expected; a file where a directory is
+    ply, labels, config = tmp_path / "scan.ply", tmp_path / "labels.json", tmp_path / "c.json"
+    write_ply(ply, make_cluster_cloud(11, [(1, 4, [0, 0, 0.5], [1, 1, 1], 200)]))
+    labels.write_text(json.dumps({"4": "chair"}))
+    config.write_text("{}")
+    argv = {
+        "gen": ["gen", "--input-root", str(scene_dir.parent), "--config", str(config),
+                "--out", str(tmp_path / "r.jsonl")],
+        "ingest": ["ingest", "--ply", str(ply), "--label-map", str(labels),
+                   "--scene-id", "x", "--out", str(tmp_path / "o.json")],
+        "stats": ["stats", "--records", ""],
+    }[command]
+    bad = tmp_path / "bad"
+    if flag == "--input-root":
+        bad.write_text("{}")
+    else:
+        bad.mkdir()
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", ["cloud.ply", "trajectories.jsonl"])
+def test_scene_file_that_is_a_directory_is_input_error(tmp_path, capsys, name, workers):
+    root = tmp_path / "scenes"
+    for i in range(2):
+        write_scene_dir(root, *make_scene(seed=3200 + i, scene_id=f"o{i:02d}"))
+    bad = root / "o01" / name
+    bad.mkdir()
+    assert main(["gen", "--input-root", str(root), "--out", str(tmp_path / "r.jsonl"),
+                 "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+
+
 @pytest.mark.parametrize("target,field,edit", [
     ("scene_metadata.json", "objects[0].center[0]",
      lambda doc: doc["objects"][0]["center"].__setitem__(0, 10 ** 400)),

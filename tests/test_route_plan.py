@@ -79,7 +79,6 @@ def test_straight_path_is_turn_back_with_arclength_midpoint():
     route = classify_trajectory(traj([(0, 0, 0), (4, 0, 0)]), CFG)
     assert route.kind == "TurnBack"
     assert np.allclose(route.anchors[1], [2, 0, 0])
-    assert route.template_mode == "Template2"
 
 
 def test_multi_turn_rejected():
