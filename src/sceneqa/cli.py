@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -252,6 +254,10 @@ def cmd_gen(args) -> int:
         scene_inputs = [SceneInputs(args.scene_metadata, args.frame_metadata,
                                     args.cloud, args.trajectories)]
 
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # fail before generating, as open() would
+        code = errno.EISDIR if out.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.out)
     if args.dump_graphs:
         Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
     lines = run_generation(scene_inputs, cfg, tasks, workers, args.dump_graphs)

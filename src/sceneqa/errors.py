@@ -71,14 +71,6 @@ class DanglingInstanceRef(SceneQaError):
         self.instance_id = instance_id
 
 
-class UnknownFrame(SceneQaError):
-    """Frame id not present in the graph."""
-
-
-class UnknownInstance(SceneQaError):
-    """Instance id not present in the graph."""
-
-
 class TooFewFrames(SceneQaError):
     """Graph does not contain enough frames for the requested operation."""
 

@@ -8,9 +8,6 @@ visual tokens, and a two-layer projector maps the result to the target width.
 Everything is plain float64 numpy. The analytic backward pass is verified
 against central finite differences by grad_check; a linear configuration
 (softmax bypassed, identity projector) exercises the exact-gradient path.
-
-Fixture byte layout for token matrices: 8-byte header of two little-endian
-uint32 (rows, cols) followed by rows*cols little-endian float64, row-major.
 """
 
 from __future__ import annotations
@@ -234,25 +231,3 @@ def grad_check(w: FusionWeights, h_v, geometry_tokens, view_token,
         worst = max(worst, float(err.max()))
     return worst
 
-
-# --- fixture I/O --------------------------------------------------------------
-
-def write_token_matrix(path, matrix):
-    m = _check_matrix(matrix, "matrix")
-    rows, cols = m.shape
-    with open(path, "wb") as fh:
-        fh.write(np.array([rows, cols], dtype="<u4").tobytes())
-        fh.write(m.astype("<f8").tobytes())
-
-
-def read_token_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise DimMismatch("fixture too short for its header")
-        rows, cols = np.frombuffer(header, dtype="<u4")
-        body = fh.read()
-    need = int(rows) * int(cols) * 8
-    if len(body) != need:
-        raise DimMismatch(f"fixture body has {len(body)} bytes, expected {need}")
-    return np.frombuffer(body, dtype="<f8").reshape(int(rows), int(cols)).copy()

@@ -1,20 +1,20 @@
 """Spatio-temporal scene graph: object nodes, per-frame camera nodes, visibility.
 
-The graph is immutable after build; all queries are read-only and safe to
-call from concurrent workers.
+The graph is immutable after build; queries take ids it holds, are read-only
+and safe to call from concurrent workers. SceneContext derives frame geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DanglingInstanceRef, TooFewFrames, UnknownFrame, UnknownInstance
-from .geometry import box_box_distance, world_to_camera
+from .errors import DanglingInstanceRef, TooFewFrames
+from .geometry import box_box_distance
 from .metadata import FrameMetadata, SceneMetadata
-
-DEFAULT_MIN_BBOX_AREA_PX = 400.0
+from .qa_records import GenConfig
 
 
 @dataclass(frozen=True)
@@ -35,24 +35,17 @@ class SceneGraph:
         return [fr.frame_id for fr in self.frames.frames]
 
     def frame(self, frame_id: int):
-        fr = self._frames_by_id.get(frame_id)
-        if fr is None:
-            raise UnknownFrame(f"frame {frame_id} not in graph")
-        return fr
+        return self._frames_by_id[frame_id]
 
     def object(self, instance_id: int):
-        obj = self._objects_by_id.get(instance_id)
-        if obj is None:
-            raise UnknownInstance(f"instance {instance_id} not in graph")
-        return obj
+        return self._objects_by_id[instance_id]
 
     def visible_in(self, frame_id: int) -> frozenset:
-        self.frame(frame_id)
-        return self.visibility.get(frame_id, frozenset())
+        return self.visibility[frame_id]
 
 
 def build_graph(scene: SceneMetadata, frames: FrameMetadata,
-                min_bbox_area_px: float = DEFAULT_MIN_BBOX_AREA_PX) -> SceneGraph:
+                min_bbox_area_px: float = GenConfig.min_bbox_area_px) -> SceneGraph:
     """Build the graph, keeping only detections with 2D area >= the threshold.
 
     Raises DanglingInstanceRef if any frame references an instance id that
@@ -85,19 +78,17 @@ def build_graph(scene: SceneMetadata, frames: FrameMetadata,
                       objects_by_id, frames_by_id)
 
 
-def camera_position(g: SceneGraph, frame_id: int) -> np.ndarray:
-    """World-frame camera center at a frame."""
-    return g.frame(frame_id).position
+def _to_camera(world_points: np.ndarray, frame) -> np.ndarray:
+    """R^T (p - t) for world points p, shape (..., 3): world_to_camera's bits."""
+    return (world_points - frame.position) @ frame.rotation
 
 
 def object_in_camera(g: SceneGraph, frame_id: int, instance_id: int) -> np.ndarray:
     """The 8 box corners of an instance in the frame's camera coordinates."""
-    fr = g.frame(frame_id)
-    rot, t = fr.rotation, fr.position
-    return np.stack([world_to_camera(c, rot, t) for c in g.object(instance_id).box.corners()])
+    return _to_camera(g.object(instance_id).box.corners(), g.frame(frame_id))
 
 
-def sample_frame_sequence(g: SceneGraph, n: int = 32):
+def sample_frame_sequence(g: SceneGraph, n: int):
     """n frame ids uniformly spaced over the capture, first and last included.
 
     Positions are round(i*(m-1)/(n-1)) with ties rounding up; when n reaches
@@ -117,7 +108,8 @@ def sample_frame_sequence(g: SceneGraph, n: int = 32):
 
 @dataclass(frozen=True)
 class SceneContext:
-    """The per-scene facts every task generator reads, derived once per scene."""
+    """The per-scene facts every task generator reads, derived once per scene,
+    and per frame the camera-space corners of all K objects, one (K, 8, 3) product."""
 
     graph: SceneGraph
     frame_seq: tuple       # sampled frame ids; empty when the capture has < 2 frames
@@ -141,14 +133,21 @@ class SceneContext:
             dist = self._box_distances[key] = box_box_distance(a.box, b.box)
         return dist
 
+    @cached_property
+    def _world_corners(self) -> tuple:
+        """(K, 8, 3) world corners of the K scene objects, and each instance's row."""
+        objects = self.graph.scene.objects
+        rows = {o.instance_id: k for k, o in enumerate(objects)}
+        return np.array([o.box.corners() for o in objects]), rows
+
     def corners_in_camera(self, frame_id: int, instance_id: int) -> np.ndarray:
-        """object_in_camera, computed once per (frame, instance); read-only."""
-        key = (frame_id, instance_id)
-        corners = self._camera_corners.get(key)
+        """object_in_camera, read from the frame's read-only (K, 8, 3) memo."""
+        world, rows = self._world_corners
+        corners = self._camera_corners.get(frame_id)
         if corners is None:
-            corners = self._camera_corners[key] = object_in_camera(self.graph, frame_id, instance_id)
+            corners = self._camera_corners[frame_id] = _to_camera(world, self.graph.frame(frame_id))
             corners.flags.writeable = False
-        return corners
+        return corners[rows[instance_id]]
 
     def unique_visible(self, frame_id: int) -> list:
         """Category-unique objects visible in a frame, sorted by category."""

@@ -25,7 +25,7 @@ frame_metadata.json::
 
 Rotations are unit quaternions (w, x, y, z); poses are camera-to-world.
 Parsing is strict: any violation raises SchemaViolation with the offending
-field path. serialize(parse(x)) re-parses to a structurally identical
+field path. A saved scene document re-parses to a structurally identical
 object.
 
 A frame's camera view is a 3x3 ``rotation`` and a (3,) ``position``
@@ -211,7 +211,9 @@ def load_scene_metadata(path) -> SceneMetadata:
 
 
 def save_scene_metadata(path, meta: SceneMetadata):
-    _dump_json(path, scene_metadata_to_dict(meta))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scene_metadata_to_dict(meta), fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 # --- frame metadata ----------------------------------------------------------
@@ -366,40 +368,9 @@ def _check_frames(frames_doc: list, intrinsics: Intrinsics):
                 raise SchemaViolation(f"{vpath}.bbox_2d", "box exceeds image bounds")
 
 
-def frame_metadata_to_dict(meta: FrameMetadata) -> dict:
-    intr = meta.intrinsics
-    return {
-        "scene_id": meta.scene_id,
-        "intrinsics": {"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-                       "width": intr.width, "height": intr.height},
-        "frames": [
-            {"frame_id": fr.frame_id,
-             "pose_c2w": np.column_stack([fr.rotation, fr.position]).ravel().tolist()
-                         + [0.0, 0.0, 0.0, 1.0],
-             "color_path": fr.color_path,
-             "depth_path": fr.depth_path,
-             "visible_objects": [
-                 {"instance_id": vid, "bbox_2d": [float(b) for b in bbox]}
-                 for vid, bbox in fr.visible_objects
-             ]}
-            for fr in meta.frames
-        ],
-    }
-
-
 def load_frame_metadata(path) -> FrameMetadata:
     with open(path, "r", encoding="utf-8") as fh:
         return frame_metadata_from_dict(json.load(fh))
-
-
-def save_frame_metadata(path, meta: FrameMetadata):
-    _dump_json(path, frame_metadata_to_dict(meta))
-
-
-def _dump_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def read_jsonl(path, parse):

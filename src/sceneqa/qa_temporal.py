@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import closest_point_on_box, vector_norm
-from .graph import SceneContext, camera_position
+from .graph import SceneContext
 from .qa_records import (
     ANSWER_MCA,
     ANSWER_NA,
@@ -37,7 +37,7 @@ def gen_cam_obj_abs_dist(ctx: SceneContext, cfg: GenConfig):
                       rng_stream(cfg.seed, ctx.scene_id, "cam_obj_abs_dist", "select"))
     records = []
     for pos, fid, obj in cases:
-        _, dist = closest_point_on_box(camera_position(g, fid), obj.box)
+        _, dist = closest_point_on_box(g.frame(fid).position, obj.box)
         if dist < cfg.min_pair_dist_m:  # camera inside or touching: degenerate
             continue
         records.append(make_record(
@@ -65,7 +65,7 @@ def gen_cam_obj_rel_dist(ctx: SceneContext, cfg: GenConfig):
         rng = rng_stream(cfg.seed, ctx.scene_id, "cam_obj_rel_dist", pos)
         picks = rng.choice(len(visible), size=4, replace=False).tolist()
         candidates = [visible[i] for i in picks]
-        cam = camera_position(g, fid)
+        cam = g.frame(fid).position
         dists = [closest_point_on_box(cam, c.box)[1] for c in candidates]
         order = np.argsort(dists, kind="stable")
         if dists[order[1]] - dists[order[0]] < cfg.ambiguity_margin_m:
@@ -141,9 +141,7 @@ def gen_cam_displacement(ctx: SceneContext, cfg: GenConfig):
                       rng_stream(cfg.seed, ctx.scene_id, "cam_displacement", "select"))
     records = []
     for i, j in pairs:
-        t_i = camera_position(g, seq[i])
-        t_j = camera_position(g, seq[j])
-        dist = vector_norm(t_j - t_i)
+        dist = vector_norm(g.frame(seq[j]).position - g.frame(seq[i]).position)
         if dist < cfg.min_displacement_m:
             continue
         records.append(make_record(
@@ -190,7 +188,7 @@ def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
     records = []
     for i, j in pairs:
         start = g.frame(seq[i])
-        net = camera_position(g, seq[j]) - start.position
+        net = g.frame(seq[j]).position - start.position
         if vector_norm(net) < cfg.min_displacement_m:
             continue
         direction = classify_camera_motion(start.rotation, net, cfg.dominance_ratio)

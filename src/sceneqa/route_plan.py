@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, TooShort
-from .geometry import MAX_COORD, planar_signed_angle, vector_norm
+from .geometry import MAX_COORD, planar_signed_angle
 from .graph import SceneGraph
 from .metadata import read_jsonl
 from .qa_records import ANSWER_MCA, GenConfig, QaRecord, make_record
@@ -86,13 +86,12 @@ def _arclength_midpoint(w: np.ndarray) -> np.ndarray:
     return w[-1]
 
 
-def classify_trajectory(t: Trajectory, cfg: GenConfig | None = None) -> ClassifiedRoute:
+def classify_trajectory(t: Trajectory, cfg: GenConfig) -> ClassifiedRoute:
     """Classify a trajectory as one logical turn or a turn-back route.
 
     Raises TooShort for paths with fewer than two waypoints and MultiTurn
     when more than one accumulated heading change exceeds the threshold.
     """
-    cfg = cfg or GenConfig()
     w = t.waypoints
     if len(w) < 2:
         raise TooShort(f"trajectory has {len(w)} waypoint(s)")
@@ -130,26 +129,26 @@ def classify_trajectory(t: Trajectory, cfg: GenConfig | None = None) -> Classifi
     return ClassifiedRoute("TurnBack", (w[0], _arclength_midpoint(w), w[-1]), 0.0)
 
 
-def label_anchors(route: ClassifiedRoute, g: SceneGraph,
-                  max_anchor_dist_m: float = 2.0):
-    """Category of the nearest object (planar center distance) per anchor.
+def label_anchors(route: ClassifiedRoute, objects, centers: np.ndarray,
+                  max_anchor_dist_m: float):
+    """Category of the nearest of the K objects (planar distance to their
+    (K, 2) ``centers``; the first in scene order of equals) per anchor.
 
     Raises NoNearbyObject when an anchor has no object within range or when
     two anchors resolve to the same instance (either way the route is
     unusable for question text).
     """
-    if not g.scene.objects:
+    if not objects:
         raise NoNearbyObject("scene has no objects")
     labels = []
     used = []
     for anchor in route.anchors:
-        best = min(
-            g.scene.objects,
-            key=lambda o: vector_norm(o.box.center[:2] - anchor[:2]),
-        )
-        dist = vector_norm(best.box.center[:2] - anchor[:2])
-        if dist > max_anchor_dist_m:
-            raise NoNearbyObject(f"nearest object is {dist:.2f} m away")
+        d = centers - anchor[:2]
+        dists = np.sqrt(d[:, None, :] @ d[:, :, None]).ravel()  # vector_norm's bits
+        k = int(np.argmin(dists))
+        if dists[k] > max_anchor_dist_m:
+            raise NoNearbyObject(f"nearest object is {dists[k]:.2f} m away")
+        best = objects[k]
         if best.instance_id in used:
             raise NoNearbyObject(f"two anchors share instance {best.instance_id}")
         used.append(best.instance_id)
@@ -157,13 +156,12 @@ def label_anchors(route: ClassifiedRoute, g: SceneGraph,
     return tuple(labels)
 
 
-def classify_turn_action(facing_dir, move_dir, cfg: GenConfig | None = None):
+def classify_turn_action(facing_dir, move_dir, cfg: GenConfig):
     """Action verb for "face along facing_dir, then move along move_dir".
 
     Returns "turn left" / "turn right" / "turn back", or None when the move
     stays inside the forward cone (no turn to name).
     """
-    cfg = cfg or GenConfig()
     theta = planar_signed_angle(facing_dir, move_dir)
     if abs(theta) >= cfg.rel_dir_back_deg:
         return "turn back"
@@ -175,17 +173,16 @@ def classify_turn_action(facing_dir, move_dir, cfg: GenConfig | None = None):
 
 
 def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
-                    scene_id: str = "", counter: int = 0,
-                    alternative: bool = False) -> QaRecord:
+                    scene_id: str = "", counter: int = 0) -> QaRecord:
     """Instantiate the route templates for a classified, labeled route.
 
     Template 1 walks src -> mid -> tgt with the fill-in at mid. Template 2
     places the agent at mid; it is used for TurnBack routes (facing the
-    start, moving to the end) and, in alternative mode, for turns sharper
-    than the alternative threshold (facing the end, moving back to the
-    start). The ground truth is re-derived from whichever traversal the
-    rendered text describes; routes whose re-derived action cannot be
-    named are rejected with MultiTurn semantics skipped upstream.
+    start, moving to the end) and, when ``cfg.route_alternative_mode`` is
+    set, for turns sharper than the alternative threshold (facing the end,
+    moving back to the start). The ground truth is re-derived from whichever
+    traversal the rendered text describes; routes whose re-derived action
+    cannot be named are rejected with MultiTurn semantics skipped upstream.
     """
     src_pos, mid_pos, tgt_pos = route.anchors
     src_lbl, mid_lbl, tgt_lbl = labels
@@ -197,7 +194,7 @@ def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
         question = TEMPLATE_2.format(mid=mid_lbl, tgt=src_lbl, src=tgt_lbl)
         truth = classify_turn_action(src_pos - mid_pos, tgt_pos - mid_pos, cfg)
         meta["template"] = "Template2"
-    elif alternative and abs(route.turn_angle_deg) > cfg.alt_turn_threshold_deg:
+    elif cfg.route_alternative_mode and abs(route.turn_angle_deg) > cfg.alt_turn_threshold_deg:
         question = TEMPLATE_2.format(mid=mid_lbl, tgt=tgt_lbl, src=src_lbl)
         truth = classify_turn_action(tgt_pos - mid_pos, src_pos - mid_pos, cfg)
         meta["template"] = "Template2"
@@ -218,6 +215,8 @@ def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
 
 def gen_route_plan(g: SceneGraph, trajectories, cfg: GenConfig):
     """Classify, label and render every usable trajectory of a scene."""
+    objects = g.scene.objects
+    centers = np.array([o.box.center[:2] for o in objects])
     records = []
     skipped = 0
     for traj in trajectories:
@@ -225,9 +224,8 @@ def gen_route_plan(g: SceneGraph, trajectories, cfg: GenConfig):
             break
         try:
             route = classify_trajectory(traj, cfg)
-            labels = label_anchors(route, g, cfg.max_anchor_dist_m)
-            rec = render_route_qa(route, labels, cfg, g.scene_id, len(records),
-                                  alternative=cfg.route_alternative_mode)
+            labels = label_anchors(route, objects, centers, cfg.max_anchor_dist_m)
+            rec = render_route_qa(route, labels, cfg, g.scene_id, len(records))
         except (MultiTurn, TooShort, NoNearbyObject, DegenerateDirection):
             skipped += 1
             continue

@@ -24,11 +24,12 @@ from sceneqa.cli import task_generators
 from sceneqa.errors import (
     EmptyAfterFiltering,
     MalformedHeader,
+    NoNearbyObject,
     SchemaViolation,
     TruncatedBody,
     UnsupportedEncoding,
 )
-from sceneqa.geometry import ORTHO_TOL, OrientedBox3, quat_from_yaw
+from sceneqa.geometry import ORTHO_TOL, OrientedBox3, quat_from_yaw, vector_norm
 from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import (
     DEFAULT_MIN_POINTS,
@@ -362,6 +363,28 @@ def reference_object_in_camera(g, frame_id, instance_id) -> np.ndarray:
     obj = g.object(instance_id)
     corners = reference_corners(obj.box)
     return np.stack([reference_world_to_camera(c, fr.rotation, fr.position) for c in corners])
+
+
+def reference_label_anchors(route, g, max_anchor_dist_m):
+    """The former ``route_plan.label_anchors``: ``min`` over the scene objects
+    per anchor, so the first of equally near objects wins."""
+    if not g.scene.objects:
+        raise NoNearbyObject("scene has no objects")
+    labels = []
+    used = []
+    for anchor in route.anchors:
+        best = min(
+            g.scene.objects,
+            key=lambda o: vector_norm(o.box.center[:2] - anchor[:2]),
+        )
+        dist = vector_norm(best.box.center[:2] - anchor[:2])
+        if dist > max_anchor_dist_m:
+            raise NoNearbyObject(f"nearest object is {dist:.2f} m away")
+        if best.instance_id in used:
+            raise NoNearbyObject(f"two anchors share instance {best.instance_id}")
+        used.append(best.instance_id)
+        labels.append(best.category)
+    return tuple(labels)
 
 
 def _reference_pose_from_matrix(m):

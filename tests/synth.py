@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from sceneqa.metadata import (
+    FrameMetadata,
     frame_metadata_from_dict,
-    save_frame_metadata,
     save_scene_metadata,
     scene_metadata_from_dict,
 )
@@ -188,6 +188,35 @@ def make_single_turn_waypoints(rng, angle_deg=None, jitter_deg: float = 1.5):
     heading += math.radians(angle_deg)
     advance(heading, int(rng.integers(2, 4)))
     return np.array(points), angle_deg
+
+
+def frame_metadata_to_dict(meta: FrameMetadata) -> dict:
+    """The frame_metadata.json document of a capture; it re-parses to an
+    equal FrameMetadata."""
+    intr = meta.intrinsics
+    return {
+        "scene_id": meta.scene_id,
+        "intrinsics": {"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
+                       "width": intr.width, "height": intr.height},
+        "frames": [
+            {"frame_id": fr.frame_id,
+             "pose_c2w": np.column_stack([fr.rotation, fr.position]).ravel().tolist()
+                         + [0.0, 0.0, 0.0, 1.0],
+             "color_path": fr.color_path,
+             "depth_path": fr.depth_path,
+             "visible_objects": [
+                 {"instance_id": vid, "bbox_2d": [float(b) for b in bbox]}
+                 for vid, bbox in fr.visible_objects
+             ]}
+            for fr in meta.frames
+        ],
+    }
+
+
+def save_frame_metadata(path, meta: FrameMetadata):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(frame_metadata_to_dict(meta), fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def write_scene_dir(root, scene, frames, cloud=None, trajectories=None) -> Path:

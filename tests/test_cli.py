@@ -362,6 +362,24 @@ def test_unopenable_path_is_input_error(scene_dir, tmp_path, capsys, command, fl
     assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
 
 
+@pytest.mark.parametrize("out", ["dir", "missing/r.jsonl", "old.jsonl"])
+def test_bad_out_fails_before_generating(scene_dir, tmp_path, capsys, out):
+    # the only scene is malformed: an error naming --out shows that no scene was read
+    (scene_dir / "frame_metadata.json").write_bytes(b'{"scene_id": ')
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "old.jsonl").write_text("old\n")
+    out = tmp_path / out
+    assert main(["gen", "--input-root", str(scene_dir.parent), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if out.name == "old.jsonl":  # a writable --out is left alone until the records are ready
+        assert str(scene_dir) in err and out.read_text() == "old\n"
+        return
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    assert err == f"error: {opened.value}\n"
+    assert not (tmp_path / "missing").exists() and not any((tmp_path / "dir").iterdir())
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("name", ["cloud.ply", "trajectories.jsonl"])
 def test_scene_file_that_is_a_directory_is_input_error(tmp_path, capsys, name, workers):

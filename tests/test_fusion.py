@@ -12,8 +12,6 @@ from sceneqa.fusion import (
     cross_attention,
     fuse_forward,
     grad_check,
-    read_token_matrix,
-    write_token_matrix,
 )
 
 RNG = np.random.default_rng(0)
@@ -210,23 +208,3 @@ def test_grad_check_step_sweep_plateau():
     assert all(e < 1e-4 for e in errs.values())
     assert errs[1e-4] < 1e-5  # the sweet spot sits between truncation and roundoff
 
-
-# --- fixture I/O --------------------------------------------------------------------------
-
-def test_token_matrix_round_trip(tmp_path):
-    m = RNG.normal(size=(5, 3))
-    path = tmp_path / "tokens.bin"
-    write_token_matrix(path, m)
-    assert np.array_equal(read_token_matrix(path), m)
-    # documented byte layout: 2 * uint32 header then float64s
-    blob = path.read_bytes()
-    assert len(blob) == 8 + 5 * 3 * 8
-    assert np.frombuffer(blob[:8], dtype="<u4").tolist() == [5, 3]
-
-
-def test_token_matrix_truncated_fixture(tmp_path):
-    path = tmp_path / "bad.bin"
-    write_token_matrix(path, RNG.normal(size=(4, 2)))
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(DimMismatch):
-        read_token_matrix(path)

@@ -24,6 +24,7 @@ from oracles import (
     reference_world_to_camera,
 )
 from synth import make_scene
+from sceneqa import graph
 from sceneqa.geometry import (
     OrientedBox3,
     box_box_distance,
@@ -159,18 +160,39 @@ def synth_context():
     return scene_context(build_graph(scene, frames), 32)
 
 
-def test_object_in_camera_bits(synth_context):
-    g = synth_context.graph
+def assert_corner_bits(ctx, monkeypatch):
+    g = ctx.graph
+    assert any(o.box.rotation[3] != 0.0 for o in g.scene.objects)  # some boxes are yawed
     cases = [(fid, iid) for fid in g.frame_ids() for iid in sorted(g.visible_in(fid))]
     assert cases
-    for fid, iid in cases:
-        got = object_in_camera(g, fid, iid)
-        assert hexes(got) == hexes(reference_object_in_camera(g, fid, iid))
-        memo = synth_context.corners_in_camera(fid, iid)
-        assert hexes(memo) == hexes(got)
-        assert synth_context.corners_in_camera(fid, iid) is memo
-        with pytest.raises(ValueError):
-            memo[0, 0] = 0.0
+    want = {case: hexes(reference_object_in_camera(g, *case)) for case in cases}
+    for case in cases:
+        assert hexes(object_in_camera(g, *case)) == want[case]
+
+    products = []
+    to_camera = graph._to_camera
+
+    def counted(points, frame):
+        products.append(frame.frame_id)
+        return to_camera(points, frame)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph, "_to_camera", counted)
+        for fid, iid in cases:
+            assert hexes(ctx.corners_in_camera(fid, iid)) == want[fid, iid]
+            memo = ctx._camera_corners[fid]
+            assert memo.shape == (len(g.scene.objects), 8, 3)
+            assert not memo.flags.writeable
+            with pytest.raises(ValueError):
+                ctx.corners_in_camera(fid, iid)[0, 0] = 0.0
+    # one product per frame, not one per (frame, object) pair
+    assert products == sorted({fid for fid, _ in cases})
+
+
+def test_object_in_camera_bits(monkeypatch):
+    for seed in (606, 607, 608):
+        scene, frames = make_scene(seed=seed, scene_id=f"bits{seed}")
+        assert_corner_bits(scene_context(build_graph(scene, frames), 32), monkeypatch)
 
 
 def test_context_box_distance_is_order_free_and_exact(synth_context):

@@ -5,19 +5,8 @@ import numpy as np
 import pytest
 
 from synth import make_scene, upright_pose_matrix
-from sceneqa.errors import (
-    DanglingInstanceRef,
-    TooFewFrames,
-    UnknownFrame,
-    UnknownInstance,
-)
-from sceneqa.graph import (
-    build_graph,
-    camera_position,
-    graph_to_dict,
-    object_in_camera,
-    sample_frame_sequence,
-)
+from sceneqa.errors import DanglingInstanceRef, TooFewFrames
+from sceneqa.graph import build_graph, graph_to_dict, object_in_camera, sample_frame_sequence
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 
 
@@ -71,7 +60,7 @@ def test_dangling_instance_ref():
 def test_camera_queries_identity_and_translation():
     scene, frames = two_frame_fixture()
     g = build_graph(scene, frames)
-    assert np.allclose(camera_position(g, 0), [0, 0, 0])
+    assert np.allclose(g.frame(0).position, [0, 0, 0])
     corners = object_in_camera(g, 0, 1)
     assert np.allclose(corners, g.object(1).box.corners())  # identity pose
 
@@ -91,14 +80,6 @@ def test_camera_queries_identity_and_translation():
     world = g2.object(1).box.corners()
     expected = world - np.array([5.0, 0.0, 0.0])  # R = I, t = (5,0,0)
     assert np.allclose(object_in_camera(g2, 0, 1), expected, atol=1e-12)
-
-
-def test_unknown_frame_and_instance():
-    g = build_graph(*two_frame_fixture())
-    with pytest.raises(UnknownFrame):
-        camera_position(g, 42)
-    with pytest.raises(UnknownInstance):
-        object_in_camera(g, 0, 42)
 
 
 def test_sample_sequence_64_of_32_matches_exact_arithmetic():

@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 
 from oracles import points_inside_box
-from synth import make_cluster_cloud, make_scene, upright_pose_matrix
+from synth import (
+    frame_metadata_to_dict,
+    make_cluster_cloud,
+    make_scene,
+    save_frame_metadata,
+    upright_pose_matrix,
+)
 from sceneqa.errors import EmptyAfterFiltering, SchemaViolation
 from sceneqa.geometry import MAX_COORD, box_box_distance
 from sceneqa.metadata import (
     build_scene_metadata,
     derive_instance_boxes,
     frame_metadata_from_dict,
-    frame_metadata_to_dict,
     load_frame_metadata,
     load_scene_metadata,
-    save_frame_metadata,
     save_scene_metadata,
     scene_metadata_from_dict,
     scene_metadata_to_dict,

@@ -25,12 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_frame_metadata_from_dict
-from synth import make_scene, upright_pose_matrix
+from synth import frame_metadata_to_dict, make_scene, upright_pose_matrix
 from test_metadata import minimal_frames
 from sceneqa import metadata
 from sceneqa.errors import SchemaViolation
 from sceneqa.geometry import MAX_COORD, ORTHO_TOL
-from sceneqa.metadata import frame_metadata_from_dict, frame_metadata_to_dict
+from sceneqa.metadata import frame_metadata_from_dict
 
 
 def as_json(doc) -> dict:

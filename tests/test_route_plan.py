@@ -1,15 +1,20 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_label_anchors
 from synth import make_single_turn_waypoints
 from sceneqa.errors import InputError, MultiTurn, NoNearbyObject, TooShort
 from sceneqa.graph import build_graph
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 from sceneqa.qa_records import GenConfig, validate_record
 from sceneqa.route_plan import (
+    ClassifiedRoute,
     Trajectory,
     classify_trajectory,
     gen_route_plan,
@@ -125,12 +130,18 @@ def test_mirror_symmetry_500_random_single_turns():
 
 # --- anchor labeling ------------------------------------------------------------
 
+def anchor_labels(route, g, max_anchor_dist_m=CFG.max_anchor_dist_m):
+    objects = g.scene.objects
+    centers = np.array([o.box.center[:2] for o in objects])
+    return label_anchors(route, objects, centers, max_anchor_dist_m)
+
+
 def test_label_anchors_nearest():
     g = scene_graph_with([obj(1, "sofa", [0.1, 0.38, 0.3]),
                           obj(2, "table", [2.0, 0.3, 0.3]),
                           obj(3, "door", [2.1, 2.2, 0.3])])
     route = classify_trajectory(traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]), CFG)
-    assert label_anchors(route, g) == ("sofa", "table", "door")
+    assert anchor_labels(route, g) == ("sofa", "table", "door")
 
 
 def test_label_anchors_too_far():
@@ -139,7 +150,7 @@ def test_label_anchors_too_far():
                           obj(3, "door", [9.0, 9.5, 0.3])])
     route = classify_trajectory(traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]), CFG)
     with pytest.raises(NoNearbyObject):
-        label_anchors(route, g)
+        anchor_labels(route, g)
 
 
 def test_label_anchors_shared_instance_discarded():
@@ -147,7 +158,48 @@ def test_label_anchors_shared_instance_discarded():
                           obj(2, "door", [2.1, 2.2, 0.3])])
     route = classify_trajectory(traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]), CFG)
     with pytest.raises(NoNearbyObject):
-        label_anchors(route, g)  # src and mid both nearest to the chair
+        anchor_labels(route, g)  # src and mid both nearest to the chair
+
+
+def test_label_anchors_ties_and_range_edge():
+    # sofa and bed are equally near the start (the first in scene order wins);
+    # the table is exactly max_anchor_dist_m (2 m) from the turn point
+    g = scene_graph_with([obj(1, "sofa", [0.0, 1.0, 0.3]), obj(2, "bed", [0.0, -1.0, 0.3]),
+                          obj(3, "table", [4.0, 0.0, 0.3]), obj(4, "door", [2.0, 3.0, 0.3])])
+    route = classify_trajectory(traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]), CFG)
+    assert anchor_labels(route, g) == ("sofa", "table", "door")
+    assert reference_label_anchors(route, g, CFG.max_anchor_dist_m) == ("sofa", "table", "door")
+
+
+@st.composite
+def anchored_scenes(draw):
+    """Three lattice anchors and lattice objects in a drawn scene order: among
+    them a pair equally near one anchor and an object exactly the range away."""
+    coord = st.integers(-4, 4)
+    anchors = tuple(np.array([draw(coord), draw(coord), 0.0]) for _ in range(3))
+    max_dist = draw(st.sampled_from([1, 2, 5]))
+    ax, ay, _ = anchors[draw(st.integers(0, 2))]
+    dx, dy = draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (3, 4)]))
+    centers = [(ax + dx, ay + dy), (ax - dx, ay - dy), (ax, ay + max_dist)]
+    centers += [(draw(coord), draw(coord)) for _ in range(draw(st.integers(0, 5)))]
+    categories = st.sampled_from(["sofa", "table", "door", "lamp"])
+    objects = [obj(k + 1, draw(categories), [x, y, 0.3])
+               for k, (x, y) in enumerate(draw(st.permutations(centers)))]
+    return ClassifiedRoute("TurnLeft", anchors, 90.0), scene_graph_with(objects), float(max_dist)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=anchored_scenes())
+def test_label_anchors_equals_reference(case):
+    route, g, max_dist = case
+    try:
+        want = reference_label_anchors(route, g, max_dist)
+    except NoNearbyObject as exc:
+        with pytest.raises(NoNearbyObject) as got:
+            anchor_labels(route, g, max_dist)
+        assert str(got.value) == str(exc)
+    else:
+        assert anchor_labels(route, g, max_dist) == want
 
 
 # --- template rendering -----------------------------------------------------------
@@ -190,8 +242,8 @@ def test_alternative_mode_rederives_answer():
         traj([(0, 0, 0), (2, 0, 0),
               (2 + 2 * math.cos(angle), 2 * math.sin(angle), 0)]), CFG)
     assert route.kind == "TurnLeft" and route.turn_angle_deg == pytest.approx(50.0)
-    rec = render_route_qa(route, ("table", "sofa", "door"), CFG,
-                          scene_id="route", counter=0, alternative=True)
+    alt = dataclasses.replace(CFG, route_alternative_mode=True)
+    rec = render_route_qa(route, ("table", "sofa", "door"), alt, scene_id="route", counter=0)
     assert rec.meta["template"] == "Template2"
     assert "beginning at the sofa facing the door" in rec.question
     # re-classified reversed traversal: face the end, walk back to the start
