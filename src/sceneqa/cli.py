@@ -1,9 +1,10 @@
 """Command-line surface: ingest -> gen -> eval -> stats, plus fusion-check.
 
 Exit codes: 0 success, 2 input error (missing/unreadable/malformed files),
-3 evaluation error. All outputs are deterministic: each scene's records are
-generated and encoded as JSON lines where the scene is processed, then the
-lines of all scenes are stable-sorted by (scene_id, task order, qid) before
+3 evaluation error. All outputs are deterministic: ``gen --workers N`` runs
+the parent process plus N - 1 helpers, which claim scenes from one shared
+counter. Each scene comes back as one block of JSON lines sorted by (task
+order, qid); the blocks are sorted by scene_id, which must be unique, before
 writing, so the worker count never changes the bytes on disk.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
@@ -18,7 +19,7 @@ import errno
 import json
 import os
 import sys
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from . import qa_spatial, qa_temporal
 from .errors import DanglingInstanceRef, DuplicateQid, InputError, SceneQaError
 from .evaluate import Prediction, render_table, score_run
 from .metadata import (
+    DEFAULT_MIN_POINTS,
     build_scene_metadata,
     derive_instance_boxes,
     load_frame_metadata,
@@ -36,7 +38,7 @@ from .metadata import (
     save_scene_metadata,
 )
 from .ply_io import parse_ply
-from .qa_records import TASKS, TASK_ORDER, GenConfig, record_from_dict, record_to_dict
+from .qa_records import TASKS, GenConfig, record_from_dict, record_to_dict
 from .route_plan import gen_route_plan, load_trajectories
 
 EXIT_OK = 0
@@ -68,11 +70,11 @@ def _dump_line(doc: dict) -> str:
     return _encode(doc) + "\n"
 
 
-def write_records_jsonl(path, lines, header: dict):
-    """The header line, then the already encoded record lines."""
+def write_records_jsonl(path, blocks, header: dict):
+    """The header line, then the already encoded record lines, in blocks."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump_line({"_header": header}))
-        fh.writelines(lines)
+        fh.writelines(blocks)
 
 
 def read_records_jsonl(path):
@@ -122,10 +124,10 @@ def task_generators() -> dict:
 
 
 def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
-                           dump_dir=None) -> list:
-    """All requested records for one scene, from one scene context, each as
-    ``((scene_id, task order, qid), JSON line)`` in generation order; with
-    ``dump_dir`` the graph is written there too."""
+                           dump_dir=None) -> tuple:
+    """All requested records for one scene, from one scene context, as
+    ``(scene_id, record count, text)``: the JSON lines sorted by (task order,
+    qid) and joined. With ``dump_dir`` the graph is written there too."""
     scene = _load(inputs.scene_path, load_scene_metadata)
     frames = _load(inputs.frames_path, load_frame_metadata)
     try:
@@ -147,33 +149,75 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
             fh.write("\n")
 
     generators = task_generators()
-    keyed = []
-    for task in (t for t in TASKS if t in tasks):
+    lines = []
+    for task in (t for t in TASKS if t in tasks):  # TASKS is in task order
         try:  # a truth that breaks the record invariants, e.g. an overflowing distance
             records = generators[task](ctx, cfg)
         except ValueError as exc:
             raise InputError(f"{inputs.scene_path}: {task}: {exc}") from None
-        keyed += [((rec.scene_id, TASK_ORDER[rec.task], rec.qid),
-                   _dump_line(record_to_dict(rec))) for rec in records]
-    return keyed
+        lines += [_dump_line(record_to_dict(rec))
+                  for rec in sorted(records, key=attrgetter("qid"))]
+    return scene.scene_id, len(lines), "".join(lines)
+
+
+# The (jobs, claim counter) of a fan-out, as the pool initializer hands
+# them to a helper process.
+_helper_args = None
+
+
+def _init_helper(*args):
+    global _helper_args
+    _helper_args = args
+
+
+def _drain(jobs, next_index) -> list:
+    """Claim job indices one at a time from the shared counter and generate
+    each scene, until none is left; returns ``[(index, scene_id, count,
+    text), ...]``. A failure runs the counter out, so that no worker claims
+    another scene."""
+    blocks = []
+    try:
+        while True:
+            with next_index.get_lock():
+                i = next_index.value
+                next_index.value = i + 1
+            if i >= len(jobs):
+                return blocks
+            blocks.append((i, *generate_scene_records(*jobs[i])))
+    except BaseException:
+        with next_index.get_lock():
+            next_index.value = len(jobs)
+        raise
+
+
+def _helper_drain() -> list:
+    return _drain(*_helper_args)
 
 
 def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
-                   dump_dir=None) -> list:
-    """Fan out per scene, gather, and stable-sort the encoded record lines
-    into the canonical record order."""
+                   dump_dir=None) -> tuple:
+    """Generate every scene, the parent being one of ``workers`` workers, and
+    merge the scene blocks into the canonical record order by scene_id.
+    Returns ``(record count, blocks of JSON lines)``."""
     jobs = [(inp, cfg, tuple(tasks), dump_dir) for inp in scene_inputs]
-    if workers > 1 and len(jobs) > 1:
+    helpers = min(workers, len(jobs)) - 1
+    if helpers > 0:
         import multiprocessing  # only a fan-out pays for the import
 
-        with multiprocessing.Pool(workers) as pool:
-            # one scene per task, so no worker idles while another holds a chunk
-            chunks = pool.starmap(generate_scene_records, jobs, chunksize=1)
+        next_index = multiprocessing.Value("q", 0)
+        with multiprocessing.Pool(helpers, _init_helper, (jobs, next_index)) as pool:
+            pending = [pool.apply_async(_helper_drain) for _ in range(helpers)]
+            blocks = _drain(jobs, next_index)
+            for result in pending:
+                blocks += result.get()
     else:
-        chunks = [generate_scene_records(*job) for job in jobs]
-    keyed = [item for chunk in chunks for item in chunk]
-    keyed.sort(key=itemgetter(0))
-    return [line for _, line in keyed]
+        blocks = [(i, *generate_scene_records(*job)) for i, job in enumerate(jobs)]
+    blocks.sort(key=itemgetter(1, 0))
+    for (i, scene_id, *_), (j, other, *_) in zip(blocks, blocks[1:]):
+        if scene_id == other:
+            raise InputError(f"scene_id {scene_id!r} is used by both "
+                             f"{jobs[i][0].scene_path} and {jobs[j][0].scene_path}")
+    return sum(block[2] for block in blocks), [block[3] for block in blocks]
 
 
 # --- commands -------------------------------------------------------------------
@@ -260,11 +304,11 @@ def cmd_gen(args) -> int:
         raise OSError(code, os.strerror(code), args.out)
     if args.dump_graphs:
         Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
-    lines = run_generation(scene_inputs, cfg, tasks, workers, args.dump_graphs)
+    count, blocks = run_generation(scene_inputs, cfg, tasks, workers, args.dump_graphs)
     header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
-              "record_count": len(lines)}
-    write_records_jsonl(args.out, lines, header)
-    print(f"wrote {len(lines)} record(s) to {args.out}")
+              "record_count": count}
+    write_records_jsonl(args.out, blocks, header)
+    print(f"wrote {count} record(s) to {args.out}")
     return EXIT_OK
 
 
@@ -358,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON mapping semantic label id -> category name")
     p.add_argument("--scene-id", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-points", type=int, default=50)
+    p.add_argument("--min-points", type=int, default=DEFAULT_MIN_POINTS)
     p.add_argument("--oriented", action="store_true",
                    help="fit yaw-oriented boxes instead of axis-aligned")
     p.set_defaults(func=cmd_ingest)
@@ -373,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", help="comma-separated subset of task names")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-per-task", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="worker processes, counting this one (default 1); each "
+                        "claims one scene at a time")
     p.add_argument("--config", help="JSON file of generator settings")
     p.add_argument("--dump-graphs", help="directory for debug graph dumps")
     p.set_defaults(func=cmd_gen)

@@ -142,8 +142,13 @@ def score_run(records, preds, weight_by_question: bool = False) -> EvalReport:
             raise DuplicateQid(f"prediction qid {p.qid} appears twice")
         by_qid[p.qid] = p
 
+    records = sorted(records, key=lambda r: r.qid)
+    for rec, after in zip(records, records[1:]):
+        if rec.qid == after.qid:
+            raise DuplicateQid(f"record qid {rec.qid} appears twice")
+
     judgments = []
-    for rec in sorted(records, key=lambda r: r.qid):
+    for rec in records:
         j = {"qid": rec.qid, "task": rec.task, "score": 0.0, "status": "missing"}
         pred = by_qid.get(rec.qid)
         if pred is not None:

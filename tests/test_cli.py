@@ -129,14 +129,12 @@ def test_gen_worker_count_does_not_change_bytes(tmp_path):
 
 
 def test_records_file_equals_the_former_write_path(tmp_path):
-    # Directory order differs from scene_id order, and two directories share
-    # a scene_id, so their records tie on (scene_id, task order, qid) and
-    # keep the directory order.
+    # Directory order differs from scene_id order.
     root = tmp_path / "scenes"
     root.mkdir()
     rng = np.random.default_rng(12)
     for dirname, scene_id, seed in (("a", "zeta", 5101), ("b", "alpha", 5102),
-                                    ("c", "zeta", 5103), ("d", "mid", 5104)):
+                                    ("c", "omega", 5103), ("d", "mid", 5104)):
         scene, frames = make_scene(seed=seed, scene_id=scene_id)
         cloud = make_rect_cloud(seed, 6.0, 5.0) if dirname == "b" else None
         trajectories = [make_single_turn_waypoints(rng)[0] + [3.0, 3.0, 0.0] for _ in range(6)]
@@ -144,13 +142,146 @@ def test_records_file_equals_the_former_write_path(tmp_path):
         staged.rename(root / dirname)
     want = tmp_path / "want.jsonl"
     reference_write_records(want, discover_scenes(root), GenConfig(seed=9), list(TASKS))
-    qids = [json.loads(line).get("qid") for line in want.read_text().splitlines()]
-    assert len(qids) - len(set(qids)) > 20  # the shared scene_id's records tie
+    scene_ids = [json.loads(line).get("scene_id") for line in want.read_text().splitlines()]
+    assert list(dict.fromkeys(scene_ids[1:])) == ["alpha", "mid", "omega", "zeta"]
     for workers in ("1", "2", "4"):
         out = tmp_path / f"records{workers}.jsonl"
         assert main(["gen", "--input-root", str(root), "--out", str(out), "--seed", "9",
                      "--workers", workers]) == 0
         assert out.read_bytes() == want.read_bytes(), workers
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_gen_shared_scene_id_is_input_error(tmp_path, capsys, workers):
+    root = tmp_path / "scenes"
+    root.mkdir()
+    for dirname, scene_id, seed in (("a", "zeta", 5101), ("b", "alpha", 5102),
+                                    ("c", "zeta", 5103)):
+        staged = write_scene_dir(tmp_path / dirname, *make_scene(seed=seed, scene_id=scene_id))
+        staged.rename(root / dirname)
+    out = tmp_path / "records.jsonl"
+    out.write_text("kept\n")
+    assert main(["gen", "--input-root", str(root), "--out", str(out), "--seed", "9",
+                 "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "'zeta'" in err, err
+    assert str(root / "a" / "scene_metadata.json") in err, err
+    assert str(root / "c" / "scene_metadata.json") in err, err
+    assert out.read_text() == "kept\n"
+
+
+def _run_python(code, *args):
+    src = str(Path(sceneqa.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def _small_corpus(root, n=4):
+    for i in range(n):
+        write_scene_dir(root, *make_scene(seed=3200 + i, scene_id=f"m{i:02d}"))
+    return root
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_gen_fan_out_under_start_method(tmp_path, method):
+    root = _small_corpus(tmp_path / "scenes")
+    want = tmp_path / "one.jsonl"
+    assert main(["gen", "--input-root", str(root), "--out", str(want), "--seed", "4",
+                 "--workers", "1"]) == 0
+    code = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "from sceneqa.cli import main\n"
+        "for workers in ('2', '3'):\n"
+        "    out = f'{sys.argv[3]}/w{workers}.jsonl'\n"
+        "    argv = ['gen', '--input-root', sys.argv[2], '--out', out, '--seed', '4',\n"
+        "            '--workers', workers]\n"
+        "    assert main(argv) == 0, workers\n")
+    run = _run_python(code, method, root, tmp_path)
+    assert run.returncode == 0, run.stderr
+    for workers in ("2", "3"):
+        assert (tmp_path / f"w{workers}.jsonl").read_bytes() == want.read_bytes(), workers
+
+
+def test_gen_claims_each_scene_once_with_more_workers_than_cores(tmp_path):
+    # A lost update of the claim counter would generate a scene twice (a
+    # shared scene_id error) or skip one (different bytes).
+    root = _small_corpus(tmp_path / "scenes", n=8)
+    want = tmp_path / "one.jsonl"
+    argv = ["gen", "--input-root", str(root), "--seed", "6", "--tasks", "obj_count,abs_dist"]
+    assert main([*argv, "--out", str(want), "--workers", "1"]) == 0
+    workers = "8"  # one scene each, more processes than a small host has cores
+    code = (
+        "import sys\n"
+        "from sceneqa.cli import main\n"
+        "for k in range(3):\n"
+        "    assert main([*sys.argv[3:], '--out', f'{sys.argv[2]}/many{k}.jsonl',\n"
+        "                 '--workers', sys.argv[1]]) == 0\n")
+    run = _run_python(code, workers, tmp_path, *argv)
+    assert run.returncode == 0, run.stderr
+    for k in range(3):
+        assert (tmp_path / f"many{k}.jsonl").read_bytes() == want.read_bytes(), k
+
+
+def test_gen_helper_error_is_one_line_and_stops_the_parent(tmp_path):
+    # Under fork the helper inherits the patched module globals. A scene
+    # fails only where a helper generates it, and the parent holds its own
+    # first scene until the helper's drain has ended, so the failing scene is
+    # certainly a helper's and the parent may claim no scene after it.
+    root = _small_corpus(tmp_path / "scenes")
+    log = tmp_path / "calls.txt"
+    code = (
+        "import multiprocessing, os, sys, time\n"
+        "from pathlib import Path\n"
+        "multiprocessing.set_start_method('fork')\n"
+        "from sceneqa import cli\n"
+        "from sceneqa.errors import InputError\n"
+        "parent, marker, log = os.getpid(), Path(sys.argv[1]), Path(sys.argv[2])\n"
+        "generate, drain = cli.generate_scene_records, cli._helper_drain\n"
+        "def generate_logged(inputs, *rest):\n"
+        "    who = 'parent' if os.getpid() == parent else 'helper'\n"
+        "    with open(log, 'a') as fh:\n"
+        "        fh.write(f'{who} {inputs.scene_path}\\n')\n"
+        "    if who == 'helper':\n"
+        "        raise InputError(f'{inputs.scene_path}: failed in a helper')\n"
+        "    deadline = time.monotonic() + 60\n"
+        "    while not marker.exists() and time.monotonic() < deadline:\n"
+        "        time.sleep(0.01)\n"
+        "    return generate(inputs, *rest)\n"
+        "def drain_marked():\n"
+        "    try:\n"
+        "        return drain()\n"
+        "    finally:\n"
+        "        marker.touch()\n"
+        "cli.generate_scene_records, cli._helper_drain = generate_logged, drain_marked\n"
+        "sys.exit(cli.main(['gen', '--input-root', sys.argv[3], '--out', sys.argv[4],\n"
+        "                   '--workers', '2']))\n")
+    out = tmp_path / "r.jsonl"
+    run = _run_python(code, tmp_path / "helper-done", log, root, out)
+    assert run.returncode == 2, run.stderr
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("error: ") and line.endswith(": failed in a helper"), line
+    calls = log.read_text().splitlines()
+    helper = [c for c in calls if c.startswith("helper ")]
+    assert len(helper) == 1 and helper[0].split(" ", 1)[1] in line, calls
+    assert len(calls) - len(helper) <= 1, calls
+    assert not out.exists()
+
+
+def test_gen_at_one_worker_does_not_load_multiprocessing(tmp_path):
+    root = _small_corpus(tmp_path / "scenes", n=2)
+    code = (
+        "import sys\n"
+        "from sceneqa.cli import main\n"
+        "code = main(['gen', '--input-root', sys.argv[1], '--out', sys.argv[2],\n"
+        "             '--workers', '1', '--tasks', 'obj_count'])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n")
+    run = _run_python(code, root, tmp_path / "r.jsonl")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False", run.stdout
 
 
 def test_gen_reads_the_cloud_only_for_room_size(scene_dir, tmp_path, capsys):
@@ -722,6 +853,19 @@ def test_eval_duplicate_qid_exit_3(scene_dir, tmp_path, capsys):
                         {"qid": recs[0].qid, "raw_text": "2"}])
     code = main(["eval", "--records", str(records), "--predictions", str(preds)])
     assert code == 3
+
+
+def test_eval_duplicate_record_qid_exit_3(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    report = tmp_path / "report.json"
+    write_jsonl(records, [{"_header": {}}, GOOD_RECORD, GOOD_RECORD])
+    write_jsonl(preds, [{"qid": GOOD_RECORD["qid"], "raw_text": "2"}])
+    assert main(["eval", "--records", str(records), "--predictions", str(preds),
+                 "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and GOOD_RECORD["qid"] in err, err
+    assert not report.exists()
 
 
 # --- stats ---------------------------------------------------------------------------

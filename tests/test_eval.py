@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -263,7 +264,11 @@ def test_fuzzed_record_lines_load_or_name_their_line(data):
             return
     answers = {r.qid: data.draw(st.sampled_from(ANSWERS + [r.ground_truth]), label="answer")
                for r in records if r.qid}
-    report = score_run(records, [Prediction(q, a) for q, a in answers.items()],
-                       weight_by_question=data.draw(st.booleans()))
+    preds = [Prediction(q, a) for q, a in answers.items()]
+    if records[0].qid == records[1].qid:  # one question cannot be judged twice
+        with pytest.raises(DuplicateQid, match=re.escape(f"record qid {records[0].qid} ")):
+            score_run(records, preds)
+        return
+    report = score_run(records, preds, weight_by_question=data.draw(st.booleans()))
     assert len(report.per_question) == len(records)
     render_table(report)
