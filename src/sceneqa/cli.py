@@ -1,11 +1,15 @@
 """Command-line surface: ingest -> gen -> eval -> stats, plus fusion-check.
 
 Exit codes: 0 success, 2 input error (missing/unreadable/malformed files),
-3 evaluation error. All outputs are deterministic: ``gen --workers N`` runs
-the parent process plus N - 1 helpers, which claim scenes from one shared
-counter. Each scene comes back as one block of JSON lines sorted by (task
-order, qid); the blocks are sorted by scene_id, which must be unique, before
-writing, so the worker count never changes the bytes on disk.
+3 evaluation error, 4 a gen worker process that ended abruptly. All outputs
+are deterministic: ``gen --workers N`` runs the parent process plus N - 1
+helpers, which claim scenes from one shared counter. Each worker appends
+each scene's block of JSON lines, sorted by (task order, qid), to a spool
+file of its own in a temporary directory beside ``--out``, and hands back
+only where the block lies. The parent sorts that index by scene_id, which
+must be unique, and then copies the blocks into ``--out`` one at a time, so
+the worker count never changes the bytes on disk and the parent never holds
+more than one block.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
@@ -14,11 +18,14 @@ carrying the resolved configuration; readers in this package skip it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import json
 import os
+import shutil
 import sys
+import tempfile
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -26,12 +33,13 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import qa_spatial, qa_temporal
-from .errors import DanglingInstanceRef, DuplicateQid, InputError, SceneQaError
+from .errors import DanglingInstanceRef, DuplicateQid, InputError, SceneQaError, WorkerDied
 from .evaluate import Prediction, render_table, score_run
 from .metadata import (
     DEFAULT_MIN_POINTS,
     build_scene_metadata,
     derive_instance_boxes,
+    iter_jsonl,
     load_frame_metadata,
     load_scene_metadata,
     read_jsonl,
@@ -44,6 +52,7 @@ from .route_plan import gen_route_plan, load_trajectories
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EVAL = 3
+EXIT_WORKER = 4
 
 
 def _load(path, loader):
@@ -70,11 +79,18 @@ def _dump_line(doc: dict) -> str:
     return _encode(doc) + "\n"
 
 
-def write_records_jsonl(path, blocks, header: dict):
-    """The header line, then the already encoded record lines, in blocks."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump_line({"_header": header}))
-        fh.writelines(blocks)
+def write_records_jsonl(path, index, header: dict):
+    """The header line, then each scene's block of record lines, copied in
+    ``index`` order from the spool files that run_generation's index names."""
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(path, "wb"))
+        out.write(_dump_line({"_header": header}).encode())
+        spools = {}
+        for *_, spool, offset, length in index:
+            if spool not in spools:
+                spools[spool] = stack.enter_context(open(spool, "rb"))
+            spools[spool].seek(offset)
+            out.write(spools[spool].read(length))
 
 
 def read_records_jsonl(path):
@@ -160,8 +176,8 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
     return scene.scene_id, len(lines), "".join(lines)
 
 
-# The (jobs, claim counter) of a fan-out, as the pool initializer hands
-# them to a helper process.
+# The (jobs, claim counter, spool directory) of a fan-out, as the pool
+# initializer hands them to a helper process.
 _helper_args = None
 
 
@@ -170,20 +186,37 @@ def _init_helper(*args):
     _helper_args = args
 
 
-def _drain(jobs, next_index) -> list:
-    """Claim job indices one at a time from the shared counter and generate
-    each scene, until none is left; returns ``[(index, scene_id, count,
-    text), ...]``. A failure runs the counter out, so that no worker claims
-    another scene."""
-    blocks = []
+class _Counter:
+    """The claim counter of a generation in one process: the ``value`` and
+    ``get_lock()`` of a ``multiprocessing.Value``, without the import."""
+
+    def __init__(self):
+        self.value = 0
+
+    def get_lock(self):
+        return contextlib.nullcontext()
+
+
+def _drain(jobs, next_index, spool_dir) -> list:
+    """Claim job indices one at a time from the shared counter, generate each
+    scene and append its block to a spool file in ``spool_dir`` that no other
+    drain writes, even in the same process, until none is left; returns the
+    index ``[(job index, scene_id, count, spool, offset, length), ...]``. A
+    failure runs the counter out, so that no worker claims another scene."""
+    index = []
     try:
-        while True:
-            with next_index.get_lock():
-                i = next_index.value
-                next_index.value = i + 1
-            if i >= len(jobs):
-                return blocks
-            blocks.append((i, *generate_scene_records(*jobs[i])))
+        fd, spool = tempfile.mkstemp(prefix=f"{os.getpid()}-", dir=spool_dir)
+        with open(fd, "wb") as fh:
+            while True:
+                with next_index.get_lock():
+                    i = next_index.value
+                    next_index.value = i + 1
+                if i >= len(jobs):
+                    return index
+                scene_id, count, text = generate_scene_records(*jobs[i])
+                block = text.encode()
+                index.append((i, scene_id, count, spool, fh.tell(), len(block)))
+                fh.write(block)
     except BaseException:
         with next_index.get_lock():
             next_index.value = len(jobs)
@@ -194,30 +227,55 @@ def _helper_drain() -> list:
     return _drain(*_helper_args)
 
 
-def run_generation(scene_inputs, cfg: GenConfig, tasks, workers: int = 1,
+def _fan_out(jobs, spool_dir, helpers: int) -> list:
+    """``_drain`` in this process and in ``helpers`` helper processes at once;
+    returns all of their index entries."""
+    import multiprocessing  # only a fan-out pays for the imports
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    next_index = multiprocessing.Value("q", 0)
+
+    def stop_claims(future):  # a helper that died cannot run the counter out itself
+        if not future.cancelled() and future.exception() is not None:
+            with next_index.get_lock():
+                next_index.value = len(jobs)
+
+    pool = ProcessPoolExecutor(helpers, initializer=_init_helper,
+                               initargs=(jobs, next_index, spool_dir))
+    try:
+        pending = [pool.submit(_helper_drain) for _ in range(helpers)]
+        for future in pending:
+            future.add_done_callback(stop_claims)
+        index = _drain(jobs, next_index, spool_dir)
+        for future in pending:
+            index += future.result()
+        return index
+    except BrokenProcessPool:
+        raise WorkerDied("a gen worker process ended abruptly "
+                         "(killed, or out of memory)") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_generation(scene_inputs, cfg: GenConfig, tasks, spool_dir, workers: int = 1,
                    dump_dir=None) -> tuple:
-    """Generate every scene, the parent being one of ``workers`` workers, and
-    merge the scene blocks into the canonical record order by scene_id.
-    Returns ``(record count, blocks of JSON lines)``."""
+    """Generate every scene into spool files in ``spool_dir``, the parent
+    being one of ``workers`` workers, and sort the index of the scene blocks
+    into the canonical record order by scene_id. Returns ``(record count,
+    index)`` for write_records_jsonl."""
     jobs = [(inp, cfg, tuple(tasks), dump_dir) for inp in scene_inputs]
     helpers = min(workers, len(jobs)) - 1
     if helpers > 0:
-        import multiprocessing  # only a fan-out pays for the import
-
-        next_index = multiprocessing.Value("q", 0)
-        with multiprocessing.Pool(helpers, _init_helper, (jobs, next_index)) as pool:
-            pending = [pool.apply_async(_helper_drain) for _ in range(helpers)]
-            blocks = _drain(jobs, next_index)
-            for result in pending:
-                blocks += result.get()
+        index = _fan_out(jobs, spool_dir, helpers)
     else:
-        blocks = [(i, *generate_scene_records(*job)) for i, job in enumerate(jobs)]
-    blocks.sort(key=itemgetter(1, 0))
-    for (i, scene_id, *_), (j, other, *_) in zip(blocks, blocks[1:]):
+        index = _drain(jobs, _Counter(), spool_dir)
+    index.sort(key=itemgetter(1, 0))
+    for (i, scene_id, *_), (j, other, *_) in zip(index, index[1:]):
         if scene_id == other:
             raise InputError(f"scene_id {scene_id!r} is used by both "
                              f"{jobs[i][0].scene_path} and {jobs[j][0].scene_path}")
-    return sum(block[2] for block in blocks), [block[3] for block in blocks]
+    return sum(entry[2] for entry in index), index
 
 
 # --- commands -------------------------------------------------------------------
@@ -302,12 +360,18 @@ def cmd_gen(args) -> int:
     if out.is_dir() or not out.parent.is_dir():  # fail before generating, as open() would
         code = errno.EISDIR if out.is_dir() else errno.ENOENT
         raise OSError(code, os.strerror(code), args.out)
-    if args.dump_graphs:
-        Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
-    count, blocks = run_generation(scene_inputs, cfg, tasks, workers, args.dump_graphs)
-    header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
-              "record_count": count}
-    write_records_jsonl(args.out, blocks, header)
+    # Beside --out, on its disk: a tmpfs /tmp would hold the blocks in memory.
+    spool_dir = tempfile.mkdtemp(prefix=f".{out.name}.spool-", dir=out.parent)
+    try:
+        if args.dump_graphs:
+            Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
+        count, index = run_generation(scene_inputs, cfg, tasks, spool_dir, workers,
+                                      args.dump_graphs)
+        header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
+                  "record_count": count}
+        write_records_jsonl(args.out, index, header)
+    finally:
+        shutil.rmtree(spool_dir, ignore_errors=True)
     print(f"wrote {count} record(s) to {args.out}")
     return EXIT_OK
 
@@ -326,19 +390,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _, records = read_records_jsonl(args.records)
-    counts = {}
-    for rec in records:
+    counts, total = {}, 0
+    for rec in iter_jsonl(args.records, record_from_dict):  # one record held at a time
         counts[rec.task] = counts.get(rec.task, 0) + 1
+        total += 1
     lines = [f"{'task':<18}{'count':>8}"]
     for task in TASKS:
         if task in counts:
             lines.append(f"{task:<18}{counts[task]:>8}")
-    lines.append(f"{'total':<18}{len(records):>8}")
+    lines.append(f"{'total':<18}{total:>8}")
     print("\n".join(lines))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"per_task": counts, "total": len(records)}, fh,
+            json.dump({"per_task": counts, "total": total}, fh,
                       sort_keys=True, indent=1)
             fh.write("\n")
     return EXIT_OK
@@ -453,6 +517,9 @@ def main(argv=None) -> int:
     except DuplicateQid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except (SceneQaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

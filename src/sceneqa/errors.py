@@ -107,6 +107,12 @@ class DuplicateQid(SceneQaError):
     """A predictions file contains the same question id twice."""
 
 
+# --- generation -------------------------------------------------------------
+
+class WorkerDied(SceneQaError):
+    """A gen worker process ended abruptly (killed, or out of memory)."""
+
+
 # --- fusion kernel ----------------------------------------------------------
 
 class DimMismatch(SceneQaError):

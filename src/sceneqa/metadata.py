@@ -373,11 +373,11 @@ def load_frame_metadata(path) -> FrameMetadata:
         return frame_metadata_from_dict(json.load(fh))
 
 
-def read_jsonl(path, parse):
-    """(``{"_header": ...}`` value or None, [parse(doc) per other non-blank
-    line]) of a JSONL file; a line that is not JSON, lacks a field or fails
-    ``parse`` raises InputError naming path:line."""
-    header, items = None, []
+def iter_jsonl(path, parse, on_header=None):
+    """Yield ``parse(doc)`` per non-blank line of a JSONL file, reading one
+    line at a time; the value of a ``{"_header": ...}`` line goes to
+    ``on_header`` instead, if given. A line that is not JSON, lacks a field or
+    fails ``parse`` raises InputError naming path:line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -386,14 +386,24 @@ def read_jsonl(path, parse):
                     continue
                 doc = json.loads(line)
                 if "_header" in doc:
-                    header = doc["_header"]
-                else:
-                    items.append(parse(doc))
+                    header = doc["_header"]  # a line that is not an object fails here
+                    if on_header is not None:
+                        on_header(header)
+                    continue
+                item = parse(doc)
             except KeyError as exc:
                 raise InputError(f"{path}:{lineno}: missing field {exc}") from None
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
-    return header, items
+            yield item
+
+
+def read_jsonl(path, parse):
+    """(``{"_header": ...}`` value or None, [parse(doc) per other non-blank
+    line]) of a JSONL file, read by iter_jsonl."""
+    headers = []
+    items = list(iter_jsonl(path, parse, headers.append))
+    return (headers[-1] if headers else None), items
 
 
 # --- instance boxes from labeled points --------------------------------------

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +152,7 @@ def test_records_file_equals_the_former_write_path(tmp_path):
         assert out.read_bytes() == want.read_bytes(), workers
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_gen_shared_scene_id_is_input_error(tmp_path, capsys, workers):
     root = tmp_path / "scenes"
     root.mkdir()
@@ -169,6 +170,46 @@ def test_gen_shared_scene_id_is_input_error(tmp_path, capsys, workers):
     assert str(root / "a" / "scene_metadata.json") in err, err
     assert str(root / "c" / "scene_metadata.json") in err, err
     assert out.read_text() == "kept\n"
+    # the staging directories, the scenes and --out: no spool is left
+    assert sorted(os.listdir(tmp_path)) == ["a", "b", "c", "records.jsonl", "scenes"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_gen_leaves_nothing_beside_out(tmp_path, workers):
+    root = _small_corpus(tmp_path / "scenes", n=3)
+    out = tmp_path / "out" / "records.jsonl"
+    out.parent.mkdir()
+    assert main(["gen", "--input-root", str(root), "--out", str(out), "--seed", "4",
+                 "--workers", workers, "--tasks", "obj_count,abs_dist"]) == 0
+    assert os.listdir(out.parent) == ["records.jsonl"]
+
+
+def test_gen_memory_does_not_grow_with_the_corpus(tmp_path):
+    # Copies of one scene, so that every scene block has the same size and
+    # only the number of blocks grows. Holding every block until the write
+    # would add about the extra records bytes to the peak.
+    def corpus(n):
+        root = tmp_path / f"scenes{n}"
+        for i in range(n):
+            write_scene_dir(root, *make_scene(seed=3300, scene_id=f"c{i:03d}"))
+        return root
+
+    def peak(root):
+        out = tmp_path / f"{root.name}.jsonl"
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--input-root", str(root), "--out", str(out),
+                         "--workers", "1"]) == 0
+            return tracemalloc.get_traced_memory()[1], out.stat().st_size
+        finally:
+            tracemalloc.stop()
+
+    n = 3
+    small, large = corpus(n), corpus(4 * n)
+    peak(small)  # loads what the first generation imports
+    (peak_small, size_small), (peak_large, size_large) = peak(small), peak(large)
+    assert peak_large - peak_small < (size_large - size_small) / 4, \
+        (peak_small, peak_large, size_small, size_large)
 
 
 def _run_python(code, *args):
@@ -268,7 +309,36 @@ def test_gen_helper_error_is_one_line_and_stops_the_parent(tmp_path):
     helper = [c for c in calls if c.startswith("helper ")]
     assert len(helper) == 1 and helper[0].split(" ", 1)[1] in line, calls
     assert len(calls) - len(helper) <= 1, calls
-    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["calls.txt", "helper-done", "scenes"]
+
+
+def test_gen_dead_helper_fails_the_run(tmp_path):
+    # The helper ends abruptly on the first scene it claims; the parent holds
+    # its own first scene until then, so a helper certainly claims one.
+    root = _small_corpus(tmp_path / "scenes")
+    code = (
+        "import multiprocessing, os, sys, time\n"
+        "from pathlib import Path\n"
+        "multiprocessing.set_start_method('fork')\n"
+        "from sceneqa import cli\n"
+        "parent, marker = os.getpid(), Path(sys.argv[1])\n"
+        "generate = cli.generate_scene_records\n"
+        "def generate_or_die(inputs, *rest):\n"
+        "    if os.getpid() != parent:\n"
+        "        marker.touch()\n"
+        "        os._exit(1)\n"
+        "    deadline = time.monotonic() + 60\n"
+        "    while not marker.exists() and time.monotonic() < deadline:\n"
+        "        time.sleep(0.01)\n"
+        "    return generate(inputs, *rest)\n"
+        "cli.generate_scene_records = generate_or_die\n"
+        "sys.exit(cli.main(['gen', '--input-root', sys.argv[2], '--out', sys.argv[3],\n"
+        "                   '--workers', '2']))\n")
+    run = _run_python(code, tmp_path / "helper-died", root, tmp_path / "r.jsonl")
+    assert run.returncode == 4, run.stderr
+    (line,) = run.stderr.splitlines()
+    assert line == "error: a gen worker process ended abruptly (killed, or out of memory)", line
+    assert sorted(os.listdir(tmp_path)) == ["helper-died", "scenes"]
 
 
 def test_gen_at_one_worker_does_not_load_multiprocessing(tmp_path):
@@ -504,6 +574,7 @@ def test_bad_out_fails_before_generating(scene_dir, tmp_path, capsys, out):
     err = capsys.readouterr().err
     if out.name == "old.jsonl":  # a writable --out is left alone until the records are ready
         assert str(scene_dir) in err and out.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["dir", "old.jsonl", "scenes"]
         return
     with pytest.raises(OSError) as opened:
         open(out, "w")
@@ -523,6 +594,7 @@ def test_scene_file_that_is_a_directory_is_input_error(tmp_path, capsys, name, w
                  "--workers", workers]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+    assert os.listdir(tmp_path) == ["scenes"]
 
 
 @pytest.mark.parametrize("target,field,edit", [
@@ -584,6 +656,7 @@ def test_gen_dangling_instance_names_the_frame_file(tmp_path, workers):
                          capture_output=True, text=True, timeout=120, env=env)
     assert run.returncode == 2, run.stderr
     assert f"{path}: frame 2 references unknown instance 999" in run.stderr
+    assert os.listdir(tmp_path) == ["scenes"]
 
 
 @pytest.mark.parametrize("category", [5, "", None, ["x"]], ids=["int", "empty", "null", "list"])
@@ -666,6 +739,7 @@ def test_gen_overflowing_truth_names_the_scene_file(tmp_path, workers, coord):
     # rejected where it is loaded, before numpy can warn of an overflow
     assert run.stderr.startswith(f"error: {path}: objects[0]: ") and \
         run.stderr.count("\n") == 1, run.stderr
+    assert os.listdir(tmp_path) == ["scenes"]
 
 
 def test_huge_waypoint_is_input_error(scene_dir, tmp_path, capsys):
@@ -695,6 +769,7 @@ def test_gen_far_camera_names_the_frame_file(tmp_path, coord):
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith(f"error: {path}: frames[0].pose_c2w: ") and \
         run.stderr.count("\n") == 1, run.stderr
+    assert os.listdir(tmp_path) == ["scenes"]
 
 
 def test_waypoints_whose_steps_overflow_are_input_error(scene_dir, tmp_path, capsys):
@@ -884,6 +959,23 @@ def test_stats_counts(tmp_path, capsys):
     stats = json.loads(out.read_text())
     assert stats["per_task"] == {"obj_count": 4, "abs_dist": 3, "room_size": 3}
     assert stats["total"] == 10
+
+
+def test_stats_memory_does_not_grow_with_the_file(tmp_path, capsys):
+    docs = [{"_header": {"config": {}}}]
+    docs += [dict(GOOD_RECORD, qid=f"s:obj_count:{i:05d}") for i in range(20_000)]
+    records = tmp_path / "r.jsonl"
+    write_jsonl(records, docs)
+    out = tmp_path / "stats.json"
+    tracemalloc.start()
+    try:
+        assert main(["stats", "--records", str(records), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.read_text()) == {"per_task": {"obj_count": 20_000}, "total": 20_000}
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "20000"]
+    assert peak < records.stat().st_size / 4, (peak, records.stat().st_size)
 
 
 def test_stats_empty_file(tmp_path, capsys):
