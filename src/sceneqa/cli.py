@@ -3,13 +3,13 @@
 Exit codes: 0 success, 2 input error (missing/unreadable/malformed files),
 3 evaluation error, 4 a gen worker process that ended abruptly. All outputs
 are deterministic: ``gen --workers N`` runs the parent process plus N - 1
-helpers, which claim scenes from one shared counter. Each worker appends
-each scene's block of JSON lines, sorted by (task order, qid), to a spool
-file of its own in a temporary directory beside ``--out``, and hands back
-only where the block lies. The parent sorts that index by scene_id, which
-must be unique, and then copies the blocks into ``--out`` one at a time, so
-the worker count never changes the bytes on disk and the parent never holds
-more than one block.
+helpers, which claim scenes from one shared counter (``--workers 1`` just
+loops over the scenes). Job ``i``'s block of JSON lines, sorted by (task
+order, qid), goes to the file ``<i>`` of a temporary directory beside
+``--out``, and the worker hands back only ``(scene_id, i, record count)``.
+The parent sorts those by scene_id, which must be unique, and then copies
+the files into ``--out`` one at a time, so the worker count never changes
+the bytes on disk and the parent never holds a block.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
@@ -18,7 +18,6 @@ carrying the resolved configuration; readers in this package skip it.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import errno
 import json
@@ -26,7 +25,7 @@ import os
 import shutil
 import sys
 import tempfile
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -79,18 +78,14 @@ def _dump_line(doc: dict) -> str:
     return _encode(doc) + "\n"
 
 
-def write_records_jsonl(path, index, header: dict):
-    """The header line, then each scene's block of record lines, copied in
-    ``index`` order from the spool files that run_generation's index names."""
-    with contextlib.ExitStack() as stack:
-        out = stack.enter_context(open(path, "wb"))
+def write_records_jsonl(path, spools, header: dict):
+    """The header line, then the record lines of each spool file that
+    run_generation returns, copied in order."""
+    with open(path, "wb") as out:
         out.write(_dump_line({"_header": header}).encode())
-        spools = {}
-        for *_, spool, offset, length in index:
-            if spool not in spools:
-                spools[spool] = stack.enter_context(open(spool, "rb"))
-            spools[spool].seek(offset)
-            out.write(spools[spool].read(length))
+        for spool in spools:
+            with open(spool, "rb") as fh:
+                shutil.copyfileobj(fh, out)
 
 
 def read_records_jsonl(path):
@@ -143,8 +138,13 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
                            dump_dir=None) -> tuple:
     """All requested records for one scene, from one scene context, as
     ``(scene_id, record count, text)``: the JSON lines sorted by (task order,
-    qid) and joined. With ``dump_dir`` the graph is written there too."""
+    qid) and joined. With ``dump_dir`` the graph is written there too, as
+    ``<scene_id>.json``, so the scene_id must be a single file name."""
     scene = _load(inputs.scene_path, load_scene_metadata)
+    if dump_dir is not None and (scene.scene_id in (".", "..") or "/" in scene.scene_id
+                                 or "\0" in scene.scene_id):
+        raise InputError(f"{inputs.scene_path}: scene_id {scene.scene_id!r} is not a "
+                         f"single file name, so --dump-graphs cannot name a file after it")
     frames = _load(inputs.frames_path, load_frame_metadata)
     try:
         g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
@@ -176,6 +176,15 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
     return scene.scene_id, len(lines), "".join(lines)
 
 
+def _generate_job(jobs, i, spool_dir) -> tuple:
+    """Generate job ``i`` and write its block to ``spool_dir/<i>``, a name no
+    other job uses; returns ``(scene_id, i, record count)``."""
+    scene_id, count, text = generate_scene_records(*jobs[i])
+    with open(os.path.join(spool_dir, str(i)), "wb") as fh:
+        fh.write(text.encode())
+    return scene_id, i, count
+
+
 # The (jobs, claim counter, spool directory) of a fan-out, as the pool
 # initializer hands them to a helper process.
 _helper_args = None
@@ -186,37 +195,19 @@ def _init_helper(*args):
     _helper_args = args
 
 
-class _Counter:
-    """The claim counter of a generation in one process: the ``value`` and
-    ``get_lock()`` of a ``multiprocessing.Value``, without the import."""
-
-    def __init__(self):
-        self.value = 0
-
-    def get_lock(self):
-        return contextlib.nullcontext()
-
-
 def _drain(jobs, next_index, spool_dir) -> list:
-    """Claim job indices one at a time from the shared counter, generate each
-    scene and append its block to a spool file in ``spool_dir`` that no other
-    drain writes, even in the same process, until none is left; returns the
-    index ``[(job index, scene_id, count, spool, offset, length), ...]``. A
+    """Claim job indices one at a time from the shared counter and generate
+    each until none is left; returns their ``_generate_job`` tuples. A
     failure runs the counter out, so that no worker claims another scene."""
-    index = []
+    done = []
     try:
-        fd, spool = tempfile.mkstemp(prefix=f"{os.getpid()}-", dir=spool_dir)
-        with open(fd, "wb") as fh:
-            while True:
-                with next_index.get_lock():
-                    i = next_index.value
-                    next_index.value = i + 1
-                if i >= len(jobs):
-                    return index
-                scene_id, count, text = generate_scene_records(*jobs[i])
-                block = text.encode()
-                index.append((i, scene_id, count, spool, fh.tell(), len(block)))
-                fh.write(block)
+        while True:
+            with next_index.get_lock():
+                i = next_index.value
+                next_index.value = i + 1
+            if i >= len(jobs):
+                return done
+            done.append(_generate_job(jobs, i, spool_dir))
     except BaseException:
         with next_index.get_lock():
             next_index.value = len(jobs)
@@ -229,7 +220,7 @@ def _helper_drain() -> list:
 
 def _fan_out(jobs, spool_dir, helpers: int) -> list:
     """``_drain`` in this process and in ``helpers`` helper processes at once;
-    returns all of their index entries."""
+    returns all of their tuples."""
     import multiprocessing  # only a fan-out pays for the imports
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -247,10 +238,10 @@ def _fan_out(jobs, spool_dir, helpers: int) -> list:
         pending = [pool.submit(_helper_drain) for _ in range(helpers)]
         for future in pending:
             future.add_done_callback(stop_claims)
-        index = _drain(jobs, next_index, spool_dir)
+        done = _drain(jobs, next_index, spool_dir)
         for future in pending:
-            index += future.result()
-        return index
+            done += future.result()
+        return done
     except BrokenProcessPool:
         raise WorkerDied("a gen worker process ended abruptly "
                          "(killed, or out of memory)") from None
@@ -260,27 +251,30 @@ def _fan_out(jobs, spool_dir, helpers: int) -> list:
 
 def run_generation(scene_inputs, cfg: GenConfig, tasks, spool_dir, workers: int = 1,
                    dump_dir=None) -> tuple:
-    """Generate every scene into spool files in ``spool_dir``, the parent
-    being one of ``workers`` workers, and sort the index of the scene blocks
-    into the canonical record order by scene_id. Returns ``(record count,
-    index)`` for write_records_jsonl."""
+    """Generate every scene into a file of its own in ``spool_dir``, the
+    parent being one of ``workers`` workers. Returns ``(record count, spool
+    files)``, the files in the canonical record order by scene_id, for
+    write_records_jsonl."""
     jobs = [(inp, cfg, tuple(tasks), dump_dir) for inp in scene_inputs]
     helpers = min(workers, len(jobs)) - 1
     if helpers > 0:
-        index = _fan_out(jobs, spool_dir, helpers)
+        done = _fan_out(jobs, spool_dir, helpers)
     else:
-        index = _drain(jobs, _Counter(), spool_dir)
-    index.sort(key=itemgetter(1, 0))
-    for (i, scene_id, *_), (j, other, *_) in zip(index, index[1:]):
+        done = [_generate_job(jobs, i, spool_dir) for i in range(len(jobs))]
+    done.sort()  # by scene_id, then by job index
+    for (scene_id, i, _), (other, j, _) in zip(done, done[1:]):
         if scene_id == other:
             raise InputError(f"scene_id {scene_id!r} is used by both "
                              f"{jobs[i][0].scene_path} and {jobs[j][0].scene_path}")
-    return sum(entry[2] for entry in index), index
+    return (sum(count for *_, count in done),
+            [os.path.join(spool_dir, str(i)) for _, i, _ in done])
 
 
 # --- commands -------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    if not args.scene_id:  # as load_scene_metadata would reject it
+        raise InputError("--scene-id: expected a nonempty string")
     cloud = _load(args.ply, parse_ply)
     doc = _load(args.label_map, _read_json)
     label_map = {}
@@ -365,11 +359,11 @@ def cmd_gen(args) -> int:
     try:
         if args.dump_graphs:
             Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
-        count, index = run_generation(scene_inputs, cfg, tasks, spool_dir, workers,
-                                      args.dump_graphs)
+        count, spools = run_generation(scene_inputs, cfg, tasks, spool_dir, workers,
+                                       args.dump_graphs)
         header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
                   "record_count": count}
-        write_records_jsonl(args.out, index, header)
+        write_records_jsonl(args.out, spools, header)
     finally:
         shutil.rmtree(spool_dir, ignore_errors=True)
     print(f"wrote {count} record(s) to {args.out}")
@@ -383,7 +377,7 @@ def cmd_eval(args) -> int:
     report = score_run(records, preds, weight_by_question=args.weight_by_question)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
+            json.dump(report.to_dict(), fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
     print(render_table(report))
     return EXIT_OK

@@ -9,6 +9,7 @@ overlap; unmatched or ambiguous predictions score zero and are flagged.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -49,12 +50,16 @@ def extract_number(text: str) -> float:
     """First decimal numeral in the text (optional sign and decimal point).
 
     No unit conversion is attempted and commas are not digit grouping:
-    "1,200" yields 1. Raises NoNumberFound when the text has no numeral.
+    "1,200" yields 1. Raises NoNumberFound when the text has no numeral, or
+    when the first one is beyond the float range.
     """
     m = _NUMBER_RE.search(text)
     if m is None:
         raise NoNumberFound(f"no numeral in {text!r}")
-    return float(m.group(0))
+    value = float(m.group(0))
+    if math.isinf(value):
+        raise NoNumberFound(f"numeral beyond the float range in {text!r}")
+    return value
 
 
 def _normalize(text: str) -> str:

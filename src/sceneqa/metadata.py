@@ -30,11 +30,12 @@ object.
 
 A frame's camera view is a 3x3 ``rotation`` and a (3,) ``position``
 (p_world = rotation @ p_cam + position); position components are bounded
-by ``geometry.MAX_COORD``, like box centres. This loader is the one place
-that checks a pose. It checks a whole capture in one batched pass over one
-(F, 4, 4) pose stack and one (N, 4) bbox stack; a document that pass cannot
-clear goes to the per-field walker, which raises naming the first bad field
-or accepts it. Either way the frames are read-only views into the stacks.
+by ``geometry.MAX_COORD``, like box centres and scene extents. This
+loader is the one place that checks a pose. It checks a whole capture in
+one batched pass over one (F, 4, 4) pose stack and one (N, 4) bbox stack;
+a document that pass cannot clear goes to the per-field walker, which
+raises naming the first bad field or accepts it. Either way the frames
+are read-only views into the stacks.
 """
 
 from __future__ import annotations
@@ -152,6 +153,10 @@ def scene_metadata_from_dict(doc) -> SceneMetadata:
     extents_doc = _require(doc, "scene_extents", "")
     lo = _vec(_require(extents_doc, "min", "scene_extents"), 3, "scene_extents.min")
     hi = _vec(_require(extents_doc, "max", "scene_extents"), 3, "scene_extents.max")
+    for name, v in (("min", lo), ("max", hi)):  # the box bound: no extent overflows
+        if np.abs(v).max() > MAX_COORD:
+            raise SchemaViolation(f"scene_extents.{name}",
+                                  f"components must be at most {MAX_COORD:g} m")
     if np.any(lo > hi):
         raise SchemaViolation("scene_extents", "min exceeds max")
     room_center = _vec(_require(doc, "room_center", ""), 3, "room_center")

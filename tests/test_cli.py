@@ -72,6 +72,19 @@ def test_ingest_malformed_ply_exit_code(tmp_path, capsys):
     assert "error" in err and "bad.ply" in err  # file context in the message
 
 
+def test_ingest_empty_scene_id_is_input_error(tmp_path, capsys):
+    cloud = make_cluster_cloud(11, [(1, 4, [0, 0, 0.5], [1, 1, 1], 200)])
+    ply = tmp_path / "scan.ply"
+    write_ply(ply, cloud, binary=True)
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"4": "chair"}))
+    out = tmp_path / "scene_metadata.json"
+    assert main(["ingest", "--ply", str(ply), "--label-map", str(labels),
+                 "--scene-id", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --scene-id: expected a nonempty string\n"
+    assert not out.exists()
+
+
 # --- gen ----------------------------------------------------------------------------
 
 def test_gen_records_verified_by_oracles(scene_dir, tmp_path, capsys):
@@ -420,6 +433,25 @@ def test_gen_graph_dump(scene_dir, tmp_path):
     doc = json.loads(runs["1"]["cli000.json"])
     assert doc["scene_id"] == "cli000"
     assert "first_seen" in doc
+
+
+@pytest.mark.parametrize("scene_id", ["../escaped", "sub/dir", "a\u0000b"])
+def test_gen_graph_dump_needs_a_file_name_scene_id(tmp_path, capsys, scene_id):
+    scene_dir = write_scene_dir(tmp_path / "scenes", *make_scene(seed=2028, scene_id="ok"))
+    for name in ("scene_metadata.json", "frame_metadata.json"):
+        doc = json.loads((scene_dir / name).read_text())
+        doc["scene_id"] = scene_id
+        (scene_dir / name).write_text(json.dumps(doc))
+    dumps = tmp_path / "dumps" / "inner"
+    out = tmp_path / "r.jsonl"
+    assert main(["gen", "--scene-metadata", str(scene_dir / "scene_metadata.json"),
+                 "--frame-metadata", str(scene_dir / "frame_metadata.json"),
+                 "--out", str(out), "--tasks", "obj_count",
+                 "--dump-graphs", str(dumps)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {scene_dir / 'scene_metadata.json'}: scene_id "), line
+    assert os.listdir(tmp_path / "dumps") == ["inner"] and not os.listdir(dumps)
+    assert not out.exists()
 
 
 def test_gen_single_frame_capture_skips_temporal_tasks(tmp_path):
@@ -830,6 +862,26 @@ def test_eval_perfect_predictions(scene_dir, tmp_path, capsys):
     assert report["overall"] == 1.0
     assert all(v["score"] == 1.0 for v in report["per_task"].values())
     assert "overall" in capsys.readouterr().out
+
+
+def test_eval_report_is_strict_json(scene_dir, tmp_path):
+    # a numeral beyond the float range would be parsed as inf
+    records = tmp_path / "records.jsonl"
+    assert main(["gen", "--input-root", str(scene_dir.parent), "--out", str(records),
+                 "--seed", "5", "--tasks", "abs_dist,obj_size"]) == 0
+    _, recs = read_records_jsonl(records)
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [{"qid": r.qid, "raw_text": "9" * 400} for r in recs])
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--records", str(records), "--predictions", str(preds),
+                 "--out", str(report_path)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in the report")
+
+    report = json.loads(report_path.read_text(), parse_constant=refuse)
+    assert len(report["per_question"]) == len(recs) > 0
+    assert {j["status"] for j in report["per_question"]} == {"no_number"}
 
 
 GOOD_RECORD = {"qid": "s:obj_count:0000", "scene_id": "s", "task": "obj_count",

@@ -87,6 +87,8 @@ def test_extract_number_sign_and_bare_decimal():
 def test_extract_number_none_found():
     with pytest.raises(NoNumberFound):
         extract_number("I cannot tell.")
+    with pytest.raises(NoNumberFound):  # beyond the float range
+        extract_number("about 4" + "0" * 400 + " m")
 
 
 # --- match_option ---------------------------------------------------------------------

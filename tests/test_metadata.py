@@ -98,6 +98,8 @@ def test_pose_rejects_non_rotation():
     (lambda d: d["objects"][0].update(size=[0, 1, 1]), "objects[0]"),
     (lambda d: d.update(category_counts={"chair": 2}), "category_counts"),
     (lambda d: d["scene_extents"].update(min=[9, 9, 9]), "scene_extents"),
+    (lambda d: d["scene_extents"].update(min=[-1e308] * 3, max=[1e308] * 3),
+     "scene_extents.min"),
 ])
 def test_scene_schema_violations(mutate, path_fragment):
     doc = json.loads(json.dumps(MINIMAL_SCENE))
