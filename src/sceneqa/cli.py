@@ -8,8 +8,12 @@ loops over the scenes). Job ``i``'s block of JSON lines, sorted by (task
 order, qid), goes to the file ``<i>`` of a temporary directory beside
 ``--out``, and the worker hands back only ``(scene_id, i, record count)``.
 The parent sorts those by scene_id, which must be unique, and then copies
-the files into ``--out`` one at a time, so the worker count never changes
-the bytes on disk and the parent never holds a block.
+the files one at a time into a records file in that same directory, so the
+worker count never changes the bytes on disk and the parent never holds a
+block. Only when every check has passed and the whole file is written does
+it rename that file onto ``--out`` (and move any ``--dump-graphs`` files,
+which the workers also write there, into their directory): a failed run
+leaves the old ``--out`` as it was.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
@@ -357,13 +361,24 @@ def cmd_gen(args) -> int:
     # Beside --out, on its disk: a tmpfs /tmp would hold the blocks in memory.
     spool_dir = tempfile.mkdtemp(prefix=f".{out.name}.spool-", dir=out.parent)
     try:
+        # The graphs and the records file are staged in the spool directory
+        # too (its spool files are named by job index, so no name clashes).
+        staged_dumps = None
         if args.dump_graphs:
             Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
+            staged_dumps = os.path.join(spool_dir, "graphs")
+            os.mkdir(staged_dumps)
         count, spools = run_generation(scene_inputs, cfg, tasks, spool_dir, workers,
-                                       args.dump_graphs)
+                                       staged_dumps)
         header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
                   "record_count": count}
-        write_records_jsonl(args.out, spools, header)
+        staged = os.path.join(spool_dir, "records")
+        write_records_jsonl(staged, spools, header)
+        if staged_dumps:  # shutil.move: the dump directory may be on another disk
+            for name in sorted(os.listdir(staged_dumps)):
+                shutil.move(os.path.join(staged_dumps, name),
+                            os.path.join(args.dump_graphs, name))
+        os.replace(staged, args.out)
     finally:
         shutil.rmtree(spool_dir, ignore_errors=True)
     print(f"wrote {count} record(s) to {args.out}")

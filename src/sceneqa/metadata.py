@@ -382,7 +382,11 @@ def iter_jsonl(path, parse, on_header=None):
     """Yield ``parse(doc)`` per non-blank line of a JSONL file, reading one
     line at a time; the value of a ``{"_header": ...}`` line goes to
     ``on_header`` instead, if given. A line that is not JSON, lacks a field or
-    fails ``parse`` raises InputError naming path:line."""
+    fails ``parse`` raises InputError naming path:line. Once the file is
+    read, a header's ``record_count`` (the last header's, if several have
+    one) must equal the number of other lines, or InputError names the file
+    and both counts: the file was cut short or added to."""
+    want, seen = None, 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -394,13 +398,19 @@ def iter_jsonl(path, parse, on_header=None):
                     header = doc["_header"]  # a line that is not an object fails here
                     if on_header is not None:
                         on_header(header)
+                    if isinstance(header, dict) and "record_count" in header:
+                        want = header["record_count"]
                     continue
                 item = parse(doc)
             except KeyError as exc:
                 raise InputError(f"{path}:{lineno}: missing field {exc}") from None
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
+            seen += 1
             yield item
+    if want is not None and want != seen:
+        raise InputError(f"{path}: the header's record_count is {want!r}, but the file "
+                         f"holds {seen} record(s)")
 
 
 def read_jsonl(path, parse):
@@ -475,17 +485,11 @@ def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
     return instances, len(ids) - len(instances)
 
 
-def build_scene_metadata(scene_id: str, objects, points=None) -> SceneMetadata:
-    """Assemble SceneMetadata from fitted instances (ingest plumbing).
-
-    Extents come from the point cloud when given, otherwise from the union
-    of box corners; room center is the extents midpoint.
-    """
+def build_scene_metadata(scene_id: str, objects, points) -> SceneMetadata:
+    """Assemble SceneMetadata from fitted instances (ingest plumbing): the
+    extents are those of the (N, 3) cloud ``points``, and the room center is
+    their midpoint."""
     objects = tuple(objects)
-    if points is not None and len(points):
-        lo, hi = points.min(axis=0), points.max(axis=0)
-    else:
-        corners = np.concatenate([o.box.corners() for o in objects], axis=0)
-        lo, hi = corners.min(axis=0), corners.max(axis=0)
+    lo, hi = points.min(axis=0), points.max(axis=0)
     counts = dict(Counter(o.category for o in objects))
     return SceneMetadata(scene_id, (lo, hi), (lo + hi) / 2.0, counts, objects)

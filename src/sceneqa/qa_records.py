@@ -1,7 +1,10 @@
 """Question-record schema, task registry, seeded RNG streams, rounding rules.
 
 Everything the task generators share lives here so that the spatial,
-temporal and route modules stay independent of each other.
+temporal and route modules stay independent of each other. A generator
+builds its records through one ``TaskRecords(scene_id, task, cfg)``: the
+qid counter is a record's position in its task's list, and every random
+draw comes from the stream named ``(seed, scene_id, task, *parts)``.
 """
 
 from __future__ import annotations
@@ -231,9 +234,27 @@ def round_unit(value: float) -> str:
     return str(int(np.floor(value + 0.5)))
 
 
-def subsample(items: list, limit: int, rng: np.random.Generator) -> list:
-    """Deterministically keep at most ``limit`` items, preserving order."""
-    if len(items) <= limit:
-        return list(items)
-    picks = sorted(rng.choice(len(items), size=limit, replace=False).tolist())
-    return [items[i] for i in picks]
+class TaskRecords:
+    """The records one generator emits for one task in one scene, numbered
+    in emitted order, and the task's named RNG streams."""
+
+    def __init__(self, scene_id: str, task: str, cfg: GenConfig):
+        self.scene_id, self.task, self.cfg = scene_id, task, cfg
+        self.records = []
+
+    def add(self, answer_type: str, question: str, truth: str, **fields):
+        """Append the next record (``make_record``'s options, frame_refs, meta)."""
+        self.records.append(make_record(self.scene_id, self.task, len(self.records),
+                                        answer_type, question, truth, **fields))
+
+    def rng(self, *parts) -> np.random.Generator:
+        return rng_stream(self.cfg.seed, self.scene_id, self.task, *parts)
+
+    def select(self, cases) -> list:
+        """At most ``max_per_task`` of ``cases``, in order, drawn from the
+        task's ``"select"`` stream."""
+        cases, limit = list(cases), self.cfg.max_per_task
+        if len(cases) <= limit:
+            return cases
+        picks = sorted(self.rng("select").choice(len(cases), size=limit, replace=False).tolist())
+        return [cases[i] for i in picks]

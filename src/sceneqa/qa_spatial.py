@@ -1,9 +1,10 @@
 """The seven scene-level spatial question families.
 
 Each generator is a pure function ``gen(ctx, cfg)`` of the scene context
-and the config: iteration follows a sorted object order, randomness comes
-only from named RNG streams, and the emitted record list is byte-stable
-across runs and worker layouts.
+and the config. It names its task once, in the ``TaskRecords`` that numbers
+its qids and draws its named RNG streams: iteration follows a sorted object
+order, randomness comes only from those streams, and the emitted record
+list is byte-stable across runs and worker layouts.
 """
 
 from __future__ import annotations
@@ -15,49 +16,38 @@ import numpy as np
 from .errors import DegenerateDirection
 from .geometry import planar_signed_angle, vector_norm
 from .graph import SceneContext
-from .qa_records import (
-    ANSWER_MCA,
-    ANSWER_NA,
-    GenConfig,
-    make_record,
-    rng_stream,
-    round_tenth,
-    round_unit,
-    subsample,
-)
+from .qa_records import ANSWER_MCA, ANSWER_NA, GenConfig, TaskRecords, round_tenth, round_unit
 
 
 def gen_object_count(ctx: SceneContext, cfg: GenConfig):
     """One numeric question per category with at least two instances."""
     counts = ctx.graph.scene.category_counts
-    records = []
+    out = TaskRecords(ctx.scene_id, "obj_count", cfg)
     for cat in sorted(c for c, n in counts.items() if n >= 2):
-        records.append(make_record(
-            ctx.scene_id, "obj_count", len(records), ANSWER_NA,
+        out.add(
+            ANSWER_NA,
             f"How many {cat}(s) are in this room?",
             str(counts[cat]),
             meta={"category": cat},
-        ))
-    return records
+        )
+    return out.records
 
 
 def gen_absolute_distance(ctx: SceneContext, cfg: GenConfig):
     """Closest-point distance between two category-unique objects, in meters."""
-    pairs = list(combinations(ctx.unique_objects, 2))
-    pairs = subsample(pairs, cfg.max_per_task, rng_stream(cfg.seed, ctx.scene_id, "abs_dist", "select"))
-    records = []
-    for a, b in pairs:
+    out = TaskRecords(ctx.scene_id, "abs_dist", cfg)
+    for a, b in out.select(combinations(ctx.unique_objects, 2)):
         dist = ctx.box_distance(a, b)
         if dist < cfg.min_pair_dist_m:
             continue
-        records.append(make_record(
-            ctx.scene_id, "abs_dist", len(records), ANSWER_NA,
+        out.add(
+            ANSWER_NA,
             f"Measuring from the closest point of each object, what is the "
             f"distance between the {a.category} and the {b.category} (in meters)?",
             round_tenth(dist),
             meta={"pair": [a.instance_id, b.instance_id]},
-        ))
-    return records
+        )
+    return out.records
 
 
 def gen_relative_distance(ctx: SceneContext, cfg: GenConfig):
@@ -69,11 +59,11 @@ def gen_relative_distance(ctx: SceneContext, cfg: GenConfig):
     uniq = ctx.unique_objects
     if len(uniq) < 5:
         return []
-    records = []
+    out = TaskRecords(ctx.scene_id, "rel_dist", cfg)
     for k, target in enumerate(uniq):
-        if len(records) >= cfg.max_per_task:
+        if len(out.records) >= cfg.max_per_task:
             break
-        rng = rng_stream(cfg.seed, ctx.scene_id, "rel_dist", k)
+        rng = out.rng(k)
         others = [o for o in uniq if o.instance_id != target.instance_id]
         picks = rng.choice(len(others), size=4, replace=False).tolist()
         candidates = [others[i] for i in picks]
@@ -83,15 +73,15 @@ def gen_relative_distance(ctx: SceneContext, cfg: GenConfig):
             continue
         options = [c.category for c in candidates]
         winner = candidates[order[0]].category
-        records.append(make_record(
-            ctx.scene_id, "rel_dist", len(records), ANSWER_MCA,
+        out.add(
+            ANSWER_MCA,
             f"Measuring from the closest point of each object, which of these "
             f"objects ({', '.join(options)}) is the closest to the {target.category}?",
             winner, options=options,
             meta={"target": target.instance_id,
                   "candidates": [c.instance_id for c in candidates]},
-        ))
-    return records
+        )
+    return out.records
 
 
 def _direction_bucket(theta: float, cfg: GenConfig):
@@ -106,11 +96,8 @@ def _direction_bucket(theta: float, cfg: GenConfig):
 
 def gen_relative_direction(ctx: SceneContext, cfg: GenConfig):
     """Left/right/back of a query object from an observer standing at A facing B."""
-    triples = list(permutations(ctx.unique_objects, 3))
-    triples = subsample(triples, cfg.max_per_task,
-                        rng_stream(cfg.seed, ctx.scene_id, "rel_dir", "select"))
-    records = []
-    for a, b, c in triples:
+    out = TaskRecords(ctx.scene_id, "rel_dir", cfg)
+    for a, b, c in out.select(permutations(ctx.unique_objects, 3)):
         forward = b.box.center - a.box.center
         rel = c.box.center - a.box.center
         if vector_norm(rel[:2]) < cfg.min_planar_dist_m:
@@ -122,15 +109,15 @@ def gen_relative_direction(ctx: SceneContext, cfg: GenConfig):
         bucket = _direction_bucket(theta, cfg)
         if bucket is None:
             continue
-        records.append(make_record(
-            ctx.scene_id, "rel_dir", len(records), ANSWER_MCA,
+        out.add(
+            ANSWER_MCA,
             f"If I am standing by the {a.category} and facing the {b.category}, "
             f"is the {c.category} to the left, to the right, or behind me?",
             bucket, options=["left", "right", "back"],
             meta={"standing_at": a.instance_id, "facing": b.instance_id,
                   "query": c.instance_id, "angle_deg": round(theta, 3)},
-        ))
-    return records
+        )
+    return out.records
 
 
 def gen_object_size(ctx: SceneContext, cfg: GenConfig):
@@ -139,19 +126,19 @@ def gen_object_size(ctx: SceneContext, cfg: GenConfig):
     Objects whose size rounds to 0 cm are skipped: a zero truth cannot be
     scored by relative accuracy.
     """
-    records = []
+    out = TaskRecords(ctx.scene_id, "obj_size", cfg)
     for obj in ctx.unique_objects:
         truth = round_unit(float(np.max(obj.box.size)) * 100.0)
         if truth == "0":
             continue
-        records.append(make_record(
-            ctx.scene_id, "obj_size", len(records), ANSWER_NA,
+        out.add(
+            ANSWER_NA,
             f"What is the length of the longest dimension (length, width, or "
             f"height) of the {obj.category}, measured in centimeters?",
             truth,
             meta={"instance": obj.instance_id},
-        ))
-    return records
+        )
+    return out.records
 
 
 # A point is culled only when its orientation against every octagon edge
@@ -258,14 +245,15 @@ def gen_room_size(ctx: SceneContext, cfg: GenConfig):
         area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
         method = "extents"
     truth = round_tenth(area)
-    if float(truth) <= 0:
-        return []
-    return [make_record(
-        ctx.scene_id, "room_size", 0, ANSWER_NA,
-        "What is the area of this room (in square meters)?",
-        truth,
-        meta={"method": method},
-    )]
+    out = TaskRecords(ctx.scene_id, "room_size", cfg)
+    if float(truth) > 0:
+        out.add(
+            ANSWER_NA,
+            "What is the area of this room (in square meters)?",
+            truth,
+            meta={"method": method},
+        )
+    return out.records
 
 
 def gen_appearance_order(ctx: SceneContext, cfg: GenConfig):
@@ -280,11 +268,9 @@ def gen_appearance_order(ctx: SceneContext, cfg: GenConfig):
         return []
     quads = [q for q in combinations(seen, 4)
              if all(q[i + 1][1] - q[i][1] >= cfg.appearance_gap_frames for i in range(3))]
-    quads = subsample(quads, cfg.max_per_task,
-                      rng_stream(cfg.seed, ctx.scene_id, "appearance_order", "select"))
-    records = []
-    for k, quad in enumerate(quads):
-        rng = rng_stream(cfg.seed, ctx.scene_id, "appearance_order", k)
+    out = TaskRecords(ctx.scene_id, "appearance_order", cfg)
+    for k, quad in enumerate(out.select(quads)):
+        rng = out.rng(k)
         cats = [cat for cat, _ in quad]  # already ascending by first-seen
         truth = ", ".join(cats)
         distractors = []
@@ -295,14 +281,14 @@ def gen_appearance_order(ctx: SceneContext, cfg: GenConfig):
         options = [truth, *distractors]
         rng.shuffle(options)
         listed = rng.permutation(cats).tolist()
-        records.append(make_record(
-            ctx.scene_id, "appearance_order", len(records), ANSWER_MCA,
+        out.add(
+            ANSWER_MCA,
             f"What will be the first-time appearance order of the following "
             f"categories in the video: {', '.join(listed)}?",
             truth, options=options,
             meta={"first_seen": {cat: fid for cat, fid in quad}},
-        ))
-    return records
+        )
+    return out.records
 
 
 SPATIAL_GENERATORS = {

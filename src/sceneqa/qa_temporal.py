@@ -4,7 +4,9 @@ All scenes are static: every temporal quantity here is a function of the
 camera poses alone. Questions refer to 1-based positions within a sampled
 frame sequence ("frame i of n"); record frame_refs carry the underlying
 frame ids. A capture with fewer than two frames has an empty sequence, and
-every generator here then emits nothing.
+every generator here then emits nothing. As in ``qa_spatial``, each
+generator names its task once, in the ``TaskRecords`` that numbers its
+qids and draws its named RNG streams.
 """
 
 from __future__ import annotations
@@ -15,54 +17,44 @@ import numpy as np
 
 from .geometry import closest_point_on_box, vector_norm
 from .graph import SceneContext
-from .qa_records import (
-    ANSWER_MCA,
-    ANSWER_NA,
-    GenConfig,
-    make_record,
-    rng_stream,
-    round_tenth,
-    subsample,
-)
+from .qa_records import ANSWER_MCA, ANSWER_NA, GenConfig, TaskRecords, round_tenth
 
 
 def gen_cam_obj_abs_dist(ctx: SceneContext, cfg: GenConfig):
     """Distance from the camera to the closest box point of a visible object."""
     g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
+    out = TaskRecords(ctx.scene_id, "cam_obj_abs_dist", cfg)
     cases = [(pos, fid, obj)
              for pos, fid in enumerate(seq)
              for obj in ctx.unique_visible(fid)]
-    cases = subsample(cases, cfg.max_per_task,
-                      rng_stream(cfg.seed, ctx.scene_id, "cam_obj_abs_dist", "select"))
-    records = []
-    for pos, fid, obj in cases:
+    for pos, fid, obj in out.select(cases):
         _, dist = closest_point_on_box(g.frame(fid).position, obj.box)
         if dist < cfg.min_pair_dist_m:  # camera inside or touching: degenerate
             continue
-        records.append(make_record(
-            ctx.scene_id, "cam_obj_abs_dist", len(records), ANSWER_NA,
+        out.add(
+            ANSWER_NA,
             f"In frame {pos + 1} of {n}, approximately how far (in meters) is "
             f"the camera from the closest point of the {obj.category}?",
             round_tenth(dist),
             frame_refs=[fid],
             meta={"instance": obj.instance_id, "position": pos + 1, "of": n},
-        ))
-    return records
+        )
+    return out.records
 
 
 def gen_cam_obj_rel_dist(ctx: SceneContext, cfg: GenConfig):
     """Which of four visible candidates is closest to the camera (MCA)."""
     g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
-    records = []
+    out = TaskRecords(ctx.scene_id, "cam_obj_rel_dist", cfg)
     for pos, fid in enumerate(seq):
-        if len(records) >= cfg.max_per_task:
+        if len(out.records) >= cfg.max_per_task:
             break
         visible = ctx.unique_visible(fid)
         if len(visible) < 4:
             continue
-        rng = rng_stream(cfg.seed, ctx.scene_id, "cam_obj_rel_dist", pos)
+        rng = out.rng(pos)
         picks = rng.choice(len(visible), size=4, replace=False).tolist()
         candidates = [visible[i] for i in picks]
         cam = g.frame(fid).position
@@ -71,16 +63,16 @@ def gen_cam_obj_rel_dist(ctx: SceneContext, cfg: GenConfig):
         if dists[order[1]] - dists[order[0]] < cfg.ambiguity_margin_m:
             continue
         options = [c.category for c in candidates]
-        records.append(make_record(
-            ctx.scene_id, "cam_obj_rel_dist", len(records), ANSWER_MCA,
+        out.add(
+            ANSWER_MCA,
             f"In frame {pos + 1} of {n}, which of these objects "
             f"({', '.join(options)}) is the closest to the camera?",
             candidates[order[0]].category, options=options,
             frame_refs=[fid],
             meta={"candidates": [c.instance_id for c in candidates],
                   "position": pos + 1, "of": n},
-        ))
-    return records
+        )
+    return out.records
 
 
 # (axis index in camera coordinates, label when A's interval is lower,
@@ -106,10 +98,8 @@ def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
         for a, b in combinations(ctx.unique_visible(fid), 2):
             for axis_idx in range(3):
                 cases.append((pos, fid, a, b, axis_idx))
-    cases = subsample(cases, cfg.max_per_task,
-                      rng_stream(cfg.seed, ctx.scene_id, "obj_obj_rel_pos", "select"))
-    records = []
-    for pos, fid, a, b, axis_idx in cases:
+    out = TaskRecords(ctx.scene_id, "obj_obj_rel_pos", cfg)
+    for pos, fid, a, b, axis_idx in out.select(cases):
         axis, low_label, high_label, fragment = _AXIS_RULES[axis_idx]
         ca = ctx.corners_in_camera(fid, a.instance_id)[:, axis]
         cb = ctx.corners_in_camera(fid, b.instance_id)[:, axis]
@@ -119,8 +109,8 @@ def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
             truth = high_label
         else:
             continue
-        records.append(make_record(
-            ctx.scene_id, "obj_obj_rel_pos", len(records), ANSWER_MCA,
+        out.add(
+            ANSWER_MCA,
             f"From the camera's viewpoint in frame {pos + 1} of {n}, is the "
             f"{a.category} {fragment} relative to the {b.category}?",
             truth, options=[low_label, high_label],
@@ -128,31 +118,28 @@ def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
             meta={"pair": [a.instance_id, b.instance_id],
                   "axis": low_label + "_" + high_label,
                   "position": pos + 1, "of": n},
-        ))
-    return records
+        )
+    return out.records
 
 
 def gen_cam_displacement(ctx: SceneContext, cfg: GenConfig):
     """Straight-line camera travel between two sampled frames, in meters."""
     g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
-    pairs = list(combinations(range(n), 2))
-    pairs = subsample(pairs, cfg.max_per_task,
-                      rng_stream(cfg.seed, ctx.scene_id, "cam_displacement", "select"))
-    records = []
-    for i, j in pairs:
+    out = TaskRecords(ctx.scene_id, "cam_displacement", cfg)
+    for i, j in out.select(combinations(range(n), 2)):
         dist = vector_norm(g.frame(seq[j]).position - g.frame(seq[i]).position)
         if dist < cfg.min_displacement_m:
             continue
-        records.append(make_record(
-            ctx.scene_id, "cam_displacement", len(records), ANSWER_NA,
+        out.add(
+            ANSWER_NA,
             f"Approximately how far (in meters) did the camera move between "
             f"frame {i + 1} and frame {j + 1} of {n}?",
             round_tenth(dist),
             frame_refs=[seq[i], seq[j]],
             meta={"positions": [i + 1, j + 1], "of": n},
-        ))
-    return records
+        )
+    return out.records
 
 
 MOVE_DIR_OPTIONS = ("Forward", "Backward", "Left", "Right")
@@ -182,11 +169,8 @@ def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
     """Primary direction of camera translation over a frame span (MCA)."""
     g, seq = ctx.graph, ctx.frame_seq
     n = len(seq)
-    pairs = list(combinations(range(n), 2))
-    pairs = subsample(pairs, cfg.max_per_task,
-                      rng_stream(cfg.seed, ctx.scene_id, "cam_move_dir", "select"))
-    records = []
-    for i, j in pairs:
+    out = TaskRecords(ctx.scene_id, "cam_move_dir", cfg)
+    for i, j in out.select(combinations(range(n), 2)):
         start = g.frame(seq[i])
         net = g.frame(seq[j]).position - start.position
         if vector_norm(net) < cfg.min_displacement_m:
@@ -194,16 +178,16 @@ def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
         direction = classify_camera_motion(start.rotation, net, cfg.dominance_ratio)
         if direction is None:
             continue
-        records.append(make_record(
-            ctx.scene_id, "cam_move_dir", len(records), ANSWER_MCA,
+        out.add(
+            ANSWER_MCA,
             f"Relative to its orientation in frame {i + 1}, in which direction "
             f"did the camera mainly move between frame {i + 1} and frame "
             f"{j + 1} of {n}?",
             direction, options=list(MOVE_DIR_OPTIONS),
             frame_refs=[seq[i], seq[j]],
             meta={"positions": [i + 1, j + 1], "of": n},
-        ))
-    return records
+        )
+    return out.records
 
 
 TEMPORAL_GENERATORS = {

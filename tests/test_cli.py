@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import pickle
@@ -13,13 +14,13 @@ import pytest
 from oracles import reference_write_records, verify_record
 from synth import make_cluster_cloud, make_rect_cloud, make_scene, make_single_turn_waypoints, write_scene_dir
 import sceneqa
-from sceneqa import errors, qa_spatial, qa_temporal
+from sceneqa import cli, errors, qa_spatial, qa_temporal
 from sceneqa.cli import discover_scenes, main, read_records_jsonl, task_generators
 from sceneqa.geometry import OrientedBox3
 from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import ObjectInstance, load_frame_metadata, load_scene_metadata
 from sceneqa.ply_io import parse_ply, write_ply
-from sceneqa.qa_records import TASKS, GenConfig, validate_record
+from sceneqa.qa_records import TASKS, GenConfig, make_qid, validate_record
 from sceneqa.route_plan import load_trajectories
 
 
@@ -195,6 +196,44 @@ def test_gen_leaves_nothing_beside_out(tmp_path, workers):
     assert main(["gen", "--input-root", str(root), "--out", str(out), "--seed", "4",
                  "--workers", workers, "--tasks", "obj_count,abs_dist"]) == 0
     assert os.listdir(out.parent) == ["records.jsonl"]
+
+
+def test_gen_failed_write_leaves_the_old_out(tmp_path, capsys, monkeypatch):
+    # The disk fills while the third scene's spool file is copied.
+    root = _small_corpus(tmp_path / "scenes", n=4)
+    out = tmp_path / "out" / "records.jsonl"
+    out.parent.mkdir()
+    out.write_text("old\n")
+    copy, calls = cli.shutil.copyfileobj, []
+
+    def copy_until_full(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return copy(*args, **kwargs)
+
+    monkeypatch.setattr(cli.shutil, "copyfileobj", copy_until_full)
+    assert main(["gen", "--input-root", str(root), "--out", str(out), "--seed", "4"]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert len(calls) == 3
+    assert out.read_text() == "old\n"
+    assert os.listdir(out.parent) == ["records.jsonl"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_gen_shared_scene_id_leaves_no_graph_dump(tmp_path, capsys, workers):
+    root = tmp_path / "scenes"
+    root.mkdir()
+    for dirname, seed in (("a", 5101), ("b", 5103)):
+        staged = write_scene_dir(tmp_path / dirname, *make_scene(seed=seed, scene_id="same"))
+        staged.rename(root / dirname)
+    dumps = tmp_path / "dumps"
+    out = tmp_path / "records.jsonl"
+    assert main(["gen", "--input-root", str(root), "--out", str(out), "--tasks", "obj_count",
+                 "--workers", workers, "--dump-graphs", str(dumps)]) == 2
+    assert "'same'" in capsys.readouterr().err
+    assert os.listdir(dumps) == []
+    assert sorted(os.listdir(tmp_path)) == ["a", "b", "dumps", "scenes"]
 
 
 def test_gen_memory_does_not_grow_with_the_corpus(tmp_path):
@@ -831,6 +870,8 @@ def test_task_registry_resolves_every_task_once(scene_dir):
     for task in TASKS:
         records = generators[task](ctx, cfg)
         assert all(rec.task == task for rec in records), task
+        assert [rec.qid for rec in records] == [make_qid(ctx.scene_id, task, k)
+                                               for k in range(len(records))], task
         emitted.update(rec.task for rec in records)
     assert len(emitted) >= 6
 
@@ -1028,6 +1069,35 @@ def test_stats_memory_does_not_grow_with_the_file(tmp_path, capsys):
     assert json.loads(out.read_text()) == {"per_task": {"obj_count": 20_000}, "total": 20_000}
     assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "20000"]
     assert peak < records.stat().st_size / 4, (peak, records.stat().st_size)
+
+
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_truncated_records_file_is_input_error(scene_dir, tmp_path, capsys, command):
+    records = tmp_path / "records.jsonl"
+    assert main(["gen", "--input-root", str(scene_dir.parent), "--out", str(records),
+                 "--seed", "5"]) == 0
+    lines = records.read_text().splitlines(keepends=True)
+    count = json.loads(lines[0])["_header"]["record_count"]
+    assert count == len(lines) - 1 > 20
+    records.write_text("".join(lines[:21]))  # the header and 20 records
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [])
+    argv = {"stats": ["stats", "--records", str(records)],
+            "eval": ["eval", "--records", str(records), "--predictions", str(preds)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {records}: the header's record_count is {count}, "
+                            f"but the file holds 20 record(s)\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("header", [{}, {"record_count": 1}, [], 5])
+def test_records_header_without_a_count_or_matching_it_is_read(tmp_path, capsys, header):
+    records = tmp_path / "r.jsonl"
+    write_jsonl(records, [{"_header": header}, GOOD_RECORD])
+    assert main(["stats", "--records", str(records)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "1"]
 
 
 def test_stats_empty_file(tmp_path, capsys):
