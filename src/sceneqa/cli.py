@@ -22,6 +22,7 @@ carrying the resolved configuration; readers in this package skip it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import json
@@ -229,6 +230,10 @@ def _fan_out(jobs, spool_dir, helpers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    # Every worker draws from numpy.random, which loads OpenSSL through
+    # secrets; loaded before the fork, its pages are shared, not loaded anew.
+    import numpy.random  # noqa: F401
+
     next_index = multiprocessing.Value("q", 0)
 
     def stop_claims(future):  # a helper that died cannot run the counter out itself
@@ -276,6 +281,22 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, spool_dir, workers: int 
 
 # --- commands -------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _staging_dir(out: str):
+    """A new private directory beside ``out``, on its disk, removed on exit.
+    A command writes its output there and renames it onto ``out`` only once
+    it is whole, so a failed run leaves the old ``out`` as it was."""
+    path = Path(out)
+    if path.is_dir() or not path.parent.is_dir():  # fail before any work, as open() would
+        code = errno.EISDIR if path.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
+    stage = tempfile.mkdtemp(prefix=f".{path.name}.spool-", dir=path.parent)
+    try:
+        yield stage
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def cmd_ingest(args) -> int:
     if not args.scene_id:  # as load_scene_metadata would reject it
         raise InputError("--scene-id: expected a nonempty string")
@@ -299,7 +320,10 @@ def cmd_ingest(args) -> int:
                                                min_points=args.min_points,
                                                oriented=args.oriented)
     meta = build_scene_metadata(args.scene_id, instances, cloud.positions)
-    save_scene_metadata(args.out, meta)
+    with _staging_dir(args.out) as stage:
+        staged = os.path.join(stage, "metadata")
+        save_scene_metadata(staged, meta)
+        os.replace(staged, args.out)
     print(f"scene {args.scene_id}: {len(instances)} instance(s), "
           f"{dropped} dropped (< {args.min_points} points)")
     return EXIT_OK
@@ -354,13 +378,8 @@ def cmd_gen(args) -> int:
         scene_inputs = [SceneInputs(args.scene_metadata, args.frame_metadata,
                                     args.cloud, args.trajectories)]
 
-    out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():  # fail before generating, as open() would
-        code = errno.EISDIR if out.is_dir() else errno.ENOENT
-        raise OSError(code, os.strerror(code), args.out)
     # Beside --out, on its disk: a tmpfs /tmp would hold the blocks in memory.
-    spool_dir = tempfile.mkdtemp(prefix=f".{out.name}.spool-", dir=out.parent)
-    try:
+    with _staging_dir(args.out) as spool_dir:
         # The graphs and the records file are staged in the spool directory
         # too (its spool files are named by job index, so no name clashes).
         staged_dumps = None
@@ -379,8 +398,6 @@ def cmd_gen(args) -> int:
                 shutil.move(os.path.join(staged_dumps, name),
                             os.path.join(args.dump_graphs, name))
         os.replace(staged, args.out)
-    finally:
-        shutil.rmtree(spool_dir, ignore_errors=True)
     print(f"wrote {count} record(s) to {args.out}")
     return EXIT_OK
 

@@ -54,6 +54,9 @@ from .geometry import MAX_COORD, ORTHO_TOL, OrientedBox3, quat_from_yaw
 from .ply_io import LabeledPointCloud
 
 DEFAULT_MIN_POINTS = 50
+# Sorted instance ids compared at a time when the box fit looks for the
+# ends of each instance's run.
+_SCAN_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -423,6 +426,33 @@ def read_jsonl(path, parse):
 
 # --- instance boxes from labeled points --------------------------------------
 
+def _runs(labels, order):
+    """(ids, starts, counts) of the runs of equal values in
+    ``labels[order]``, as np.unique(labels[order], return_index=True,
+    return_counts=True) gives them for sorted labels, without a copy of the
+    sorted labels: they are compared _SCAN_ROWS at a time."""
+    n = len(order)
+    bounds = [0]
+    for first in range(0, n, _SCAN_ROWS):
+        block = labels[order[first:first + _SCAN_ROWS + 1]]  # one past, to see a run end
+        bounds += (np.flatnonzero(block[1:] != block[:-1]) + first + 1).tolist()
+    bounds.append(n)
+    starts = np.array(bounds[:-1], dtype=np.intp)
+    return labels[order[starts]], starts, np.diff(bounds)
+
+
+def _extent(cols):
+    """(min, max) of each row of the (3, n) C-contiguous ``cols``, the same
+    values as (min, max) of the (n, 3) points along axis 0, faster. Only
+    which of -0.0 and 0.0 a tie keeps depends on the layout, so an extent
+    with a zero is taken along axis 0."""
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    if not (lo.all() and hi.all()):
+        pts = np.ascontiguousarray(cols.T)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+    return lo, hi
+
+
 def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
                           min_points: int = DEFAULT_MIN_POINTS,
                           oriented: bool = False):
@@ -432,7 +462,8 @@ def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
     The points are grouped once: a stable sort of the instance ids makes
     each instance's point indices one contiguous slice of the sort order, in
     file order, so the grouping costs O(N log N) for N points however many
-    instances there are.
+    instances there are. The sort order is the one per-point array the fit
+    keeps (8 bytes a point); the rest is per instance.
 
     ``label_map`` maps semantic label ids to category names; an instance's
     category comes from the majority semantic label of its points, the
@@ -443,8 +474,7 @@ def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
     Raises EmptyAfterFiltering when no instance survives.
     """
     order = np.argsort(cloud.instance_labels, kind="stable")
-    ids, starts, counts = np.unique(cloud.instance_labels[order],
-                                    return_index=True, return_counts=True)
+    ids, starts, counts = _runs(cloud.instance_labels, order)
     instances = []
     for inst_id, start, n in zip(ids.tolist(), starts.tolist(), counts.tolist()):
         if n < min_points:
@@ -463,16 +493,17 @@ def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
             yaw = float(np.arctan2(major[1], major[0]))
             quat = quat_from_yaw(yaw)
             c, s = np.cos(-yaw), np.sin(-yaw)
-            unrot = pts.copy()
-            unrot[:, 0] = c * pts[:, 0] - s * pts[:, 1]
-            unrot[:, 1] = s * pts[:, 0] + c * pts[:, 1]
-            lo, hi = unrot.min(axis=0), unrot.max(axis=0)
+            unrot = np.empty((3, n))
+            unrot[0] = c * pts[:, 0] - s * pts[:, 1]
+            unrot[1] = s * pts[:, 0] + c * pts[:, 1]
+            unrot[2] = pts[:, 2]
+            lo, hi = _extent(unrot)
             center_local = (lo + hi) / 2.0
             center = np.array([np.cos(yaw) * center_local[0] - np.sin(yaw) * center_local[1],
                                np.sin(yaw) * center_local[0] + np.cos(yaw) * center_local[1],
                                center_local[2]])
         else:
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            lo, hi = _extent(np.ascontiguousarray(pts.T))
             center = (lo + hi) / 2.0
             quat = np.array([1.0, 0.0, 0.0, 0.0])
 

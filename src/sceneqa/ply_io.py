@@ -11,12 +11,15 @@ declared with any scalar type but must hold integers that fit int64 (ids) or
 0-255 (colors).
 
 The header is read line by line up to the first ``end_header\\n`` and the
-vertex block straight from the open file: an ASCII block goes row by row
-into ``np.loadtxt``, a binary one is one read of the vertex bytes after the
-elements before it. Only the vertex table is held, never the file, so peak
-memory follows the cloud and not the file size. A file that cannot seek (a
-pipe) is read into memory first and parsed the same way; error offsets are
-byte offsets into the file, and "the file length" for a truncated body.
+vertex block straight from the open file, ``_CHUNK_ROWS`` rows at a time:
+``np.loadtxt`` decodes an ASCII chunk, one read fills a binary one, and each
+chunk is checked and copied into the preallocated arrays of the cloud.
+Neither the file nor the whole vertex table is ever held, so a parse holds
+one copy of the cloud plus one chunk. An ASCII block that does not decode is
+read again whole to report its error, which numbers rows within the block.
+A file that cannot seek (a pipe) is read into memory first and parsed the
+same way; error offsets are byte offsets into the file, and "the file
+length" for a truncated body.
 
 Limitations (documented, raise rather than guess): binary big-endian files,
 list-typed vertex properties, and list-typed elements that precede the
@@ -45,6 +48,10 @@ _SCALAR_TYPES = {
     "float": "f4", "float32": "f4",
     "double": "f8", "float64": "f8",
 }
+
+# Vertex rows decoded at a time. The block goes into the cloud's arrays one
+# chunk at a time, so a parse holds the cloud plus one chunk's table.
+_CHUNK_ROWS = 1 << 14
 
 _SEMANTIC_NAMES = ("label", "semantic_label")
 _INSTANCE_NAMES = ("instance", "instance_label")
@@ -169,7 +176,11 @@ def _vertex_element(elements):
     raise MalformedHeader("header declares no vertex element")
 
 
-def _read_binary_vertices(fh, size, before, count, dtype):
+def _binary_chunks(fh, size, before, count, dtype):
+    """Iterate over (first row, table) for each run of at most _CHUNK_ROWS
+    vertex rows of a binary file, each table a view of one reused buffer. A
+    file too short for the whole block raises TruncatedBody here, before
+    the first chunk."""
     offset = fh.tell()
     for el in before:
         if el.has_list:
@@ -182,22 +193,35 @@ def _read_binary_vertices(fh, size, before, count, dtype):
         raise TruncatedBody(
             f"vertex element needs {need} bytes, file has {size - offset}", offset=size)
     fh.seek(offset)
-    return np.frombuffer(fh.read(need), dtype=dtype, count=count)
+    return _binary_rows(fh, count, np.empty(min(count, _CHUNK_ROWS), dtype=dtype))
+
+
+def _binary_rows(fh, count, buf):
+    for first in range(0, count, _CHUNK_ROWS):
+        table = buf[:count - first]
+        if fh.readinto(table) != table.nbytes:  # the file shrank since its size was taken
+            raise TruncatedBody(f"vertex element ends early at row {first}", offset=fh.tell())
+        yield first, table
+
+
+def _loadtxt(rows, dtype):
+    with warnings.catch_warnings():
+        # An empty block is reported as truncation, not as a warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(rows, dtype=dtype, comments=None, usecols=range(len(dtype)), ndmin=1)
 
 
 def _read_ascii_vertices(fh, size, before, count, dtype):
+    """The whole vertex block of an ASCII file as one table, from the body
+    on; the error a bad block raises is the one parse_ply reports."""
     # One row per line. islice bounds must fit a machine word, and a body
     # never holds more lines than bytes, so clamping changes no result.
     skip = sum(el.count for el in before)
     rows = itertools.islice(fh, min(skip, size), min(skip + count, size))
-    with warnings.catch_warnings():
-        # An empty block is reported below as truncation, not as a warning.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            table = np.loadtxt(rows, dtype=dtype, comments=None,
-                               usecols=range(len(dtype)), ndmin=1)
-        except ValueError as exc:
-            raise MalformedHeader(f"vertex element: {exc}") from None
+    try:
+        table = _loadtxt(rows, dtype)
+    except ValueError as exc:
+        raise MalformedHeader(f"vertex element: {exc}") from None
     # loadtxt skips blank lines, so a blank line inside the block shows up here.
     if len(table) < count:
         raise TruncatedBody(
@@ -205,9 +229,39 @@ def _read_ascii_vertices(fh, size, before, count, dtype):
     return table
 
 
-def _cast_column(table, name, dtype):
+def _ascii_chunks(fh, size, before, count, dtype):
+    """Iterate over (first row, table) for each run of at most _CHUNK_ROWS
+    vertex rows, read from the body on. A chunk that fails to decode or
+    comes up short (a bad token, a blank line, the end of the file) makes
+    _read_ascii_vertices read the whole block again, so that the error names
+    its row as the whole-block reader does. So does a block that declares
+    more rows than the body has bytes, before the first chunk."""
+    body = fh.tell()
+    if count > size - body:
+        _read_ascii_vertices(fh, size, before, count, dtype)  # raises
+    return _ascii_rows(fh, body, size, before, count, dtype)
+
+
+def _ascii_rows(fh, body, size, before, count, dtype):
+    skip = sum(el.count for el in before)
+    rows = itertools.islice(fh, min(skip, size), min(skip + count, size))  # clamped as above
+    for first in range(0, count, _CHUNK_ROWS):
+        want = min(_CHUNK_ROWS, count - first)
+        try:
+            table = _loadtxt(itertools.islice(rows, want), dtype)
+        except ValueError:
+            table = None
+        if table is None or len(table) < want:
+            fh.seek(body)
+            _read_ascii_vertices(fh, size, before, count, dtype)  # raises
+            raise AssertionError("a vertex chunk failed that the whole block reads")
+        yield first, table
+
+
+def _cast_column(table, name, dtype, first_row=0):
     """Column ``name`` cast to the integer ``dtype``; a value the cast would
-    change (non-finite, fractional or out of range) raises MalformedHeader."""
+    change (non-finite, fractional or out of range) raises MalformedHeader
+    naming its row, counted from ``first_row`` for a chunk of the block."""
     values = table[name]
     with np.errstate(invalid="ignore"):
         cast = values.astype(dtype)
@@ -215,15 +269,8 @@ def _cast_column(table, name, dtype):
     if bad.any():
         row = int(np.argmax(bad))
         raise MalformedHeader(f"vertex element: property {name!r} holds {values[row]} "
-                              f"in row {row}, not a {np.dtype(dtype).name} value")
+                              f"in row {first_row + row}, not a {np.dtype(dtype).name} value")
     return cast
-
-
-def _int_column(table, aliases):
-    for name in aliases:
-        if name in table.dtype.names:
-            return _cast_column(table, name, np.int64)
-    return np.zeros(len(table), dtype=np.int64)
 
 
 def parse_ply(path) -> LabeledPointCloud:
@@ -255,17 +302,39 @@ def _parse(fh) -> LabeledPointCloud:
         if axis not in dtype.names:
             raise MalformedHeader(f"vertex element lacks property {axis!r}")
 
-    read = _read_binary_vertices if fmt == "binary_little_endian" else _read_ascii_vertices
-    table = read(fh, size, elements[:v_idx], vertex.count, dtype)
+    read = _binary_chunks if fmt == "binary_little_endian" else _ascii_chunks
+    chunks = read(fh, size, elements[:v_idx], vertex.count, dtype)
 
-    positions = np.stack([table["x"], table["y"], table["z"]], axis=1, dtype=np.float64)
-    colors = np.zeros((len(table), 3), dtype=np.uint8)
+    n = vertex.count
+    positions = np.empty((n, 3))
+    colors = np.zeros((n, 3), dtype=np.uint8)
+    semantic_labels = np.zeros(n, dtype=np.int64)
+    instance_labels = np.zeros(n, dtype=np.int64)
+    # (property, column it fills), in the order a bad value is reported
+    casts = []
     if all(c in dtype.names for c in ("red", "green", "blue")):
-        colors = np.stack([_cast_column(table, c, np.uint8) for c in ("red", "green", "blue")],
-                          axis=1)
+        casts += [(c, colors[:, i]) for i, c in enumerate(("red", "green", "blue"))]
+    for aliases, column in ((_SEMANTIC_NAMES, semantic_labels),
+                            (_INSTANCE_NAMES, instance_labels)):
+        casts += [(name, column) for name in aliases if name in dtype.names][:1]
+
+    # A bad value is reported only once the whole block has read, since a
+    # block that does not read is reported first; per property, its first.
+    bad = {}
+    for first, table in chunks:
+        stop = first + len(table)
+        np.stack([table["x"], table["y"], table["z"]], axis=1, out=positions[first:stop])
+        for name, column in casts:
+            if name not in bad:
+                try:
+                    column[first:stop] = _cast_column(table, name, column.dtype, first)
+                except MalformedHeader as exc:
+                    bad[name] = exc
+    for name, _ in casts:
+        if name in bad:
+            raise bad[name]
     try:
-        return LabeledPointCloud(positions, colors, _int_column(table, _SEMANTIC_NAMES),
-                                 _int_column(table, _INSTANCE_NAMES))
+        return LabeledPointCloud(positions, colors, semantic_labels, instance_labels)
     except ValueError as exc:
         raise MalformedHeader(f"vertex element: {exc}") from None
 

@@ -51,7 +51,6 @@ from sceneqa.ply_io import (
     LabeledPointCloud,
     _cast_column,
     _Element,
-    _int_column,
     _vertex_element,
     parse_ply,
 )
@@ -569,6 +568,13 @@ def _reference_read_ascii_vertices(blob, body_offset, before, count, dtype):
     return table
 
 
+def _reference_int_column(table, aliases):
+    for name in aliases:
+        if name in table.dtype.names:
+            return _cast_column(table, name, np.int64)
+    return np.zeros(len(table), dtype=np.int64)
+
+
 def reference_parse_ply(path) -> LabeledPointCloud:
     """The former ``parse_ply``: the whole file read into one bytes blob,
     then parsed from it."""
@@ -597,8 +603,8 @@ def reference_parse_ply(path) -> LabeledPointCloud:
         colors = np.stack([_cast_column(table, c, np.uint8) for c in ("red", "green", "blue")],
                           axis=1)
     try:
-        return LabeledPointCloud(positions, colors, _int_column(table, _SEMANTIC_NAMES),
-                                 _int_column(table, _INSTANCE_NAMES))
+        return LabeledPointCloud(positions, colors, _reference_int_column(table, _SEMANTIC_NAMES),
+                                 _reference_int_column(table, _INSTANCE_NAMES))
     except ValueError as exc:
         raise MalformedHeader(f"vertex element: {exc}") from None
 

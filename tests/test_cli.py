@@ -86,6 +86,47 @@ def test_ingest_empty_scene_id_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _ingest_inputs(tmp_path):
+    ply = tmp_path / "scan.ply"
+    write_ply(ply, make_cluster_cloud(11, [(1, 4, [0, 0, 0.5], [1, 1, 1], 200)]), binary=True)
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"4": "chair"}))
+    return ["ingest", "--ply", str(ply), "--label-map", str(labels), "--scene-id", "scan0"]
+
+
+def test_ingest_failed_write_leaves_the_old_out(tmp_path, capsys, monkeypatch):
+    # The disk fills after the first bytes of the metadata are written.
+    argv = _ingest_inputs(tmp_path)
+    out = tmp_path / "out" / "scene_metadata.json"
+    out.parent.mkdir()
+    out.write_text("old\n")
+
+    def torn_dump(doc, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == b"old\n"
+    assert os.listdir(out.parent) == ["scene_metadata.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_ingest_replaces_a_symlinked_out(tmp_path):
+    argv = _ingest_inputs(tmp_path)
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    out = tmp_path / "out" / "scene_metadata.json"
+    out.parent.mkdir()
+    out.symlink_to(target)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert not out.is_symlink()
+    assert load_scene_metadata(out).scene_id == "scan0"
+    assert target.read_text() == "old\n"
+    assert os.listdir(out.parent) == ["scene_metadata.json"]
+
+
 # --- gen ----------------------------------------------------------------------------
 
 def test_gen_records_verified_by_oracles(scene_dir, tmp_path, capsys):

@@ -9,6 +9,7 @@ the ``scene_metadata.json`` bytes are compared, oriented and axis-aligned.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_derive_instance_boxes
 from synth import make_cluster_cloud
+from sceneqa import metadata
 from sceneqa.errors import EmptyAfterFiltering
 from sceneqa.metadata import build_scene_metadata, derive_instance_boxes, scene_metadata_to_dict
 from sceneqa.ply_io import LabeledPointCloud
@@ -147,3 +149,49 @@ def test_instance_boxes_match_reference_fuzzed(case):
             derive_instance_boxes(cloud, LABELS, min_points)
         return
     assert_same_as_reference(cloud, min_points=min_points)
+
+
+def big_cloud(seed, per_instance=1000):
+    """100 instances, shuffled so that the ids interleave."""
+    return shuffled(make_cluster_cloud(seed, [(i + 1, i % 9 - 2, [i % 10, i // 10, 1], [1, 1, 1],
+                                               per_instance) for i in range(100)]), seed)
+
+
+@pytest.mark.parametrize("scan_rows", [1, 7, 1 << 14])
+def test_runs_equal_np_unique(monkeypatch, scan_rows):
+    monkeypatch.setattr(metadata, "_SCAN_ROWS", scan_rows)
+    rng = np.random.default_rng(scan_rows)
+    for labels in (big_cloud(scan_rows, 20).instance_labels, rng.integers(0, 4, 500),
+                   np.full(300, INT64_MAX), np.array([5]),
+                   rng.choice([0, 1, INT64_MAX - 1, INT64_MAX], 200)):
+        order = np.argsort(labels, kind="stable")
+        want = np.unique(labels[order], return_index=True, return_counts=True)
+        got = metadata._runs(labels, order)
+        for w, g in zip(want, got):
+            assert w.tolist() == g.tolist()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_signed_zero_extents_match_reference(seed):
+    """Which of -0.0 and 0.0 a min or max keeps depends on the reduction's
+    layout; a box with a zero extent keeps the sign the reference gives."""
+    rng = np.random.default_rng(seed)
+    n = 200
+    positions = rng.choice([-0.0, 0.0, 0.5, -1.5], size=(n, 3))
+    positions[:, 2] = rng.choice([-0.0, 0.0], size=n)
+    cloud = cloud_of(positions, rng.integers(0, 8, n), rng.integers(0, 40, n))
+    assert_same_as_reference(cloud, min_points=1)
+
+
+def test_oriented_fit_allocates_at_most_16_bytes_a_point():
+    """The sort order (8 bytes a point) and what the sort needs besides it;
+    the sorted ids and np.unique's copies came to about 42 bytes a point."""
+    cloud = big_cloud(4)
+    tracemalloc.start()
+    try:
+        derive_instance_boxes(cloud, LABELS, oriented=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == 100_000
+    assert peak <= 16 * len(cloud) + 1e6, peak

@@ -14,10 +14,12 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_parse_ply
 from synth import make_cluster_cloud
@@ -32,7 +34,8 @@ from test_ply import (
     fuzz_blobs,
 )
 import sceneqa
-from sceneqa.errors import SceneQaError
+from sceneqa import ply_io
+from sceneqa.errors import MalformedHeader, SceneQaError, TruncatedBody
 from sceneqa.ply_io import parse_ply, write_ply
 
 
@@ -191,11 +194,116 @@ def test_pipe_matches_reference(tmp_path, case):
         assert result[2] == len(blob)  # the offset is the length of what the pipe held
 
 
+# --- chunk boundaries ------------------------------------------------------------------
+# The vertex block is decoded ply_io._CHUNK_ROWS rows at a time. With a few
+# rows a chunk, the small files above cross many chunk boundaries.
+
+@pytest.fixture(params=[1, 2, 5], ids=lambda rows: f"{rows}rows")
+def small_chunks(request, monkeypatch):
+    monkeypatch.setattr(ply_io, "_CHUNK_ROWS", request.param)
+    return request.param
+
+
+def test_fixtures_match_reference_in_small_chunks(tmp_path, small_chunks):
+    for name in sorted(FIXTURES):
+        test_fixture_matches_reference(tmp_path, name)
+    test_binary_fixtures_match_reference(tmp_path)
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+def test_seeded_clouds_match_reference_in_small_chunks(tmp_path, small_chunks, binary):
+    for seed in range(8):
+        test_seeded_cloud_matches_reference(tmp_path, seed, binary)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(edit=FUZZED_EDITS, rows=st.sampled_from([1, 2]))
+def test_fuzzed_input_matches_reference_in_small_chunks(fuzz_fixtures, edit, rows):
+    root, fixtures = fuzz_fixtures
+    path = root / "case.ply"
+    path.write_bytes(edited_blob(fixtures, edit))
+    with mock.patch.object(ply_io, "_CHUNK_ROWS", rows):
+        assert_same_outcome(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipes_match_reference_in_small_chunks(tmp_path, small_chunks):
+    for case in ("ascii", "binary_element_before", "binary_cut"):
+        (tmp_path / case).mkdir()
+        test_pipe_matches_reference(tmp_path / case, case)
+
+
+def float_ids_file(path, n, edits=None) -> Path:
+    """An ASCII cloud of ``n`` rows with float-typed colors and ids, the
+    rows in ``edits`` ({row: text}) replaced."""
+    head = FLOAT_IDS_FIXTURE.split("end_header\n")[0].replace("element vertex 3",
+                                                              f"element vertex {n}")
+    rows = [f"{i}.5 1.5 2.5 {i % 256} 0 0 4 1" for i in range(n)]
+    for row, text in (edits or {}).items():
+        rows[row] = text
+    path.write_bytes((head + "end_header\n" + "".join(r + "\n" for r in rows)).encode())
+    return path
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({7: "7.5 1.5 2.5 7 0 0 4.5 1"}, "property 'label' holds 4.5 in row 7,"),
+    ({10: "10.5 1.5 2.5 300 0 0 4 1"}, "property 'red' holds 300.0 in row 10,"),
+    ({1: "1.5 1.5 2.5 1 0 0 4 0.25", 9: "9.5 1.5 2.5 9 0.5 0 4 1"},
+     "property 'green' holds 0.5 in row 9,"),  # colors are checked before ids
+], ids=["label", "red", "green_before_instance"])
+def test_bad_value_past_the_first_chunk_names_its_row(tmp_path, small_chunks, edits, message):
+    path = float_ids_file(tmp_path / "f.ply", 12, edits)
+    result = assert_same_outcome(path)
+    assert result[0] == "MalformedHeader" and message in result[1], result
+
+
+def test_bad_binary_value_past_the_first_chunk_names_its_row(tmp_path, small_chunks):
+    dtype = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("label", "<f4")])
+    table = np.zeros(12, dtype=dtype)
+    table["label"][8] = np.nan
+    head = ("ply\nformat binary_little_endian 1.0\nelement vertex 12\nproperty float x\n"
+            "property float y\nproperty float z\nproperty float label\nend_header\n")
+    path = tmp_path / "b.ply"
+    path.write_bytes(head.encode() + table.tobytes())
+    result = assert_same_outcome(path)
+    assert result[0] == "MalformedHeader" and "holds nan in row 8," in result[1], result
+
+
+@pytest.mark.parametrize("edits, error, message", [
+    ({8: "8.5 abc 2.5 8 0 0 4 1"}, MalformedHeader, "row 8"),
+    ({2: "2.5 1.5 2.5 2 0 0 4.5 1", 8: "8.5 1.5"}, MalformedHeader, "row 9 "),  # 1-based
+    ({9: ""}, TruncatedBody, "body holds 11"),
+], ids=["bad_token", "short_row_after_bad_label", "blank_line"])
+def test_undecodable_later_chunk_reports_as_the_whole_block(tmp_path, small_chunks, edits,
+                                                            error, message):
+    path = float_ids_file(tmp_path / "f.ply", 12, edits)
+    with pytest.raises(error, match=message):
+        parse_ply(path)
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("declared", [13, 10 ** 6, 10 ** 30])
+def test_short_body_in_a_later_chunk_is_truncation(tmp_path, small_chunks, declared):
+    path = float_ids_file(tmp_path / "f.ply", 12)
+    path.write_bytes(path.read_bytes().replace(b"element vertex 12",
+                                               b"element vertex %d" % declared))
+    with pytest.raises(TruncatedBody) as err:
+        parse_ply(path)
+    assert err.value.offset == path.stat().st_size
+    assert_same_outcome(path)
+    n = len(seeded_cloud(1))
+    binary = tmp_path / "b.ply"
+    write_ply(binary, seeded_cloud(1), binary=True)
+    binary.write_bytes(binary.read_bytes().replace(b"element vertex %d" % n,
+                                                   b"element vertex %d" % (n + declared)))
+    assert not accepted(assert_same_outcome(binary))
+
+
 # --- footprint -----------------------------------------------------------------------
 
 def test_ascii_parse_peak_stays_below_the_file_size(tmp_path):
     """The whole-file reader held the file and the table at once (about twice
-    the file); streamed, the peak is the vertex table and the cloud."""
+    the file); streamed, the peak is the cloud and one chunk."""
     cloud = make_cluster_cloud(4, [(i + 1, i % 20, [i % 10, i // 10, 1], [1, 1, 1], 1000)
                                    for i in range(100)])
     path = tmp_path / "big.ply"
@@ -208,6 +316,37 @@ def test_ascii_parse_peak_stays_below_the_file_size(tmp_path):
         tracemalloc.stop()
     assert len(parsed) == 100_000
     assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def repeated_cloud_file(path, n, binary) -> Path:
+    """A PLY file of ``n`` points: the rows of a 1000-point cloud, repeated."""
+    cloud = make_cluster_cloud(6, [(i + 1, i % 20, [i % 10, i // 10, 1], [1, 1, 1], 100)
+                                   for i in range(10)])
+    write_ply(path, cloud, binary=binary)
+    head, body = path.read_bytes().split(b"end_header\n")
+    head = head.replace(b"element vertex 1000", b"element vertex %d" % n)
+    path.write_bytes(head + b"end_header\n" + body * (n // 1000))
+    return path
+
+
+def parse_peak_beyond_the_cloud(path) -> int:
+    tracemalloc.start()
+    try:
+        cloud = parse_ply(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in (cloud.positions, cloud.colors, cloud.semantic_labels,
+                                         cloud.instance_labels))
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+def test_parse_peak_beyond_the_cloud_does_not_grow_with_it(tmp_path, binary):
+    """One chunk is held besides the cloud, whatever the number of points;
+    holding the vertex table would add about 3.5 MB at 200k points."""
+    small = parse_peak_beyond_the_cloud(repeated_cloud_file(tmp_path / "s.ply", 50_000, binary))
+    large = parse_peak_beyond_the_cloud(repeated_cloud_file(tmp_path / "l.ply", 200_000, binary))
+    assert abs(large - small) < 0.5e6, (small, large)
 
 
 def test_ingest_loads_neither_openssl_nor_multiprocessing(tmp_path):
