@@ -441,18 +441,6 @@ def _runs(labels, order):
     return labels[order[starts]], starts, np.diff(bounds)
 
 
-def _extent(cols):
-    """(min, max) of each row of the (3, n) C-contiguous ``cols``, the same
-    values as (min, max) of the (n, 3) points along axis 0, faster. Only
-    which of -0.0 and 0.0 a tie keeps depends on the layout, so an extent
-    with a zero is taken along axis 0."""
-    lo, hi = cols.min(axis=1), cols.max(axis=1)
-    if not (lo.all() and hi.all()):
-        pts = np.ascontiguousarray(cols.T)
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-    return lo, hi
-
-
 def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
                           min_points: int = DEFAULT_MIN_POINTS,
                           oriented: bool = False):
@@ -493,17 +481,16 @@ def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
             yaw = float(np.arctan2(major[1], major[0]))
             quat = quat_from_yaw(yaw)
             c, s = np.cos(-yaw), np.sin(-yaw)
-            unrot = np.empty((3, n))
-            unrot[0] = c * pts[:, 0] - s * pts[:, 1]
-            unrot[1] = s * pts[:, 0] + c * pts[:, 1]
-            unrot[2] = pts[:, 2]
-            lo, hi = _extent(unrot)
+            unrot = pts.copy()
+            unrot[:, 0] = c * pts[:, 0] - s * pts[:, 1]
+            unrot[:, 1] = s * pts[:, 0] + c * pts[:, 1]
+            lo, hi = unrot.min(axis=0), unrot.max(axis=0)
             center_local = (lo + hi) / 2.0
             center = np.array([np.cos(yaw) * center_local[0] - np.sin(yaw) * center_local[1],
                                np.sin(yaw) * center_local[0] + np.cos(yaw) * center_local[1],
                                center_local[2]])
         else:
-            lo, hi = _extent(np.ascontiguousarray(pts.T))
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
             center = (lo + hi) / 2.0
             quat = np.array([1.0, 0.0, 0.0, 0.0])
 

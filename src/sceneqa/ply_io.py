@@ -176,27 +176,11 @@ def _vertex_element(elements):
     raise MalformedHeader("header declares no vertex element")
 
 
-def _binary_chunks(fh, size, before, count, dtype):
+def _binary_chunks(fh, count, dtype):
     """Iterate over (first row, table) for each run of at most _CHUNK_ROWS
-    vertex rows of a binary file, each table a view of one reused buffer. A
-    file too short for the whole block raises TruncatedBody here, before
-    the first chunk."""
-    offset = fh.tell()
-    for el in before:
-        if el.has_list:
-            raise UnsupportedEncoding(
-                f"cannot skip list-typed element {el.name!r} before vertex", offset=offset)
-        row = sum(np.dtype(t).itemsize for _, t in el.properties)
-        offset += row * el.count
-    need = dtype.itemsize * count
-    if size - offset < need:
-        raise TruncatedBody(
-            f"vertex element needs {need} bytes, file has {size - offset}", offset=size)
-    fh.seek(offset)
-    return _binary_rows(fh, count, np.empty(min(count, _CHUNK_ROWS), dtype=dtype))
-
-
-def _binary_rows(fh, count, buf):
+    vertex rows of a binary file, read from the vertex block on, each table
+    a view of one reused buffer."""
+    buf = np.empty(min(count, _CHUNK_ROWS), dtype=dtype)
     for first in range(0, count, _CHUNK_ROWS):
         table = buf[:count - first]
         if fh.readinto(table) != table.nbytes:  # the file shrank since its size was taken
@@ -233,18 +217,11 @@ def _ascii_chunks(fh, size, before, count, dtype):
     """Iterate over (first row, table) for each run of at most _CHUNK_ROWS
     vertex rows, read from the body on. A chunk that fails to decode or
     comes up short (a bad token, a blank line, the end of the file) makes
-    _read_ascii_vertices read the whole block again, so that the error names
-    its row as the whole-block reader does. So does a block that declares
-    more rows than the body has bytes, before the first chunk."""
+    _read_ascii_vertices read the whole block again and raise, so that the
+    error names its row as the whole-block reader does."""
     body = fh.tell()
-    if count > size - body:
-        _read_ascii_vertices(fh, size, before, count, dtype)  # raises
-    return _ascii_rows(fh, body, size, before, count, dtype)
-
-
-def _ascii_rows(fh, body, size, before, count, dtype):
     skip = sum(el.count for el in before)
-    rows = itertools.islice(fh, min(skip, size), min(skip + count, size))  # clamped as above
+    rows = itertools.islice(fh, min(skip, size), min(skip + count, size))  # clamped as there
     for first in range(0, count, _CHUNK_ROWS):
         want = min(_CHUNK_ROWS, count - first)
         try:
@@ -254,8 +231,34 @@ def _ascii_rows(fh, body, size, before, count, dtype):
         if table is None or len(table) < want:
             fh.seek(body)
             _read_ascii_vertices(fh, size, before, count, dtype)  # raises
-            raise AssertionError("a vertex chunk failed that the whole block reads")
         yield first, table
+
+
+def _vertex_chunks(fh, fmt, size, before, count, dtype):
+    """The (first row, table) chunks of the vertex block, once the body has
+    been checked to be large enough for ``count`` rows, so that a header
+    that declares far more rows than the file holds raises TruncatedBody
+    before parse_ply allocates the cloud."""
+    offset = fh.tell()
+    if fmt == "ascii":
+        # A row holds at least one byte per property and a blank between
+        # two; a body too small for that cannot decode, and the whole-block
+        # read reports how.
+        if count * (2 * len(dtype) - 1) > size - offset:
+            _read_ascii_vertices(fh, size, before, count, dtype)  # raises
+        return _ascii_chunks(fh, size, before, count, dtype)
+    for el in before:
+        if el.has_list:
+            raise UnsupportedEncoding(
+                f"cannot skip list-typed element {el.name!r} before vertex", offset=offset)
+        row = sum(np.dtype(t).itemsize for _, t in el.properties)
+        offset += row * el.count
+    need = dtype.itemsize * count
+    if size - offset < need:
+        raise TruncatedBody(
+            f"vertex element needs {need} bytes, file has {size - offset}", offset=size)
+    fh.seek(offset)
+    return _binary_chunks(fh, count, dtype)
 
 
 def _cast_column(table, name, dtype, first_row=0):
@@ -302,8 +305,7 @@ def _parse(fh) -> LabeledPointCloud:
         if axis not in dtype.names:
             raise MalformedHeader(f"vertex element lacks property {axis!r}")
 
-    read = _binary_chunks if fmt == "binary_little_endian" else _ascii_chunks
-    chunks = read(fh, size, elements[:v_idx], vertex.count, dtype)
+    chunks = _vertex_chunks(fh, fmt, size, elements[:v_idx], vertex.count, dtype)
 
     n = vertex.count
     positions = np.empty((n, 3))

@@ -282,11 +282,21 @@ def test_undecodable_later_chunk_reports_as_the_whole_block(tmp_path, small_chun
     assert_same_outcome(path)
 
 
-@pytest.mark.parametrize("declared", [13, 10 ** 6, 10 ** 30])
+def declare_rows(path, n, declared):
+    """Rewrite the ``element vertex n`` line of ``path`` to declare
+    ``declared`` rows; "body" declares one row fewer than the body's bytes."""
+    head, body = path.read_bytes().split(b"end_header\n")
+    if declared == "body":
+        declared = len(body) - 1
+    path.write_bytes(head.replace(b"element vertex %d" % n, b"element vertex %d" % declared)
+                     + b"end_header\n" + body)
+    return declared
+
+
+@pytest.mark.parametrize("declared", [13, "body", 10 ** 6, 10 ** 30])
 def test_short_body_in_a_later_chunk_is_truncation(tmp_path, small_chunks, declared):
     path = float_ids_file(tmp_path / "f.ply", 12)
-    path.write_bytes(path.read_bytes().replace(b"element vertex 12",
-                                               b"element vertex %d" % declared))
+    declared = declare_rows(path, 12, declared)
     with pytest.raises(TruncatedBody) as err:
         parse_ply(path)
     assert err.value.offset == path.stat().st_size
@@ -316,6 +326,21 @@ def test_ascii_parse_peak_stays_below_the_file_size(tmp_path):
         tracemalloc.stop()
     assert len(parsed) == 100_000
     assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_overdeclared_ascii_rows_fail_before_the_cloud_is_allocated(tmp_path):
+    """A header that declares nearly one row per body byte is truncation,
+    found before the cloud's 43 bytes a declared row are allocated."""
+    path = float_ids_file(tmp_path / "f.ply", 20_000)
+    declare_rows(path, 20_000, "body")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedBody, match="body holds 20000"):
+            parse_ply(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 def repeated_cloud_file(path, n, binary) -> Path:
