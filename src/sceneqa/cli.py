@@ -297,6 +297,17 @@ def _staging_dir(out: str):
         shutil.rmtree(stage, ignore_errors=True)
 
 
+def _write_json(out: str, doc):
+    """``doc`` as strict, indented JSON at ``out``, staged beside it and
+    renamed onto it only once whole."""
+    with _staging_dir(out) as stage:
+        staged = os.path.join(stage, "report")
+        with open(staged, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
+            fh.write("\n")
+        os.replace(staged, out)
+
+
 def cmd_ingest(args) -> int:
     if not args.scene_id:  # as load_scene_metadata would reject it
         raise InputError("--scene-id: expected a nonempty string")
@@ -332,13 +343,13 @@ def cmd_ingest(args) -> int:
 def _resolve_config(args) -> tuple[GenConfig, list, int]:
     """Layer the generator config: defaults < config file < CLI flags."""
     values = {}
-    tasks = list(TASKS)
+    tasks, tasks_source = list(TASKS), None
     workers, workers_source = 1, None
     if args.config:
         doc = _load(args.config, _read_json)
         if not isinstance(doc, dict):
             raise InputError(f"{args.config}: expected a JSON object of generator settings")
-        tasks = doc.pop("tasks", tasks)
+        tasks, tasks_source = doc.pop("tasks", tasks), args.config
         if not (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)):
             raise InputError(f"{args.config}: tasks must be a list of task names, "
                              f"got {tasks!r}")
@@ -348,8 +359,8 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
         values["seed"] = args.seed
     if args.max_per_task is not None:
         values["max_per_task"] = args.max_per_task
-    if args.tasks:
-        tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
+    if args.tasks is not None:
+        tasks, tasks_source = [t.strip() for t in args.tasks.split(",") if t.strip()], "--tasks"
     if args.workers is not None:
         workers, workers_source = args.workers, "--workers"
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -358,6 +369,9 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
     unknown = [t for t in tasks if t not in TASKS]
     if unknown:
         raise SceneQaError(f"unknown task(s): {', '.join(unknown)}")
+    if not tasks:
+        raise InputError(f"{tasks_source}: expected at least one task name")
+    tasks = [t for t in TASKS if t in tasks]  # in task order, each once
     try:
         cfg = GenConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -389,7 +403,7 @@ def cmd_gen(args) -> int:
             os.mkdir(staged_dumps)
         count, spools = run_generation(scene_inputs, cfg, tasks, spool_dir, workers,
                                        staged_dumps)
-        header = {"config": dataclasses.asdict(cfg), "tasks": list(tasks),
+        header = {"config": dataclasses.asdict(cfg), "tasks": tasks,
                   "record_count": count}
         staged = os.path.join(spool_dir, "records")
         write_records_jsonl(staged, spools, header)
@@ -408,9 +422,7 @@ def cmd_eval(args) -> int:
                           lambda doc: Prediction(doc["qid"], doc["raw_text"]))
     report = score_run(records, preds, weight_by_question=args.weight_by_question)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
+        _write_json(args.out, report.to_dict())
     print(render_table(report))
     return EXIT_OK
 
@@ -427,10 +439,7 @@ def cmd_stats(args) -> int:
     lines.append(f"{'total':<18}{total:>8}")
     print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"per_task": counts, "total": total}, fh,
-                      sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(args.out, {"per_task": counts, "total": total})
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
 """Question-record schema, task registry, seeded RNG streams, rounding rules.
 
 Everything the task generators share lives here so that the spatial,
-temporal and route modules stay independent of each other. A generator
-builds its records through one ``TaskRecords(scene_id, task, cfg)``: the
-qid counter is a record's position in its task's list, and every random
-draw comes from the stream named ``(seed, scene_id, task, *parts)``.
+temporal and route modules stay independent of each other. Each of the 13
+generators builds its records through one ``TaskRecords(scene_id, task,
+cfg)``: the qid counter is a record's position in its task's list, and
+every random draw comes from the stream named ``(seed, scene_id, task,
+*parts)``. A ``QaRecord`` checks its own invariants when it is made, so no
+record, generated or read back, skips ``validate_record``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ class QaRecord:
     frame_refs: tuple
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        validate_record(self)
+
 
 def validate_record(rec: QaRecord):
     """Enforce the record invariants; raises ValueError on violation."""
@@ -89,26 +94,6 @@ def validate_record(rec: QaRecord):
             raise ValueError(f"NA ground truth must be finite, got {rec.ground_truth!r}")
     else:
         raise ValueError(f"unknown answer type {rec.answer_type!r}")
-
-
-def make_record(scene_id: str, task: str, counter: int, answer_type: str,
-                question: str, ground_truth: str, options=None, frame_refs=(),
-                meta=None) -> QaRecord:
-    """The one record constructor for every generator; raises ValueError on
-    a record that breaks the invariants of ``validate_record``."""
-    rec = QaRecord(
-        qid=make_qid(scene_id, task, counter),
-        scene_id=scene_id,
-        task=task,
-        answer_type=answer_type,
-        question=question,
-        options=tuple(options) if options is not None else None,
-        ground_truth=ground_truth,
-        frame_refs=tuple(frame_refs),
-        meta=meta or {},
-    )
-    validate_record(rec)
-    return rec
 
 
 def record_to_dict(rec: QaRecord) -> dict:
@@ -142,31 +127,13 @@ def record_from_dict(doc: dict) -> QaRecord:
         raise ValueError(f"frame_refs must be a list of integers, got {frame_refs!r}")
     if not isinstance(doc.get("meta", {}), dict):
         raise ValueError(f"meta must be an object, got {doc['meta']!r}")
-    rec = QaRecord(doc["qid"], doc["scene_id"], doc["task"], doc["answer_type"], doc["question"],
-                   tuple(options) if "options" in doc else None, doc["ground_truth"],
-                   tuple(frame_refs), doc.get("meta", {}))
-    validate_record(rec)
-    return rec
+    return QaRecord(doc["qid"], doc["scene_id"], doc["task"], doc["answer_type"],
+                    doc["question"], tuple(options) if "options" in doc else None,
+                    doc["ground_truth"], tuple(frame_refs), doc.get("meta", {}))
 
 
 def make_qid(scene_id: str, task: str, counter: int) -> str:
     return f"{scene_id}:{task}:{counter:04d}"
-
-
-def rng_stream(seed: int, *parts) -> np.random.Generator:
-    """Named splittable RNG stream.
-
-    The stream identity is the SHA-256 of the seed plus all name parts, so
-    any (scene_id, task, counter) combination gets its own generator and the
-    draw sequence never depends on scheduling or on questions discarded
-    elsewhere.
-    """
-    import hashlib  # here, not at module level: loading OpenSSL costs every command memory
-
-    name = ":".join([str(seed), *map(str, parts)])
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
-    words = np.frombuffer(digest, dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words.tolist())))
 
 
 # GenConfig field annotation -> (accepted types, description); a bool is
@@ -242,13 +209,31 @@ class TaskRecords:
         self.scene_id, self.task, self.cfg = scene_id, task, cfg
         self.records = []
 
-    def add(self, answer_type: str, question: str, truth: str, **fields):
-        """Append the next record (``make_record``'s options, frame_refs, meta)."""
-        self.records.append(make_record(self.scene_id, self.task, len(self.records),
-                                        answer_type, question, truth, **fields))
+    def add(self, answer_type: str, question: str, truth: str, options=None,
+            frame_refs=(), meta=None) -> QaRecord:
+        """Append the next record and return it; raises ValueError, adding
+        nothing, on a record that breaks the invariants of ``validate_record``."""
+        rec = QaRecord(make_qid(self.scene_id, self.task, len(self.records)), self.scene_id,
+                       self.task, answer_type, question,
+                       tuple(options) if options is not None else None, truth,
+                       tuple(frame_refs), meta or {})
+        self.records.append(rec)
+        return rec
 
     def rng(self, *parts) -> np.random.Generator:
-        return rng_stream(self.cfg.seed, self.scene_id, self.task, *parts)
+        """The task's RNG stream named by ``parts``.
+
+        The stream identity is the SHA-256 of the seed, scene_id, task and
+        all name parts, so every such combination gets its own generator and
+        the draw sequence never depends on scheduling or on questions
+        discarded elsewhere.
+        """
+        import hashlib  # here, not at module level: loading OpenSSL costs every command memory
+
+        name = ":".join([str(self.cfg.seed), self.scene_id, self.task, *map(str, parts)])
+        digest = hashlib.sha256(name.encode("utf-8")).digest()
+        words = np.frombuffer(digest, dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words.tolist())))
 
     def select(self, cases) -> list:
         """At most ``max_per_task`` of ``cases``, in order, drawn from the

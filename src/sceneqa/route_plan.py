@@ -21,7 +21,7 @@ from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, TooShort
 from .geometry import MAX_COORD, planar_signed_angle
 from .graph import SceneGraph
 from .metadata import read_jsonl
-from .qa_records import ANSWER_MCA, GenConfig, QaRecord, make_record
+from .qa_records import ANSWER_MCA, GenConfig, QaRecord, TaskRecords
 
 ROUTE_OPTIONS = ("turn back", "turn left", "turn right")
 
@@ -173,16 +173,18 @@ def classify_turn_action(facing_dir, move_dir, cfg: GenConfig):
 
 
 def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
-                    scene_id: str = "", counter: int = 0) -> QaRecord:
-    """Instantiate the route templates for a classified, labeled route.
+                    out: TaskRecords) -> QaRecord:
+    """Instantiate the route templates for a classified, labeled route, add
+    the record to ``out`` and return it.
 
     Template 1 walks src -> mid -> tgt with the fill-in at mid. Template 2
     places the agent at mid; it is used for TurnBack routes (facing the
     start, moving to the end) and, when ``cfg.route_alternative_mode`` is
     set, for turns sharper than the alternative threshold (facing the end,
     moving back to the start). The ground truth is re-derived from whichever
-    traversal the rendered text describes; routes whose re-derived action
-    cannot be named are rejected with MultiTurn semantics skipped upstream.
+    traversal the rendered text describes. A route whose re-derived action
+    names no turn, or not its own turn under Template 1, raises
+    NoNearbyObject and adds nothing.
     """
     src_pos, mid_pos, tgt_pos = route.anchors
     src_lbl, mid_lbl, tgt_lbl = labels
@@ -209,28 +211,26 @@ def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
     if truth is None or (meta["template"] == "Template1" and truth != expected):
         raise NoNearbyObject("re-derived action does not name a turn; route unusable")
 
-    return make_record(scene_id, "route_plan", counter, ANSWER_MCA, question, truth,
-                       options=ROUTE_OPTIONS, meta=meta)
+    return out.add(ANSWER_MCA, question, truth, options=ROUTE_OPTIONS, meta=meta)
 
 
 def gen_route_plan(g: SceneGraph, trajectories, cfg: GenConfig):
-    """Classify, label and render every usable trajectory of a scene."""
+    """Classify, label and render a scene's usable trajectories, first come
+    first kept up to ``max_per_task``; returns ``(records, skipped)``."""
     objects = g.scene.objects
     centers = np.array([o.box.center[:2] for o in objects])
-    records = []
+    out = TaskRecords(g.scene_id, "route_plan", cfg)
     skipped = 0
     for traj in trajectories:
-        if len(records) >= cfg.max_per_task:
+        if len(out.records) >= cfg.max_per_task:
             break
         try:
             route = classify_trajectory(traj, cfg)
             labels = label_anchors(route, objects, centers, cfg.max_anchor_dist_m)
-            rec = render_route_qa(route, labels, cfg, g.scene_id, len(records))
+            render_route_qa(route, labels, cfg, out)
         except (MultiTurn, TooShort, NoNearbyObject, DegenerateDirection):
             skipped += 1
-            continue
-        records.append(rec)
-    return records, skipped
+    return out.records, skipped
 
 
 def _trajectory_from_dict(doc) -> tuple:

@@ -24,7 +24,7 @@ from sceneqa.geometry import (
     world_to_camera,
 )
 from sceneqa.graph import build_graph, scene_context
-from sceneqa.qa_records import GenConfig, validate_record
+from sceneqa.qa_records import GenConfig, TaskRecords, validate_record
 from sceneqa.qa_spatial import SPATIAL_GENERATORS
 from sceneqa.qa_temporal import TEMPORAL_GENERATORS
 from sceneqa.route_plan import ROUTE_OPTIONS, Trajectory, classify_trajectory, render_route_qa
@@ -153,8 +153,9 @@ def test_route_classification():
             break
 
     clause = "choose either 'turn back,' 'turn left,' or 'turn right.'"
-    rec1 = render_route_qa(left, ("table", "sofa", "door"), cfg, "s", 0)
-    rec2 = render_route_qa(straight, ("table", "sofa", "door"), cfg, "s", 1)
+    out = TaskRecords("s", "route_plan", cfg)
+    rec1 = render_route_qa(left, ("table", "sofa", "door"), cfg, out)
+    rec2 = render_route_qa(straight, ("table", "sofa", "door"), cfg, out)
     text_ok = (clause in rec1.question and clause in rec2.question
                and rec1.ground_truth == "turn left"
                and rec2.ground_truth == "turn back"

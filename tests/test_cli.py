@@ -170,6 +170,34 @@ def test_gen_task_filter_is_exact_subset(scene_dir, tmp_path):
     assert all(r.task == "obj_count" for r in subset_records)
 
 
+def test_gen_header_lists_a_task_set_once_in_task_order(scene_dir, tmp_path):
+    outs = []
+    for i, tasks in enumerate(["abs_dist,obj_count", "obj_count,abs_dist,obj_count"]):
+        outs.append(tmp_path / f"r{i}.jsonl")
+        assert main(["gen", "--input-root", str(scene_dir.parent), "--out", str(outs[-1]),
+                     "--seed", "5", "--tasks", tasks]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    header, _ = read_records_jsonl(outs[0])
+    assert header["tasks"] == ["obj_count", "abs_dist"]
+
+
+@pytest.mark.parametrize("source", ["--tasks ,", "--tasks ''", "config"])
+def test_gen_empty_task_list_is_input_error(scene_dir, tmp_path, capsys, source):
+    out = tmp_path / "r.jsonl"
+    argv = ["gen", "--input-root", str(scene_dir.parent), "--out", str(out)]
+    if source == "config":
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"tasks": []}))
+        argv += ["--config", str(cfg_file)]
+    else:
+        argv += ["--tasks", source.split()[1].strip("'")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    named = str(cfg_file) if source == "config" else "--tasks"
+    assert err == f"error: {named}: expected at least one task name\n"
+    assert not out.exists()
+
+
 def test_gen_worker_count_does_not_change_bytes(tmp_path):
     root = tmp_path / "scenes"
     for i in range(4):
@@ -1093,6 +1121,29 @@ def test_stats_counts(tmp_path, capsys):
     stats = json.loads(out.read_text())
     assert stats["per_task"] == {"obj_count": 4, "abs_dist": 3, "room_size": 3}
     assert stats["total"] == 10
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+def test_failed_report_write_leaves_the_old_out(tmp_path, capsys, monkeypatch, command):
+    # The disk fills after the first bytes of the report are written.
+    records, preds = tmp_path / "records.jsonl", tmp_path / "preds.jsonl"
+    write_jsonl(records, [{"_header": {}}, GOOD_RECORD])
+    write_jsonl(preds, [{"qid": GOOD_RECORD["qid"], "raw_text": "2"}])
+    out = tmp_path / "out" / "report.json"
+    out.parent.mkdir()
+    out.write_text("old\n")
+    argv = {"eval": ["eval", "--records", str(records), "--predictions", str(preds)],
+            "stats": ["stats", "--records", str(records)]}[command]
+
+    def torn_dump(doc, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == b"old\n"
+    assert os.listdir(out.parent) == ["report.json"]
 
 
 def test_stats_memory_does_not_grow_with_the_file(tmp_path, capsys):

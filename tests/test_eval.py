@@ -25,7 +25,7 @@ from sceneqa.evaluate import (
     render_table,
     score_run,
 )
-from sceneqa.qa_records import QaRecord, record_to_dict
+from sceneqa.qa_records import GenConfig, QaRecord, TaskRecords, record_to_dict
 
 
 def mra_loop_oracle(pred, truth):
@@ -146,6 +146,25 @@ FIXTURE = [
     rec("s:route_plan:0000", "route_plan", "MCA", "turn left",
         ("turn back", "turn left", "turn right")),
 ]
+
+@pytest.mark.parametrize("args,fragment", [
+    (("bogus", "NA", "2"), "unknown task"),
+    (("abs_dist", "XX", "2"), "unknown answer type"),
+    (("abs_dist", "NA", "0.0"), "must be positive"),
+    (("abs_dist", "NA", "2", ("2", "3")), "must not carry options"),
+    (("rel_dir", "MCA", "up", ("left", "right", "back")), "not among options"),
+    (("rel_dir", "MCA", "left", ("left", "left", "back")), "pairwise distinct"),
+    (("rel_dir", "MCA", "left", ("left", "right")), "expects 3 options"),
+])
+def test_a_record_that_breaks_the_invariants_is_never_made(args, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        rec("s:x:0000", *args)
+    task, answer_type, truth, *options = args
+    out = TaskRecords("s", task, GenConfig())
+    with pytest.raises(ValueError, match=fragment):
+        out.add(answer_type, "q", truth, options=options[0] if options else None)
+    assert out.records == []
+
 
 PREDICTIONS = [
     Prediction("s:abs_dist:0000", "exactly 2.0 meters"),   # mra 1.0

@@ -12,7 +12,7 @@ from synth import make_single_turn_waypoints
 from sceneqa.errors import InputError, MultiTurn, NoNearbyObject, TooShort
 from sceneqa.graph import build_graph
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
-from sceneqa.qa_records import GenConfig, validate_record
+from sceneqa.qa_records import GenConfig, TaskRecords, validate_record
 from sceneqa.route_plan import (
     ClassifiedRoute,
     Trajectory,
@@ -210,7 +210,7 @@ def left_route():
 
 def test_template1_contains_labels_and_clause():
     rec = render_route_qa(left_route(), ("table", "sofa", "door"), CFG,
-                          scene_id="route", counter=0)
+                          TaskRecords("route", "route_plan", CFG))
     assert rec.ground_truth == "turn left"
     assert rec.options == ("turn back", "turn left", "turn right")
     assert ACTION_CLAUSE in rec.question
@@ -226,7 +226,7 @@ def test_template1_contains_labels_and_clause():
 def test_turn_back_uses_template2():
     route = classify_trajectory(traj([(0, 0, 0), (4, 0, 0)]), CFG)
     rec = render_route_qa(route, ("table", "sofa", "door"), CFG,
-                          scene_id="route", counter=0)
+                          TaskRecords("route", "route_plan", CFG))
     assert rec.ground_truth == "turn back"
     assert rec.meta["template"] == "Template2"
     assert ACTION_CLAUSE in rec.question
@@ -243,7 +243,8 @@ def test_alternative_mode_rederives_answer():
               (2 + 2 * math.cos(angle), 2 * math.sin(angle), 0)]), CFG)
     assert route.kind == "TurnLeft" and route.turn_angle_deg == pytest.approx(50.0)
     alt = dataclasses.replace(CFG, route_alternative_mode=True)
-    rec = render_route_qa(route, ("table", "sofa", "door"), alt, scene_id="route", counter=0)
+    rec = render_route_qa(route, ("table", "sofa", "door"), alt,
+                          TaskRecords("route", "route_plan", alt))
     assert rec.meta["template"] == "Template2"
     assert "beginning at the sofa facing the door" in rec.question
     # re-classified reversed traversal: face the end, walk back to the start
@@ -252,6 +253,31 @@ def test_alternative_mode_rederives_answer():
     assert rec.ground_truth == classify_turn_action(tgt - mid, src - mid, CFG)
     assert rec.ground_truth == "turn left"
     assert rec.meta["primary_action"] == "turn left"
+
+
+def test_render_route_qa_numbers_its_records_in_the_task_records():
+    out = TaskRecords("route", "route_plan", CFG)
+    first = render_route_qa(left_route(), ("table", "sofa", "door"), CFG, out)
+    # collinear anchors re-derive no turn: rejected, and nothing is added
+    straight = ClassifiedRoute("TurnLeft", tuple(np.array([[0.0, 0, 0], [2, 0, 0], [4, 0, 0]])),
+                               40.0)
+    with pytest.raises(NoNearbyObject):
+        render_route_qa(straight, ("table", "sofa", "door"), CFG, out)
+    second = render_route_qa(left_route(), ("table", "sofa", "door"), CFG, out)
+    assert out.records == [first, second]
+    assert [r.qid for r in out.records] == ["route:route_plan:0000", "route:route_plan:0001"]
+
+
+def test_gen_route_plan_keeps_the_first_usable_routes_up_to_the_cap():
+    g = scene_graph_with([obj(1, "sofa", [0.1, 0.38, 0.3]),
+                          obj(2, "table", [2.0, 0.3, 0.3]),
+                          obj(3, "door", [2.1, 2.2, 0.3])])
+    good = traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)])
+    far = traj([(8, 8, 0), (9, 8, 0), (9, 9, 0)])
+    cfg = dataclasses.replace(CFG, max_per_task=2)
+    records, skipped = gen_route_plan(g, [far, good, far, good, far, good], cfg)
+    assert skipped == 2  # the trajectories after the cap is met are never tried
+    assert [r.qid for r in records] == ["route:route_plan:0000", "route:route_plan:0001"]
 
 
 def test_gen_route_plan_skips_bad_trajectories():
