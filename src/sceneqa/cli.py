@@ -368,7 +368,7 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
                          f"got {workers!r}")
     unknown = [t for t in tasks if t not in TASKS]
     if unknown:
-        raise SceneQaError(f"unknown task(s): {', '.join(unknown)}")
+        raise InputError(f"{tasks_source}: unknown task(s): {', '.join(unknown)}")
     if not tasks:
         raise InputError(f"{tasks_source}: expected at least one task name")
     tasks = [t for t in TASKS if t in tasks]  # in task order, each once

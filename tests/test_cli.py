@@ -505,6 +505,7 @@ def test_gen_unknown_task_is_input_error(scene_dir, tmp_path, capsys):
     code = main(["gen", "--input-root", str(scene_dir.parent),
                  "--out", str(tmp_path / "r.jsonl"), "--tasks", "bogus"])
     assert code == 2
+    assert capsys.readouterr().err == "error: --tasks: unknown task(s): bogus\n"
 
 
 def test_gen_missing_inputs_is_input_error(tmp_path):
