@@ -110,13 +110,17 @@ class SceneInputs:
 
 def discover_scenes(root) -> list[SceneInputs]:
     """Scan an input root: one subdirectory per scene with the metadata pair
-    and optional cloud.ply / trajectories.jsonl."""
+    and optional cloud.ply / trajectories.jsonl; one of the pair alone is an
+    InputError, and a subdirectory with neither is skipped."""
     root = Path(root)
     scenes = []
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
         scene = sub / "scene_metadata.json"
         frames = sub / "frame_metadata.json"
         if not (scene.exists() and frames.exists()):
+            if scene.exists() or frames.exists():
+                raise InputError(f"{frames if scene.exists() else scene}: missing, but "
+                                 f"the other metadata file of the scene is there")
             continue
         cloud = sub / "cloud.ply"
         traj = sub / "trajectories.jsonl"
@@ -128,8 +132,8 @@ def discover_scenes(root) -> list[SceneInputs]:
     return scenes
 
 
-def _route_plan(ctx, cfg: GenConfig):
-    records, _ = gen_route_plan(ctx.graph, ctx.trajectories, cfg)
+def _route_plan(g, cfg: GenConfig):
+    records, _ = gen_route_plan(g, g.trajectories, cfg)
     return records
 
 
@@ -141,7 +145,7 @@ def task_generators() -> dict:
 
 def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
                            dump_dir=None) -> tuple:
-    """All requested records for one scene, from one scene context, as
+    """All requested records for one scene, from the scene's graph, as
     ``(scene_id, record count, text)``: the JSON lines sorted by (task order,
     qid) and joined. With ``dump_dir`` the graph is written there too, as
     ``<scene_id>.json``, so the scene_id must be a single file name."""
@@ -162,7 +166,7 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
     if "route_plan" in tasks and inputs.trajectories_path:
         trajectories = [t for sid, t in load_trajectories(inputs.trajectories_path)
                         if sid == scene.scene_id]
-    ctx = graph_mod.scene_context(g, cfg.sample_frames, cloud, trajectories)
+    g = graph_mod.scene_context(g, cfg.sample_frames, cloud, trajectories)
 
     if dump_dir is not None:
         with open(Path(dump_dir) / f"{scene.scene_id}.json", "w", encoding="utf-8") as fh:
@@ -173,7 +177,7 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
     lines = []
     for task in (t for t in TASKS if t in tasks):  # TASKS is in task order
         try:  # a truth that breaks the record invariants, e.g. an overflowing distance
-            records = generators[task](ctx, cfg)
+            records = generators[task](g, cfg)
         except ValueError as exc:
             raise InputError(f"{inputs.scene_path}: {task}: {exc}") from None
         lines += [_dump_line(record_to_dict(rec))

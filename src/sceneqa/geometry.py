@@ -1,6 +1,6 @@
 """Convention-pinned 3D math shared by every generator.
 
-Conventions (pinned once, stamped into output metadata by the generators):
+Conventions (pinned once, here; no record or header repeats them):
     world  -- right-handed, Z-up, meters.
     camera -- +X right, +Y down, +Z forward. "Nearer to camera" means a
               smaller +Z coordinate; "left of camera" a smaller X.
@@ -78,9 +78,9 @@ def quat_from_yaw(yaw_rad: float) -> np.ndarray:
 
 
 def world_to_camera(p: np.ndarray, rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """A world point in the camera frame of a camera-to-world pose (3x3
-    ``rotation``, camera center ``position``): R^T (p - t)."""
-    return rotation.T @ (p - position)
+    """World points p, shape (..., 3), in the camera frame of a camera-to-world
+    pose (3x3 ``rotation``, camera center ``position``): R^T (p - t) per point."""
+    return (p - position) @ rotation
 
 
 # Unit-cube corner signs, fixed order (used by corners()).

@@ -1,18 +1,18 @@
 """Spatio-temporal scene graph: object nodes, per-frame camera nodes, visibility.
 
-The graph is immutable after build; queries take ids it holds, are read-only
-and safe to call from concurrent workers. SceneContext derives frame geometry.
+The graph is the per-scene object every task generator reads; scene_context
+attaches a run's inputs, and derived facts are computed on first use and kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DanglingInstanceRef, TooFewFrames
-from .geometry import box_box_distance
+from .geometry import box_box_distance, world_to_camera
 from .metadata import FrameMetadata, SceneMetadata
 from .qa_records import GenConfig
 
@@ -26,6 +26,12 @@ class SceneGraph:
     category_first_seen: dict  # category -> frame_id
     _objects_by_id: dict = field(repr=False)
     _frames_by_id: dict = field(repr=False)
+    sample_frames: int = GenConfig.sample_frames
+    cloud: object = None    # LabeledPointCloud, when the scene has one
+    trajectories: tuple = ()
+    # per-scene memos, filled on first use; not part of the frozen state
+    _box_distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _camera_corners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def scene_id(self) -> str:
@@ -42,6 +48,41 @@ class SceneGraph:
 
     def visible_in(self, frame_id: int) -> frozenset:
         return self.visibility[frame_id]
+
+    @cached_property
+    def frame_seq(self) -> tuple:
+        """Sampled frame ids; empty when the capture has fewer than 2 frames."""
+        if len(self.frames.frames) < 2:
+            return ()
+        return tuple(sample_frame_sequence(self, self.sample_frames))
+
+    @cached_property
+    def unique_objects(self) -> tuple:
+        """Objects whose category occurs once in the scene, sorted by category."""
+        counts = self.scene.category_counts
+        return tuple(sorted((o for o in self.scene.objects if counts[o.category] == 1),
+                            key=lambda o: o.category))
+
+    def unique_visible(self, frame_id: int) -> list:
+        """Category-unique objects visible in a frame, sorted by category."""
+        vis = self.visible_in(frame_id)
+        return [o for o in self.unique_objects if o.instance_id in vis]
+
+    def box_distance(self, a, b) -> float:
+        """box_box_distance of two scene objects, computed once per unordered
+        pair (exact: box_box_distance orders its arguments canonically)."""
+        key = (min(a.instance_id, b.instance_id), max(a.instance_id, b.instance_id))
+        dist = self._box_distances.get(key)
+        if dist is None:
+            dist = self._box_distances[key] = box_box_distance(a.box, b.box)
+        return dist
+
+    @cached_property
+    def _world_corners(self) -> tuple:
+        """(K, 8, 3) world corners of the K scene objects, and each instance's row."""
+        objects = self.scene.objects
+        rows = {o.instance_id: k for k, o in enumerate(objects)}
+        return np.array([o.box.corners() for o in objects]), rows
 
 
 def build_graph(scene: SceneMetadata, frames: FrameMetadata,
@@ -78,14 +119,16 @@ def build_graph(scene: SceneMetadata, frames: FrameMetadata,
                       objects_by_id, frames_by_id)
 
 
-def _to_camera(world_points: np.ndarray, frame) -> np.ndarray:
-    """R^T (p - t) for world points p, shape (..., 3): world_to_camera's bits."""
-    return (world_points - frame.position) @ frame.rotation
-
-
 def object_in_camera(g: SceneGraph, frame_id: int, instance_id: int) -> np.ndarray:
-    """The 8 box corners of an instance in the frame's camera coordinates."""
-    return _to_camera(g.object(instance_id).box.corners(), g.frame(frame_id))
+    """The 8 box corners of an instance in the frame's camera coordinates: its
+    row of the frame's read-only (K, 8, 3) memo, one product for all K objects."""
+    world, rows = g._world_corners
+    corners = g._camera_corners.get(frame_id)
+    if corners is None:
+        fr = g.frame(frame_id)
+        corners = g._camera_corners[frame_id] = world_to_camera(world, fr.rotation, fr.position)
+        corners.flags.writeable = False
+    return corners[rows[instance_id]]
 
 
 def sample_frame_sequence(g: SceneGraph, n: int):
@@ -106,63 +149,11 @@ def sample_frame_sequence(g: SceneGraph, n: int):
     return [ids[p] for p in picks]
 
 
-@dataclass(frozen=True)
-class SceneContext:
-    """The per-scene facts every task generator reads, derived once per scene,
-    and per frame the camera-space corners of all K objects, one (K, 8, 3) product."""
-
-    graph: SceneGraph
-    frame_seq: tuple       # sampled frame ids; empty when the capture has < 2 frames
-    unique_objects: tuple  # objects whose category occurs once, sorted by category
-    cloud: object = None   # LabeledPointCloud, when the scene has one
-    trajectories: tuple = ()
-    # per-scene memos, filled on first use; not part of the frozen state
-    _box_distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _camera_corners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def scene_id(self) -> str:
-        return self.graph.scene_id
-
-    def box_distance(self, a, b) -> float:
-        """box_box_distance of two scene objects, computed once per unordered
-        pair (exact: box_box_distance orders its arguments canonically)."""
-        key = (min(a.instance_id, b.instance_id), max(a.instance_id, b.instance_id))
-        dist = self._box_distances.get(key)
-        if dist is None:
-            dist = self._box_distances[key] = box_box_distance(a.box, b.box)
-        return dist
-
-    @cached_property
-    def _world_corners(self) -> tuple:
-        """(K, 8, 3) world corners of the K scene objects, and each instance's row."""
-        objects = self.graph.scene.objects
-        rows = {o.instance_id: k for k, o in enumerate(objects)}
-        return np.array([o.box.corners() for o in objects]), rows
-
-    def corners_in_camera(self, frame_id: int, instance_id: int) -> np.ndarray:
-        """object_in_camera, read from the frame's read-only (K, 8, 3) memo."""
-        world, rows = self._world_corners
-        corners = self._camera_corners.get(frame_id)
-        if corners is None:
-            corners = self._camera_corners[frame_id] = _to_camera(world, self.graph.frame(frame_id))
-            corners.flags.writeable = False
-        return corners[rows[instance_id]]
-
-    def unique_visible(self, frame_id: int) -> list:
-        """Category-unique objects visible in a frame, sorted by category."""
-        vis = self.graph.visible_in(frame_id)
-        return [o for o in self.unique_objects if o.instance_id in vis]
-
-
 def scene_context(g: SceneGraph, sample_frames: int, cloud=None,
-                  trajectories=()) -> SceneContext:
-    """Sample the frame sequence and index the category-unique objects."""
-    seq = sample_frame_sequence(g, sample_frames) if len(g.frames.frames) >= 2 else ()
-    counts = g.scene.category_counts
-    unique = sorted((o for o in g.scene.objects if counts[o.category] == 1),
-                    key=lambda o: o.category)
-    return SceneContext(g, tuple(seq), tuple(unique), cloud, tuple(trajectories))
+                  trajectories=()) -> SceneGraph:
+    """The graph with one run's inputs attached, and memos of its own."""
+    return replace(g, sample_frames=sample_frames, cloud=cloud,
+                   trajectories=tuple(trajectories))
 
 
 def graph_to_dict(g: SceneGraph) -> dict:

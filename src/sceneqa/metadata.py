@@ -388,7 +388,8 @@ def iter_jsonl(path, parse, on_header=None):
     fails ``parse`` raises InputError naming path:line. Once the file is
     read, a header's ``record_count`` (the last header's, if several have
     one) must equal the number of other lines, or InputError names the file
-    and both counts: the file was cut short or added to."""
+    and both counts: the file was cut short or added to. A ``record_count``
+    that is not a non-negative int (a bool is none) is an InputError too."""
     want, seen = None, 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -403,6 +404,9 @@ def iter_jsonl(path, parse, on_header=None):
                         on_header(header)
                     if isinstance(header, dict) and "record_count" in header:
                         want = header["record_count"]
+                        if isinstance(want, bool) or not isinstance(want, int) or want < 0:
+                            raise InputError(f"{path}:{lineno}: the header's record_count "
+                                             f"is {want!r}, not a non-negative integer")
                     continue
                 item = parse(doc)
             except KeyError as exc:

@@ -147,8 +147,8 @@ class GenConfig:
     """Generator thresholds and seed material.
 
     The task definitions leave margins and bins open; these values
-    make answers robust to annotation noise and are stamped into record
-    metadata so downstream consumers can audit them.
+    make answers robust to annotation noise and are written into the
+    records header so downstream consumers can audit them.
     """
 
     seed: int = 0

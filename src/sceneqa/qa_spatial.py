@@ -1,6 +1,6 @@
 """The seven scene-level spatial question families.
 
-Each generator is a pure function ``gen(ctx, cfg)`` of the scene context
+Each generator is a pure function ``gen(ctx, cfg)`` of the scene graph
 and the config. It names its task once, in the ``TaskRecords`` that numbers
 its qids and draws its named RNG streams: iteration follows a sorted object
 order, randomness comes only from those streams, and the emitted record
@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import DegenerateDirection
 from .geometry import planar_signed_angle, vector_norm
-from .graph import SceneContext
+from .graph import SceneGraph
 from .qa_records import ANSWER_MCA, ANSWER_NA, GenConfig, TaskRecords, round_tenth, round_unit
 
 
-def gen_object_count(ctx: SceneContext, cfg: GenConfig):
+def gen_object_count(ctx: SceneGraph, cfg: GenConfig):
     """One numeric question per category with at least two instances."""
-    counts = ctx.graph.scene.category_counts
+    counts = ctx.scene.category_counts
     out = TaskRecords(ctx.scene_id, "obj_count", cfg)
     for cat in sorted(c for c, n in counts.items() if n >= 2):
         out.add(
@@ -33,7 +33,7 @@ def gen_object_count(ctx: SceneContext, cfg: GenConfig):
     return out.records
 
 
-def gen_absolute_distance(ctx: SceneContext, cfg: GenConfig):
+def gen_absolute_distance(ctx: SceneGraph, cfg: GenConfig):
     """Closest-point distance between two category-unique objects, in meters."""
     out = TaskRecords(ctx.scene_id, "abs_dist", cfg)
     for a, b in out.select(combinations(ctx.unique_objects, 2)):
@@ -50,7 +50,7 @@ def gen_absolute_distance(ctx: SceneContext, cfg: GenConfig):
     return out.records
 
 
-def gen_relative_distance(ctx: SceneContext, cfg: GenConfig):
+def gen_relative_distance(ctx: SceneGraph, cfg: GenConfig):
     """Which of four candidates is closest to a target object (MCA).
 
     Emitted only when the winner beats the runner-up by the ambiguity
@@ -94,7 +94,7 @@ def _direction_bucket(theta: float, cfg: GenConfig):
     return None  # front cone / boundary: discard
 
 
-def gen_relative_direction(ctx: SceneContext, cfg: GenConfig):
+def gen_relative_direction(ctx: SceneGraph, cfg: GenConfig):
     """Left/right/back of a query object from an observer standing at A facing B."""
     out = TaskRecords(ctx.scene_id, "rel_dir", cfg)
     for a, b, c in out.select(permutations(ctx.unique_objects, 3)):
@@ -120,7 +120,7 @@ def gen_relative_direction(ctx: SceneContext, cfg: GenConfig):
     return out.records
 
 
-def gen_object_size(ctx: SceneContext, cfg: GenConfig):
+def gen_object_size(ctx: SceneGraph, cfg: GenConfig):
     """Longest box dimension of each category-unique object, in centimeters.
 
     Objects whose size rounds to 0 cm are skipped: a zero truth cannot be
@@ -230,7 +230,7 @@ def convex_hull_area_xy(points: np.ndarray) -> float:
     return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
 
 
-def gen_room_size(ctx: SceneContext, cfg: GenConfig):
+def gen_room_size(ctx: SceneGraph, cfg: GenConfig):
     """Room floor area in square meters.
 
     Uses the convex hull of the floor-projected cloud when the scene has one
@@ -241,7 +241,7 @@ def gen_room_size(ctx: SceneContext, cfg: GenConfig):
         area = convex_hull_area_xy(ctx.cloud.positions)
         method = "convex_hull"
     else:
-        lo, hi = ctx.graph.scene.scene_extents
+        lo, hi = ctx.scene.scene_extents
         area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
         method = "extents"
     truth = round_tenth(area)
@@ -256,14 +256,14 @@ def gen_room_size(ctx: SceneContext, cfg: GenConfig):
     return out.records
 
 
-def gen_appearance_order(ctx: SceneContext, cfg: GenConfig):
+def gen_appearance_order(ctx: SceneGraph, cfg: GenConfig):
     """First-appearance order of four categories (MCA over orderings).
 
     Only category quadruples whose first-seen frames are pairwise separated
     by at least ``appearance_gap_frames`` are used, so the right order stays
     unambiguous under small annotation shifts.
     """
-    seen = sorted(ctx.graph.category_first_seen.items(), key=lambda kv: (kv[1], kv[0]))
+    seen = sorted(ctx.category_first_seen.items(), key=lambda kv: (kv[1], kv[0]))
     if len(seen) < 4:
         return []
     quads = [q for q in combinations(seen, 4)

@@ -16,20 +16,20 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import closest_point_on_box, vector_norm
-from .graph import SceneContext
+from .graph import SceneGraph, object_in_camera
 from .qa_records import ANSWER_MCA, ANSWER_NA, GenConfig, TaskRecords, round_tenth
 
 
-def gen_cam_obj_abs_dist(ctx: SceneContext, cfg: GenConfig):
+def gen_cam_obj_abs_dist(ctx: SceneGraph, cfg: GenConfig):
     """Distance from the camera to the closest box point of a visible object."""
-    g, seq = ctx.graph, ctx.frame_seq
+    seq = ctx.frame_seq
     n = len(seq)
     out = TaskRecords(ctx.scene_id, "cam_obj_abs_dist", cfg)
     cases = [(pos, fid, obj)
              for pos, fid in enumerate(seq)
              for obj in ctx.unique_visible(fid)]
     for pos, fid, obj in out.select(cases):
-        _, dist = closest_point_on_box(g.frame(fid).position, obj.box)
+        _, dist = closest_point_on_box(ctx.frame(fid).position, obj.box)
         if dist < cfg.min_pair_dist_m:  # camera inside or touching: degenerate
             continue
         out.add(
@@ -43,9 +43,9 @@ def gen_cam_obj_abs_dist(ctx: SceneContext, cfg: GenConfig):
     return out.records
 
 
-def gen_cam_obj_rel_dist(ctx: SceneContext, cfg: GenConfig):
+def gen_cam_obj_rel_dist(ctx: SceneGraph, cfg: GenConfig):
     """Which of four visible candidates is closest to the camera (MCA)."""
-    g, seq = ctx.graph, ctx.frame_seq
+    seq = ctx.frame_seq
     n = len(seq)
     out = TaskRecords(ctx.scene_id, "cam_obj_rel_dist", cfg)
     for pos, fid in enumerate(seq):
@@ -57,7 +57,7 @@ def gen_cam_obj_rel_dist(ctx: SceneContext, cfg: GenConfig):
         rng = out.rng(pos)
         picks = rng.choice(len(visible), size=4, replace=False).tolist()
         candidates = [visible[i] for i in picks]
-        cam = g.frame(fid).position
+        cam = ctx.frame(fid).position
         dists = [closest_point_on_box(cam, c.box)[1] for c in candidates]
         order = np.argsort(dists, kind="stable")
         if dists[order[1]] - dists[order[0]] < cfg.ambiguity_margin_m:
@@ -84,7 +84,7 @@ _AXIS_RULES = (
 )
 
 
-def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
+def gen_obj_obj_rel_pos(ctx: SceneGraph, cfg: GenConfig):
     """Axis-separated relative position of two objects from the camera.
 
     A question is emitted only when one object's corner interval on the
@@ -101,8 +101,8 @@ def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
     out = TaskRecords(ctx.scene_id, "obj_obj_rel_pos", cfg)
     for pos, fid, a, b, axis_idx in out.select(cases):
         axis, low_label, high_label, fragment = _AXIS_RULES[axis_idx]
-        ca = ctx.corners_in_camera(fid, a.instance_id)[:, axis]
-        cb = ctx.corners_in_camera(fid, b.instance_id)[:, axis]
+        ca = object_in_camera(ctx, fid, a.instance_id)[:, axis]
+        cb = object_in_camera(ctx, fid, b.instance_id)[:, axis]
         if ca.max() + cfg.interval_gap_m <= cb.min():
             truth = low_label
         elif cb.max() + cfg.interval_gap_m <= ca.min():
@@ -122,13 +122,13 @@ def gen_obj_obj_rel_pos(ctx: SceneContext, cfg: GenConfig):
     return out.records
 
 
-def gen_cam_displacement(ctx: SceneContext, cfg: GenConfig):
+def gen_cam_displacement(ctx: SceneGraph, cfg: GenConfig):
     """Straight-line camera travel between two sampled frames, in meters."""
-    g, seq = ctx.graph, ctx.frame_seq
+    seq = ctx.frame_seq
     n = len(seq)
     out = TaskRecords(ctx.scene_id, "cam_displacement", cfg)
     for i, j in out.select(combinations(range(n), 2)):
-        dist = vector_norm(g.frame(seq[j]).position - g.frame(seq[i]).position)
+        dist = vector_norm(ctx.frame(seq[j]).position - ctx.frame(seq[i]).position)
         if dist < cfg.min_displacement_m:
             continue
         out.add(
@@ -165,14 +165,14 @@ def classify_camera_motion(rotation_start: np.ndarray, displacement: np.ndarray,
     return None
 
 
-def gen_cam_move_dir(ctx: SceneContext, cfg: GenConfig):
+def gen_cam_move_dir(ctx: SceneGraph, cfg: GenConfig):
     """Primary direction of camera translation over a frame span (MCA)."""
-    g, seq = ctx.graph, ctx.frame_seq
+    seq = ctx.frame_seq
     n = len(seq)
     out = TaskRecords(ctx.scene_id, "cam_move_dir", cfg)
     for i, j in out.select(combinations(range(n), 2)):
-        start = g.frame(seq[i])
-        net = g.frame(seq[j]).position - start.position
+        start = ctx.frame(seq[i])
+        net = ctx.frame(seq[j]).position - start.position
         if vector_norm(net) < cfg.min_displacement_m:
             continue
         direction = classify_camera_motion(start.rotation, net, cfg.dominance_ratio)

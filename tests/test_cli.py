@@ -514,6 +514,27 @@ def test_gen_missing_inputs_is_input_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("missing", ["scene_metadata.json", "frame_metadata.json"])
+def test_gen_half_written_scene_dir_is_input_error(tmp_path, capsys, missing):
+    root = _small_corpus(tmp_path / "scenes", n=2)
+    (root / "m01" / missing).unlink()
+    out = tmp_path / "r.jsonl"
+    assert main(["gen", "--input-root", str(root), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {root / 'm01' / missing}: missing"), err
+    assert not out.exists()
+
+
+def test_gen_skips_a_subdirectory_without_metadata(tmp_path, capsys):
+    root = _small_corpus(tmp_path / "scenes", n=1)
+    (root / "notes").mkdir()
+    (root / "notes" / "readme.txt").write_text("not a scene\n")
+    assert [Path(s.scene_path).parent.name for s in discover_scenes(root)] == ["m00"]
+    assert main(["gen", "--input-root", str(root), "--out", str(tmp_path / "r.jsonl")]) == 0
+    header, records = read_records_jsonl(tmp_path / "r.jsonl")
+    assert records and {r.scene_id for r in records} == {"m00"}
+
+
 def test_gen_single_scene_flags(scene_dir, tmp_path):
     out_single = tmp_path / "single.jsonl"
     out_root = tmp_path / "root.jsonl"
@@ -860,6 +881,22 @@ def test_ingest_stdout_counts_instances_and_dropped(tmp_path, capsys):
     assert [o.instance_id for o in meta.objects] == [3, 9]
 
 
+def test_ingest_min_points_drops_a_smaller_instance(tmp_path, capsys):
+    cloud = make_cluster_cloud(11, [(3, 4, [0, 0, 0.5], [1, 1, 1], 120),
+                                    (9, 7, [4, 0, 0.5], [1, 1, 1], 80)])
+    ply = tmp_path / "scan.ply"
+    write_ply(ply, cloud, binary=True)
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"4": "chair", "7": "table"}))
+    argv = ["ingest", "--ply", str(ply), "--label-map", str(labels), "--scene-id", "scan0",
+            "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 0  # both clear the default of 50 points
+    assert capsys.readouterr().out == "scene scan0: 2 instance(s), 0 dropped (< 50 points)\n"
+    assert main([*argv, "--min-points", "100"]) == 0
+    assert capsys.readouterr().out == "scene scan0: 1 instance(s), 1 dropped (< 100 points)\n"
+    assert [o.instance_id for o in load_scene_metadata(tmp_path / "o.json").objects] == [3]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("coord", [1e160, 1e300])
 def test_gen_overflowing_truth_names_the_scene_file(tmp_path, workers, coord):
@@ -973,6 +1010,28 @@ def test_eval_perfect_predictions(scene_dir, tmp_path, capsys):
     assert report["overall"] == 1.0
     assert all(v["score"] == 1.0 for v in report["per_task"].values())
     assert "overall" in capsys.readouterr().out
+
+
+def test_eval_weight_by_question_averages_over_questions(scene_dir, tmp_path):
+    records = tmp_path / "records.jsonl"
+    assert main(["gen", "--input-root", str(scene_dir.parent), "--out", str(records),
+                 "--seed", "5", "--tasks", "obj_size,rel_dir"]) == 0
+    _, recs = read_records_jsonl(records)
+    # right on obj_size, wrong on rel_dir, so the two weightings differ
+    answers = {r.qid: r.ground_truth if r.task == "obj_size" else
+               next(o for o in r.options if o != r.ground_truth) for r in recs}
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [{"qid": q, "raw_text": a} for q, a in answers.items()])
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--records", str(records), "--predictions", str(preds),
+                 "--out", str(report_path), "--weight-by-question"]) == 0
+    report = json.loads(report_path.read_text())
+    scores = [j["score"] for j in report["per_question"]]
+    assert len(scores) == len(recs) and set(scores) == {0.0, 1.0}
+    assert report["overall_weighting"] == "per_question"
+    assert report["overall"] == sum(scores) / len(scores)
+    per_task = report["per_task"]
+    assert report["overall"] != sum(v["score"] for v in per_task.values()) / len(per_task)
 
 
 def test_eval_report_is_strict_json(scene_dir, tmp_path):
@@ -1191,6 +1250,23 @@ def test_records_header_without_a_count_or_matching_it_is_read(tmp_path, capsys,
     write_jsonl(records, [{"_header": header}, GOOD_RECORD])
     assert main(["stats", "--records", str(records)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "1"]
+
+
+@pytest.mark.parametrize("command", ["stats", "eval"])
+@pytest.mark.parametrize("count", [True, 1.0, None, "1", -1],
+                         ids=["true", "float", "null", "string", "negative"])
+def test_records_header_count_must_be_a_non_negative_int(tmp_path, capsys, command, count):
+    records = tmp_path / "r.jsonl"
+    write_jsonl(records, [{"_header": {"record_count": count}}, GOOD_RECORD])
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [])
+    argv = {"stats": ["stats", "--records", str(records)],
+            "eval": ["eval", "--records", str(records), "--predictions", str(preds)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {records}:1: the header's record_count is {count!r}, "
+                            f"not a non-negative integer\n")
+    assert captured.out == ""
 
 
 def test_stats_empty_file(tmp_path, capsys):

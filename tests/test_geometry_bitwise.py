@@ -1,7 +1,7 @@
 """The geometry path bit for bit against its former implementation.
 
 Boxes derive their rotation matrix and half extents once, the hot loops skip
-re-validation, norms are sqrt(v . v) and SceneContext memoizes pair
+re-validation, norms are sqrt(v . v) and the scene graph memoizes pair
 distances and camera-space corners. None of that may change a float bit:
 every result here is compared by ``float.hex`` with the ``reference_*``
 functions in ``oracles.py``.
@@ -152,41 +152,40 @@ def test_world_to_camera_bits_on_seeded_poses():
             assert hexes(world_to_camera(p, rot, t)) == hexes(reference_world_to_camera(p, rot, t))
 
 
-# --- object_in_camera and the SceneContext memos -------------------------------------
+# --- object_in_camera and the graph's memos ------------------------------------------
 
 @pytest.fixture(scope="module")
-def synth_context():
+def synth_graph():
     scene, frames = make_scene(seed=606, scene_id="bits00")
     return scene_context(build_graph(scene, frames), 32)
 
 
-def assert_corner_bits(ctx, monkeypatch):
-    g = ctx.graph
+def assert_corner_bits(g, monkeypatch):
     assert any(o.box.rotation[3] != 0.0 for o in g.scene.objects)  # some boxes are yawed
     cases = [(fid, iid) for fid in g.frame_ids() for iid in sorted(g.visible_in(fid))]
     assert cases
     want = {case: hexes(reference_object_in_camera(g, *case)) for case in cases}
-    for case in cases:
-        assert hexes(object_in_camera(g, *case)) == want[case]
 
     products = []
-    to_camera = graph._to_camera
+    to_camera = graph.world_to_camera
 
-    def counted(points, frame):
-        products.append(frame.frame_id)
-        return to_camera(points, frame)
+    def counted(points, rotation, position):
+        products.append(points.shape)
+        return to_camera(points, rotation, position)
 
     with monkeypatch.context() as patch:
-        patch.setattr(graph, "_to_camera", counted)
+        patch.setattr(graph, "world_to_camera", counted)
         for fid, iid in cases:
-            assert hexes(ctx.corners_in_camera(fid, iid)) == want[fid, iid]
-            memo = ctx._camera_corners[fid]
+            assert hexes(object_in_camera(g, fid, iid)) == want[fid, iid]
+            memo = g._camera_corners[fid]
             assert memo.shape == (len(g.scene.objects), 8, 3)
             assert not memo.flags.writeable
             with pytest.raises(ValueError):
-                ctx.corners_in_camera(fid, iid)[0, 0] = 0.0
-    # one product per frame, not one per (frame, object) pair
-    assert products == sorted({fid for fid, _ in cases})
+                object_in_camera(g, fid, iid)[0, 0] = 0.0
+    # one product per frame, over all K objects, not one per (frame, object) pair
+    frames = sorted({fid for fid, _ in cases})
+    assert products == [(len(g.scene.objects), 8, 3)] * len(frames)
+    assert sorted(g._camera_corners) == frames
 
 
 def test_object_in_camera_bits(monkeypatch):
@@ -195,12 +194,12 @@ def test_object_in_camera_bits(monkeypatch):
         assert_corner_bits(scene_context(build_graph(scene, frames), 32), monkeypatch)
 
 
-def test_context_box_distance_is_order_free_and_exact(synth_context):
-    objects = synth_context.graph.scene.objects
+def test_context_box_distance_is_order_free_and_exact(synth_graph):
+    objects = synth_graph.scene.objects
     for a, b in combinations(objects, 2):
         want = reference_box_box_distance(a.box, b.box).hex()
-        assert synth_context.box_distance(a, b).hex() == want
-        assert synth_context.box_distance(b, a).hex() == want
+        assert synth_graph.box_distance(a, b).hex() == want
+        assert synth_graph.box_distance(b, a).hex() == want
         assert box_box_distance(a.box, b.box).hex() == want
 
 

@@ -106,7 +106,7 @@ def test_absolute_distance_rotated_matches_oracle():
     ctx = hand_context([obj(1, "chair", [0, 0, 0.5], (1.5, 1.0, 1.0), yaw=math.radians(30)),
                     obj(2, "table", [3, 0.5, 0.5], (1.0, 1.2, 0.8))])
     [rec] = gen_absolute_distance(ctx, CFG)
-    a, b = ctx.graph.object(1).box, ctx.graph.object(2).box
+    a, b = ctx.object(1).box, ctx.object(2).box
     want = oracle_box_box_distance(a, b)
     assert abs(box_box_distance(a, b) - want) < 0.05  # before rounding
     assert abs(float(rec.ground_truth) - want) < 0.05 + 0.05
@@ -133,20 +133,20 @@ def test_relative_distance_picks_nearest_with_margin():
     assert records, "expected at least one record"
     for rec in records:
         validate_record(rec)
-        target = ctx.graph.object(rec.meta["target"]).box
-        cands = [ctx.graph.object(i) for i in rec.meta["candidates"]]
+        target = ctx.object(rec.meta["target"]).box
+        cands = [ctx.object(i) for i in rec.meta["candidates"]]
         dists = [box_box_distance(target, c.box) for c in cands]
         order = np.argsort(dists)
         assert dists[order[1]] - dists[order[0]] >= CFG.ambiguity_margin_m
         assert rec.ground_truth == cands[order[0]].category
-    by_target = {ctx.graph.object(r.meta["target"]).category: r for r in records}
+    by_target = {ctx.object(r.meta["target"]).category: r for r in records}
     assert by_target["table"].ground_truth == "bed"
 
 
 def test_relative_distance_margin_discard():
     ctx = line_scene([1.0, 1.05, 2.0, 3.0])
     records = gen_relative_distance(ctx, CFG)
-    assert "table" not in {ctx.graph.object(r.meta["target"]).category for r in records}
+    assert "table" not in {ctx.object(r.meta["target"]).category for r in records}
 
 
 def test_relative_distance_needs_five_objects():
@@ -198,7 +198,7 @@ def test_object_size_longest_dimension():
                     obj(2, "crate", [3, 0, 0.3], (1.0, 1.0, 1.0)),
                     obj(3, "chair", [5, 0, 0.3]), obj(4, "chair", [5, 2, 0.3])])
     records = gen_object_size(ctx, CFG)
-    by_cat = {ctx.graph.object(r.meta["instance"]).category: r for r in records}
+    by_cat = {ctx.object(r.meta["instance"]).category: r for r in records}
     assert by_cat["sofa"].ground_truth == "200"
     assert by_cat["crate"].ground_truth == "100"
     assert "chair" not in by_cat  # non-unique category skipped

@@ -83,7 +83,7 @@ def test_cam_obj_abs_dist_rotated_matches_oracle():
                   yaw=math.radians(35))
     ctx = temporal_context([box_obj], identity_poses())
     [rec] = gen_cam_obj_abs_dist(ctx, CFG)[:1]
-    box = ctx.graph.object(1).box
+    box = ctx.object(1).box
     want = oracle_point_box_distance(np.zeros(3), box)
     _, got = closest_point_on_box(np.zeros(3), box)
     assert abs(got - want) < 0.05
