@@ -74,13 +74,25 @@ def _read_json(path):
 
 # --- record file helpers ------------------------------------------------------
 
-# The bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")),
-# without building an encoder per call.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")).
+# JSONEncoder.encode builds a C encoder per call; _dump_line reuses one
+# built with the same settings, or takes encode's path without one.
+_settings = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_markers = {}  # the circular-reference marks, empty between calls
+_c_encode = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    _markers, _settings.default, json.encoder.encode_basestring_ascii, _settings.indent,
+    _settings.key_separator, _settings.item_separator, _settings.sort_keys,
+    _settings.skipkeys, _settings.allow_nan)
 
 
 def _dump_line(doc: dict) -> str:
-    return _encode(doc) + "\n"
+    if _c_encode is None:
+        return _settings.encode(doc) + "\n"
+    try:
+        return "".join(_c_encode(doc, 0)) + "\n"
+    except BaseException:
+        _markers.clear()  # a failed call leaves its open containers marked
+        raise
 
 
 def write_records_jsonl(path, spools, header: dict):

@@ -41,13 +41,15 @@ MAX_PROJECTION_ITERS = 200
 MAX_COORD = 1e150
 
 
-def _as_vec3(v, name="vector"):
-    a = np.asarray(v, dtype=float)
+def _vec3(v, name="vector") -> tuple:
+    """A float copy of a finite 3-vector, and its components as a list."""
+    a = np.array(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {a.shape}")
-    if not np.isfinite(a).all():
+    values = a.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} has non-finite components")
-    return a
+    return a, values
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -106,16 +108,19 @@ class OrientedBox3:
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = _as_vec3(self.center, "center").copy()
-        s = _as_vec3(self.size, "size").copy()
+        # the checks compare plain floats: the same tests as elementwise on
+        # the arrays, without a ufunc call each
+        c, cl = _vec3(self.center, "center")
+        s, sl = _vec3(self.size, "size")
         q = np.array(self.rotation, dtype=float)
-        if (s <= 0).any():
+        if min(sl) <= 0:
             raise ValueError("size components must be strictly positive")
-        if (np.abs(c) > MAX_COORD).any() or (s > MAX_COORD).any():
+        if max(map(abs, cl)) > MAX_COORD or max(sl) > MAX_COORD:
             raise ValueError(f"center and size components must be at most {MAX_COORD:g} m")
         if q.shape != (4,):
             raise ValueError(f"rotation quaternion must have shape (4,), got {q.shape}")
-        if not np.isfinite(q).all():
+        ql = q.tolist()
+        if not all(map(math.isfinite, ql)):
             raise ValueError("rotation quaternion has non-finite components")
         if abs(vector_norm(q) - 1.0) > ORTHO_TOL:
             raise ValueError("rotation quaternion is not unit norm")
@@ -125,7 +130,7 @@ class OrientedBox3:
         object.__setattr__(self, "matrix", _read_only(quat_to_matrix(q)))
         object.__setattr__(self, "half", _read_only(s / 2.0))
         # canonical argument order of box_box_distance
-        object.__setattr__(self, "_key", tuple(c.tolist() + s.tolist() + q.tolist()))
+        object.__setattr__(self, "_key", tuple(cl + sl + ql))
 
     def corners(self) -> np.ndarray:
         """The 8 corners in world coordinates, shape (8, 3), fixed order."""
@@ -133,11 +138,15 @@ class OrientedBox3:
         return local @ self.matrix.T + self.center
 
 
-def _closest_point(p: np.ndarray, box: OrientedBox3) -> np.ndarray:
-    """Closest point of the solid box to a (3,) point."""
-    rot, half = box.matrix, box.half
+def _closest_point(p: np.ndarray, box: OrientedBox3, neg_half: np.ndarray) -> np.ndarray:
+    """Closest point of the solid box to a (3,) point; ``neg_half`` is ``-box.half``.
+
+    The clamp has np.clip's bits without its Python wrappers: no operand is
+    NaN and no half extent is zero, so no tie between signed zeros arises.
+    """
+    rot = box.matrix
     local = rot.T @ (p - box.center)
-    return rot @ np.clip(local, -half, half) + box.center
+    return rot @ np.minimum(np.maximum(local, neg_half), box.half) + box.center
 
 
 def closest_point_on_box(p: np.ndarray, box: OrientedBox3):
@@ -145,7 +154,7 @@ def closest_point_on_box(p: np.ndarray, box: OrientedBox3):
 
     Returns (point, distance). Distance is exactly 0 when p lies inside.
     """
-    point = _closest_point(p, box)
+    point = _closest_point(p, box, -box.half)
     return point, vector_norm(p - point)
 
 
@@ -159,14 +168,15 @@ def box_box_distance(a: OrientedBox3, b: OrientedBox3) -> float:
     """
     if b._key < a._key:
         a, b = b, a
-    p = _closest_point(b.center, a)
+    neg_a, neg_b = -a.half, -b.half
+    p = _closest_point(b.center, a, neg_a)
     for _ in range(MAX_PROJECTION_ITERS):
-        p_next = _closest_point(_closest_point(p, b), a)
+        p_next = _closest_point(_closest_point(p, b, neg_b), a, neg_a)
         if vector_norm(p_next - p) < STEP_TOL:
             p = p_next
             break
         p = p_next
-    return vector_norm(p - _closest_point(p, b))
+    return vector_norm(p - _closest_point(p, b, neg_b))
 
 
 def planar_signed_angle(from_dir: np.ndarray, to_dir: np.ndarray) -> float:
@@ -181,7 +191,8 @@ def planar_signed_angle(from_dir: np.ndarray, to_dir: np.ndarray) -> float:
         raise DegenerateDirection("from_dir has no floor-plane component")
     if vector_norm(v) < 1e-9:
         raise DegenerateDirection("to_dir has no floor-plane component")
-    ang = math.degrees(math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]))
+    (ux, uy), (vx, vy) = u.tolist(), v.tolist()  # plain floats: same bits, less overhead
+    ang = math.degrees(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
     if ang >= 180.0:
         ang -= 360.0
     return ang

@@ -93,16 +93,17 @@ def build_graph(scene: SceneMetadata, frames: FrameMetadata,
     the scene metadata does not declare.
     """
     objects_by_id = {o.instance_id: o for o in scene.objects}
+    b = frames.bboxes  # every detection's area at once, by the same elementwise products
+    large = iter(((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) >= min_bbox_area_px).tolist())
 
     visibility = {}
     first_seen = {}
     for fr in frames.frames:
         kept = set()
-        for instance_id, bbox in fr.visible_objects:
+        for (instance_id, _), keep in zip(fr.visible_objects, large):  # one flag per detection
             if instance_id not in objects_by_id:
                 raise DanglingInstanceRef(fr.frame_id, instance_id)
-            area = (bbox[2] - bbox[0]) * (bbox[3] - bbox[1])
-            if area >= min_bbox_area_px:
+            if keep:
                 kept.add(instance_id)
                 if instance_id not in first_seen:
                     first_seen[instance_id] = fr.frame_id

@@ -7,6 +7,16 @@ cfg)``: the qid counter is a record's position in its task's list, and
 every random draw comes from the stream named ``(seed, scene_id, task,
 *parts)``. A ``QaRecord`` checks its own invariants when it is made, so no
 record, generated or read back, skips ``validate_record``.
+
+The stream ``TaskRecords.rng(*parts)`` is derived in four steps, so that
+another implementation can reproduce every draw:
+
+1. name = ``":".join([str(seed), scene_id, task, *map(str, parts)])``,
+   e.g. ``"1:scene0003:rel_dir:select"``;
+2. digest = SHA-256 of the name's UTF-8 bytes (32 bytes);
+3. words = the digest read as eight little-endian uint32 words;
+4. ``numpy.random.Generator(PCG64(SeedSequence(words)))``; passing the
+   words as a list of eight Python ints gives the same state.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ class QaRecord:
 
 def validate_record(rec: QaRecord):
     """Enforce the record invariants; raises ValueError on violation."""
-    if rec.task not in TASKS:
+    if not isinstance(rec.task, str) or rec.task not in TASK_ORDER:
         raise ValueError(f"unknown task {rec.task!r}")
     if rec.answer_type == ANSWER_MCA:
         if not rec.options:
@@ -226,14 +236,16 @@ class TaskRecords:
         The stream identity is the SHA-256 of the seed, scene_id, task and
         all name parts, so every such combination gets its own generator and
         the draw sequence never depends on scheduling or on questions
-        discarded elsewhere.
+        discarded elsewhere. The module docstring spells out the derivation.
         """
         import hashlib  # here, not at module level: loading OpenSSL costs every command memory
 
         name = ":".join([str(self.cfg.seed), self.scene_id, self.task, *map(str, parts)])
-        digest = hashlib.sha256(name.encode("utf-8")).digest()
-        words = np.frombuffer(digest, dtype=np.uint32)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words.tolist())))
+        # SeedSequence takes the uint32 words as they are; a list of the same
+        # words (one word per int, zeros included) gives the same state, only
+        # slower, since it is turned back into this array
+        words = np.frombuffer(hashlib.sha256(name.encode("utf-8")).digest(), dtype="<u4")
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
     def select(self, cases) -> list:
         """At most ``max_per_task`` of ``cases``, in order, drawn from the

@@ -14,6 +14,7 @@ describes, so a mirrored or reversed route can never carry a stale label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -51,15 +52,19 @@ class Trajectory:
     waypoints: np.ndarray  # (m, 3)
 
     def __post_init__(self):
-        w = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
+        w = np.asarray(self.waypoints, dtype=float)
+        if w.ndim < 2:  # as np.atleast_2d
+            w = w.reshape(1, -1)
         if w.shape[1] == 2:
             w = np.column_stack([w, np.zeros(len(w))])
         if w.shape[1] != 3:
             raise ValueError(f"waypoints must be (m, 3), got {w.shape}")
-        if not np.all(np.abs(w) <= MAX_COORD):  # or NaN; bounded, so no step overflows
+        if not (np.abs(w) <= MAX_COORD).all():  # or NaN; bounded, so no step overflows
             raise ValueError(f"waypoints must be finite and within {MAX_COORD:g} m")
-        steps = np.linalg.norm(np.diff(w, axis=0), axis=1)
-        if np.any(steps <= 1e-6):
+        # np.linalg.norm(np.diff(w, axis=0), axis=1), the same operations
+        # without the wrappers
+        d = w[1:] - w[:-1]
+        if (np.sqrt(np.add.reduce(d * d, axis=1)) <= 1e-6).any():
             raise ValueError("consecutive waypoints must be more than 1e-6 m apart")
         object.__setattr__(self, "waypoints", w)
 
@@ -238,7 +243,7 @@ def _trajectory_from_dict(doc) -> tuple:
     if not isinstance(scene_id, str) or not scene_id:
         raise ValueError(f"scene_id must be a nonempty string, got {scene_id!r}")
     if not (isinstance(waypoints, list) and all(isinstance(w, list) for w in waypoints)
-            and all(type(v) in (int, float) for w in waypoints for v in w)):
+            and {int, float}.issuperset(map(type, chain.from_iterable(waypoints)))):
         raise ValueError("waypoints must be a list of [x, y] or [x, y, z] lists of numbers")
     return scene_id, Trajectory(np.asarray(waypoints, dtype=float))
 

@@ -11,9 +11,11 @@ for bit against them.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from scipy.spatial.transform import Rotation
 
 from sceneqa.cli import task_generators
 from sceneqa.errors import (
+    DegenerateDirection,
     EmptyAfterFiltering,
     MalformedHeader,
     NoNearbyObject,
@@ -29,7 +32,7 @@ from sceneqa.errors import (
     TruncatedBody,
     UnsupportedEncoding,
 )
-from sceneqa.geometry import ORTHO_TOL, OrientedBox3, quat_from_yaw, vector_norm
+from sceneqa.geometry import MAX_COORD, ORTHO_TOL, OrientedBox3, quat_from_yaw, vector_norm
 from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import (
     DEFAULT_MIN_POINTS,
@@ -342,6 +345,64 @@ def reference_box_box_distance(a, b) -> float:
     return dist
 
 
+def reference_box_error(center, size, rotation) -> str | None:
+    """The message of the first OrientedBox3 check the former constructor
+    failed, in its order, or None when it accepted the box."""
+    try:
+        c = _reference_as_vec3(center, "center").copy()
+        s = _reference_as_vec3(size, "size").copy()
+        q = np.array(rotation, dtype=float)
+        if (s <= 0).any():
+            raise ValueError("size components must be strictly positive")
+        if (np.abs(c) > MAX_COORD).any() or (s > MAX_COORD).any():
+            raise ValueError(f"center and size components must be at most {MAX_COORD:g} m")
+        if q.shape != (4,):
+            raise ValueError(f"rotation quaternion must have shape (4,), got {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError("rotation quaternion has non-finite components")
+        if abs(vector_norm(q) - 1.0) > ORTHO_TOL:
+            raise ValueError("rotation quaternion is not unit norm")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def reference_box_key(box) -> tuple:
+    """The former OrientedBox3 sort key, from the arrays' own tolist."""
+    return tuple(box.center.tolist() + box.size.tolist() + box.rotation.tolist())
+
+
+def reference_planar_signed_angle(from_dir, to_dir) -> float:
+    """The former planar_signed_angle: numpy scalar arithmetic on the first
+    two components."""
+    u = from_dir[:2]
+    v = to_dir[:2]
+    if np.linalg.norm(u) < 1e-9:
+        raise DegenerateDirection("from_dir has no floor-plane component")
+    if np.linalg.norm(v) < 1e-9:
+        raise DegenerateDirection("to_dir has no floor-plane component")
+    ang = math.degrees(math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]))
+    if ang >= 180.0:
+        ang -= 360.0
+    return ang
+
+
+def reference_trajectory_waypoints(waypoints):
+    """The former Trajectory checks: the (m, 3) waypoints it kept, or the
+    message it raised."""
+    w = np.atleast_2d(np.asarray(waypoints, dtype=float))
+    if w.shape[1] == 2:
+        w = np.column_stack([w, np.zeros(len(w))])
+    if w.shape[1] != 3:
+        return f"waypoints must be (m, 3), got {w.shape}"
+    if not np.all(np.abs(w) <= MAX_COORD):
+        return f"waypoints must be finite and within {MAX_COORD:g} m"
+    steps = np.linalg.norm(np.diff(w, axis=0), axis=1)
+    if np.any(steps <= 1e-6):
+        return "consecutive waypoints must be more than 1e-6 m apart"
+    return w
+
+
 def reference_projection_iters(a, b) -> int:
     """Iterations reference_box_box_distance runs on a pair; equal to
     REFERENCE_MAX_PROJECTION_ITERS when it stops at the cap."""
@@ -607,6 +668,29 @@ def reference_parse_ply(path) -> LabeledPointCloud:
                                  _reference_int_column(table, _INSTANCE_NAMES))
     except ValueError as exc:
         raise MalformedHeader(f"vertex element: {exc}") from None
+
+
+def reference_rng(seed, scene_id: str, task: str, *parts) -> np.random.Generator:
+    """The former TaskRecords.rng: the digest's words reach SeedSequence as a
+    list of Python ints."""
+    name = ":".join([str(seed), scene_id, task, *map(str, parts)])
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    words = np.frombuffer(digest, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words.tolist())))
+
+
+def reference_visibility(scene, frames, min_area) -> tuple:
+    """The former build_graph filter, one detection at a time with numpy
+    scalars: (visibility, first_seen)."""
+    visibility, first_seen = {}, {}
+    for fr in frames.frames:
+        kept = set()
+        for instance_id, bbox in fr.visible_objects:
+            if (bbox[2] - bbox[0]) * (bbox[3] - bbox[1]) >= min_area:
+                kept.add(instance_id)
+                first_seen.setdefault(instance_id, fr.frame_id)
+        visibility[fr.frame_id] = frozenset(kept)
+    return visibility, first_seen
 
 
 def _reference_dump_line(doc: dict) -> str:

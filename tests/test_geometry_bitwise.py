@@ -18,9 +18,14 @@ from hypothesis import strategies as st
 from oracles import (
     REFERENCE_MAX_PROJECTION_ITERS,
     reference_box_box_distance,
+    reference_box_error,
+    reference_box_key,
     reference_closest_point_on_box,
     reference_object_in_camera,
+    reference_planar_signed_angle,
     reference_projection_iters,
+    reference_quat_to_matrix,
+    reference_trajectory_waypoints,
     reference_world_to_camera,
 )
 from synth import make_scene
@@ -29,11 +34,14 @@ from sceneqa.geometry import (
     OrientedBox3,
     box_box_distance,
     closest_point_on_box,
+    planar_signed_angle,
     quat_from_yaw,
     quat_to_matrix,
     world_to_camera,
 )
+from sceneqa.errors import DegenerateDirection
 from sceneqa.graph import build_graph, object_in_camera, scene_context
+from sceneqa.route_plan import Trajectory
 
 IDENTITY = [1.0, 0.0, 0.0, 0.0]
 
@@ -215,3 +223,110 @@ def test_box_arrays_are_read_only_copies():
     assert box.center[0] == 1.0
     assert hexes(box.matrix) == hexes(quat_to_matrix(box.rotation))
     assert hexes(box.half) == hexes(box.size / 2.0)
+
+
+# --- the box and trajectory constructors' checks ----------------------------------------
+
+_EDGE = st.sampled_from([0.0, -0.0, 1e-300, -1e-6, 1e150, -1e150, 1.0000001e150, 2e150,
+                         math.nan, math.inf, -math.inf])
+_BAD = st.lists(st.floats(-3, 3) | _EDGE, min_size=2, max_size=5)
+_UNIT = st.tuples(*[st.floats(-1, 1)] * 4).filter(
+    lambda q: math.sqrt(sum(c * c for c in q)) > 0.1).map(
+    lambda q: (np.array(q) / np.linalg.norm(q)).tolist())
+_RARELY = st.sampled_from([False] * 5 + [True])
+
+
+@st.composite
+def box_args(draw):
+    """(center, size, rotation), each valid five times in six, so that every
+    check, the later ones too, is reached."""
+    center = draw(_BAD if draw(_RARELY) else st.lists(
+        st.floats(-3, 3) | st.sampled_from([-0.0, 1e150, -1e150]), min_size=3, max_size=3))
+    size = draw(_BAD if draw(_RARELY) else st.lists(
+        st.floats(1e-6, 3) | st.sampled_from([1e-300, 1e150]), min_size=3, max_size=3))
+    rotation = draw(_BAD if draw(_RARELY) else _UNIT)
+    return center, size, rotation
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(args=box_args())
+def test_box_constructor_matches_the_former_checks(args):
+    assert_box_checks(*args)
+
+
+@pytest.mark.parametrize("center,size,rotation", [
+    ([0, 0, 0], [1, 1, 1], IDENTITY),  # integer lists
+    ([1e150, -1e150, -0.0], [1e150, 1e-300, 1], IDENTITY),
+    ([1.0000001e150, 0, 0], [1, 1, 1], IDENTITY),
+    ([0, 0, 0], [1, 2e150, 1], IDENTITY),
+    ([0, 0, 0], [1, -0.0, 1], IDENTITY),
+    ([0, 0, 0], [1, 1, 1], [1, 0.1, 0, 0]),
+    ([0, 0, 0], [1, 1, 1], [1 + 2e-9, 0, 0, 0]),
+    ([0, 0, 0], [1, 1, 1], [math.nan, 0, 0, 0]),
+    ([math.inf, 0, 0], [-1, 1, 1], [1, 0, 0]),
+    ([0, 0], [math.nan, 1, 1], [1, 0, 0]),
+], ids=["ints", "at_bounds", "center_beyond", "size_beyond", "negative_zero_size",
+        "not_unit", "nearly_unit", "nan_rotation", "inf_center", "short_center"])
+def test_box_constructor_matches_the_former_checks_on_edges(center, size, rotation):
+    assert_box_checks(center, size, rotation)
+
+
+def assert_box_checks(center, size, rotation):
+    want = reference_box_error(center, size, rotation)
+    if want is not None:
+        with pytest.raises(ValueError) as exc:
+            OrientedBox3(center, size, rotation)
+        assert str(exc.value) == want
+        return
+    box = OrientedBox3(center, size, rotation)
+    assert hexes(box.center) == hexes(center) and hexes(box.size) == hexes(size)
+    assert hexes(box.rotation) == hexes(rotation)
+    assert hexes(box.matrix) == hexes(reference_quat_to_matrix(rotation))
+    assert hexes(box.half) == hexes(np.asarray(size) / 2.0)
+    assert hexes(box._key) == hexes(reference_box_key(box))
+
+
+_STEP = st.sampled_from([0.0, -0.0, 1e-7, 5.8e-7, 1e-6, -1e-6, 1.0000001e-6, 1e-3, 0.5, -2.0])
+_WIDTH = st.sampled_from([1, 2, 3, 3, 4])
+
+
+@st.composite
+def waypoint_lists(draw):
+    width = draw(_WIDTH)
+    point = np.array(draw(st.lists(st.floats(-5, 5) | _EDGE, min_size=width,
+                                   max_size=width)))
+    rows = [point.tolist()]
+    for _ in range(draw(st.integers(0, 5))):
+        point = point + np.array(draw(st.lists(_STEP, min_size=width, max_size=width)))
+        rows.append(point.tolist())
+    return rows
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(waypoints=waypoint_lists())
+def test_trajectory_matches_the_former_checks(waypoints):
+    with np.errstate(invalid="ignore"):  # inf - inf steps
+        want = reference_trajectory_waypoints(waypoints)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as exc:
+                Trajectory(np.asarray(waypoints))
+            assert str(exc.value) == want
+            return
+        got = Trajectory(np.asarray(waypoints)).waypoints
+    assert got.shape == want.shape and hexes(got) == hexes(want)
+
+
+_PLANAR = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, -1e-9, 1e-9, 3.0])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(u=st.lists(_PLANAR, min_size=3, max_size=3), v=st.lists(_PLANAR, min_size=3, max_size=3))
+def test_planar_signed_angle_bits(u, v):
+    u, v = np.array(u), np.array(v)
+    try:
+        want = reference_planar_signed_angle(u, v)
+    except DegenerateDirection as exc:
+        with pytest.raises(DegenerateDirection, match=str(exc)):
+            planar_signed_angle(u, v)
+        return
+    assert planar_signed_angle(u, v).hex() == want.hex()

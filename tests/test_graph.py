@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import reference_visibility
 from synth import make_scene, upright_pose_matrix
 from sceneqa.errors import DanglingInstanceRef, TooFewFrames
 from sceneqa.graph import build_graph, graph_to_dict, object_in_camera, sample_frame_sequence
-from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
+from sceneqa.metadata import FrameMetadata, frame_metadata_from_dict, scene_metadata_from_dict
 
 
 def two_frame_fixture(area_frame1=900.0, instance_ref=1):
@@ -138,3 +139,37 @@ def test_graph_dump_deterministic():
     a = json.dumps(graph_to_dict(build_graph(scene, frames)), sort_keys=True)
     b = json.dumps(graph_to_dict(build_graph(scene, frames)), sort_keys=True)
     assert a == b
+
+
+def assert_area_filter_matches_reference(scene, frames, min_area):
+    g = build_graph(scene, frames, min_area)
+    visibility, first_seen = reference_visibility(scene, frames, min_area)
+    assert g.visibility == visibility
+    assert g.first_seen == first_seen
+
+
+def test_area_filter_over_the_stack_matches_the_per_detection_filter():
+    for seed in (88, 89, 90):
+        scene, frames = make_scene(seed=seed, scene_id=f"area{seed}")
+        b = frames.bboxes
+        areas = ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])).tolist()
+        # thresholds equal to detection areas, where >= decides
+        for min_area in (0.0, 400, 400.0, float(np.median(areas)), min(areas), max(areas),
+                         np.nextafter(max(areas), np.inf), float("inf")):
+            assert_area_filter_matches_reference(scene, frames, min_area)
+            # a FrameMetadata built from frames alone stacks its own bboxes
+            half = FrameMetadata(frames.scene_id, frames.intrinsics,
+                                 frames.frames[:len(frames.frames) // 2])
+            assert_area_filter_matches_reference(scene, half, min_area)
+
+
+def test_loaded_bbox_rows_are_views_of_the_frame_stack():
+    scene, frames = make_scene(seed=91, scene_id="stack")
+    rows = [bbox for fr in frames.frames for _, bbox in fr.visible_objects]
+    assert frames.bboxes.shape == (len(rows), 4) and not frames.bboxes.flags.writeable
+    for k, row in enumerate(rows):  # each row is the stack's row k, not a copy
+        assert np.shares_memory(row, frames.bboxes[k])
+        assert row.tolist() == frames.bboxes[k].tolist()
+    empty = FrameMetadata(frames.scene_id, frames.intrinsics, ())
+    assert empty.bboxes.shape == (0, 4) and not empty.bboxes.flags.writeable
+    assert build_graph(scene, empty).visibility == {}
