@@ -79,10 +79,15 @@ def _read_json(path):
 # built with the same settings, or takes encode's path without one.
 _settings = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _markers = {}  # the circular-reference marks, empty between calls
-_c_encode = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
-    _markers, _settings.default, json.encoder.encode_basestring_ascii, _settings.indent,
-    _settings.key_separator, _settings.item_separator, _settings.sort_keys,
-    _settings.skipkeys, _settings.allow_nan)
+try:
+    # c_make_encoder is private: these are the nine arguments that
+    # JSONEncoder.iterencode passes it (checked on CPython 3.11)
+    _c_encode = json.encoder.c_make_encoder(
+        _markers, _settings.default, json.encoder.encode_basestring_ascii,
+        _settings.indent, _settings.key_separator, _settings.item_separator,
+        _settings.sort_keys, _settings.skipkeys, _settings.allow_nan)
+except TypeError:  # no C encoder (None), or one with another signature
+    _c_encode = None
 
 
 def _dump_line(doc: dict) -> str:

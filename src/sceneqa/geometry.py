@@ -96,8 +96,9 @@ _CORNER_SIGNS = np.array([
 class OrientedBox3:
     """Oriented 3D box: center, full extents (meters) and box-to-world quaternion.
 
-    The rotation ``matrix`` and ``half`` extents are derived once at
-    construction; every array the box holds is a read-only copy.
+    The rotation ``matrix`` and the ``half`` extents and their negation
+    ``neg_half`` are derived once at construction; every array the box holds
+    is a read-only copy.
     """
 
     center: np.ndarray
@@ -105,6 +106,7 @@ class OrientedBox3:
     rotation: np.ndarray  # quaternion (w, x, y, z)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
     half: np.ndarray = field(init=False, repr=False, compare=False)
+    neg_half: np.ndarray = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -129,6 +131,7 @@ class OrientedBox3:
         object.__setattr__(self, "rotation", _read_only(q))
         object.__setattr__(self, "matrix", _read_only(quat_to_matrix(q)))
         object.__setattr__(self, "half", _read_only(s / 2.0))
+        object.__setattr__(self, "neg_half", _read_only(-self.half))
         # canonical argument order of box_box_distance
         object.__setattr__(self, "_key", tuple(cl + sl + ql))
 
@@ -138,15 +141,15 @@ class OrientedBox3:
         return local @ self.matrix.T + self.center
 
 
-def _closest_point(p: np.ndarray, box: OrientedBox3, neg_half: np.ndarray) -> np.ndarray:
-    """Closest point of the solid box to a (3,) point; ``neg_half`` is ``-box.half``.
+def _closest_point(p: np.ndarray, box: OrientedBox3) -> np.ndarray:
+    """Closest point of the solid box to a (3,) point.
 
     The clamp has np.clip's bits without its Python wrappers: no operand is
     NaN and no half extent is zero, so no tie between signed zeros arises.
     """
     rot = box.matrix
     local = rot.T @ (p - box.center)
-    return rot @ np.minimum(np.maximum(local, neg_half), box.half) + box.center
+    return rot @ np.minimum(np.maximum(local, box.neg_half), box.half) + box.center
 
 
 def closest_point_on_box(p: np.ndarray, box: OrientedBox3):
@@ -154,7 +157,7 @@ def closest_point_on_box(p: np.ndarray, box: OrientedBox3):
 
     Returns (point, distance). Distance is exactly 0 when p lies inside.
     """
-    point = _closest_point(p, box, -box.half)
+    point = _closest_point(p, box)
     return point, vector_norm(p - point)
 
 
@@ -168,15 +171,14 @@ def box_box_distance(a: OrientedBox3, b: OrientedBox3) -> float:
     """
     if b._key < a._key:
         a, b = b, a
-    neg_a, neg_b = -a.half, -b.half
-    p = _closest_point(b.center, a, neg_a)
+    p = _closest_point(b.center, a)
     for _ in range(MAX_PROJECTION_ITERS):
-        p_next = _closest_point(_closest_point(p, b, neg_b), a, neg_a)
+        p_next = _closest_point(_closest_point(p, b), a)
         if vector_norm(p_next - p) < STEP_TOL:
             p = p_next
             break
         p = p_next
-    return vector_norm(p - _closest_point(p, b, neg_b))
+    return vector_norm(p - _closest_point(p, b))
 
 
 def planar_signed_angle(from_dir: np.ndarray, to_dir: np.ndarray) -> float:

@@ -93,14 +93,17 @@ def build_graph(scene: SceneMetadata, frames: FrameMetadata,
     the scene metadata does not declare.
     """
     objects_by_id = {o.instance_id: o for o in scene.objects}
-    b = frames.bboxes  # every detection's area at once, by the same elementwise products
+    # every detection's area at once over the capture's (N, 4) bbox stack,
+    # by the same elementwise products; one flag per detection, in order
+    b = np.array([bbox for fr in frames.frames for _, bbox in fr.visible_objects],
+                 dtype=float).reshape(-1, 4)
     large = iter(((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) >= min_bbox_area_px).tolist())
 
     visibility = {}
     first_seen = {}
     for fr in frames.frames:
         kept = set()
-        for (instance_id, _), keep in zip(fr.visible_objects, large):  # one flag per detection
+        for (instance_id, _), keep in zip(fr.visible_objects, large):
             if instance_id not in objects_by_id:
                 raise DanglingInstanceRef(fr.frame_id, instance_id)
             if keep:

@@ -44,7 +44,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -108,16 +108,6 @@ class FrameMetadata:
     scene_id: str
     intrinsics: Intrinsics
     frames: tuple  # of CameraFrame, frame_id strictly increasing
-    # every detection's bbox_2d in frame order, one read-only (N, 4) stack:
-    # the loader's own, or else stacked from ``frames``
-    bboxes: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.bboxes is None:
-            rows = [bbox for fr in self.frames for _, bbox in fr.visible_objects]
-            stack = np.array(rows, dtype=float).reshape(-1, 4)
-            stack.flags.writeable = False
-            object.__setattr__(self, "bboxes", stack)
 
 
 # --- strict JSON decoding helpers -------------------------------------------
@@ -258,7 +248,7 @@ def frame_metadata_from_dict(doc) -> FrameMetadata:
     frames_doc = _require(doc, "frames", "")
     if not isinstance(frames_doc, list):
         raise SchemaViolation("frames", "expected a list")
-    return FrameMetadata(scene_id, intrinsics, *_frames(frames_doc, intrinsics))
+    return FrameMetadata(scene_id, intrinsics, _frames(frames_doc, intrinsics))
 
 
 def _all_instances(values, kinds) -> bool:
@@ -302,8 +292,7 @@ def _columns(frames_doc: list):
 
 
 def _frames(frames_doc: list, intrinsics: Intrinsics) -> tuple:
-    """The capture's frames, checked in one pass over its stacked arrays,
-    and the (N, 4) bbox stack their detections are views of.
+    """The capture's frames, checked in one pass over its stacked arrays.
 
     The array checks are the walker's, except that a rotation clears only
     when its batched orthonormality and determinant errors are at most
@@ -343,7 +332,7 @@ def _frames(frames_doc: list, intrinsics: Intrinsics) -> tuple:
         frames.append(CameraFrame(frame_id, rot, t, color_path, depth_path,
                                   tuple(zip(instance_ids[start:stop], rows[start:stop]))))
         start = stop
-    return tuple(frames), b
+    return tuple(frames)
 
 
 def _check_frames(frames_doc: list, intrinsics: Intrinsics):

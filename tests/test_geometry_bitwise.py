@@ -216,13 +216,14 @@ def test_context_box_distance_is_order_free_and_exact(synth_graph):
 def test_box_arrays_are_read_only_copies():
     center = np.array([1.0, 2.0, 3.0])
     box = OrientedBox3(center, [1.0, 2.0, 3.0], quat_from_yaw(0.5))
-    for arr in (box.center, box.size, box.rotation, box.matrix, box.half):
+    for arr in (box.center, box.size, box.rotation, box.matrix, box.half, box.neg_half):
         with pytest.raises(ValueError):
             arr[0] = 9.0
     center[0] = 9.0  # the caller's array stays writable and the box keeps its copy
     assert box.center[0] == 1.0
     assert hexes(box.matrix) == hexes(quat_to_matrix(box.rotation))
     assert hexes(box.half) == hexes(box.size / 2.0)
+    assert hexes(box.neg_half) == hexes(-(box.size / 2.0))
 
 
 # --- the box and trajectory constructors' checks ----------------------------------------
@@ -283,6 +284,7 @@ def assert_box_checks(center, size, rotation):
     assert hexes(box.rotation) == hexes(rotation)
     assert hexes(box.matrix) == hexes(reference_quat_to_matrix(rotation))
     assert hexes(box.half) == hexes(np.asarray(size) / 2.0)
+    assert hexes(box.neg_half) == hexes(-(np.asarray(size) / 2.0))
     assert hexes(box._key) == hexes(reference_box_key(box))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -148,28 +149,33 @@ def assert_area_filter_matches_reference(scene, frames, min_area):
     assert g.first_seen == first_seen
 
 
+def detection_areas(frames) -> list:
+    return [float((b[2] - b[0]) * (b[3] - b[1]))
+            for fr in frames.frames for _, b in fr.visible_objects]
+
+
 def test_area_filter_over_the_stack_matches_the_per_detection_filter():
     for seed in (88, 89, 90):
         scene, frames = make_scene(seed=seed, scene_id=f"area{seed}")
-        b = frames.bboxes
-        areas = ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])).tolist()
+        areas = detection_areas(frames)
+        # subsets of the frames that are not a prefix: each is filtered by its
+        # own detections' areas
+        subsets = [frames.frames[1::2], frames.frames[2::3], frames.frames[-1:]]
         # thresholds equal to detection areas, where >= decides
         for min_area in (0.0, 400, 400.0, float(np.median(areas)), min(areas), max(areas),
                          np.nextafter(max(areas), np.inf), float("inf")):
             assert_area_filter_matches_reference(scene, frames, min_area)
-            # a FrameMetadata built from frames alone stacks its own bboxes
-            half = FrameMetadata(frames.scene_id, frames.intrinsics,
-                                 frames.frames[:len(frames.frames) // 2])
-            assert_area_filter_matches_reference(scene, half, min_area)
+            for subset in subsets:
+                part = dataclasses.replace(frames, frames=subset)
+                assert_area_filter_matches_reference(scene, part, min_area)
 
 
-def test_loaded_bbox_rows_are_views_of_the_frame_stack():
+def test_area_filter_on_an_empty_capture():
     scene, frames = make_scene(seed=91, scene_id="stack")
-    rows = [bbox for fr in frames.frames for _, bbox in fr.visible_objects]
-    assert frames.bboxes.shape == (len(rows), 4) and not frames.bboxes.flags.writeable
-    for k, row in enumerate(rows):  # each row is the stack's row k, not a copy
-        assert np.shares_memory(row, frames.bboxes[k])
-        assert row.tolist() == frames.bboxes[k].tolist()
     empty = FrameMetadata(frames.scene_id, frames.intrinsics, ())
-    assert empty.bboxes.shape == (0, 4) and not empty.bboxes.flags.writeable
     assert build_graph(scene, empty).visibility == {}
+    no_detections = dataclasses.replace(frames, frames=tuple(
+        dataclasses.replace(fr, visible_objects=()) for fr in frames.frames))
+    g = build_graph(scene, no_detections)
+    assert g.visibility == {fr.frame_id: frozenset() for fr in frames.frames}
+    assert g.first_seen == {}

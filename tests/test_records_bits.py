@@ -7,6 +7,7 @@ every result here is compared with ``oracles.reference_rng`` and
 ``oracles._reference_dump_line`` (``json.dumps``).
 """
 
+import importlib.util
 import json
 import math
 import sys
@@ -20,9 +21,6 @@ from hypothesis import strategies as st
 from oracles import _reference_dump_line, reference_rng
 from sceneqa import cli
 from sceneqa.qa_records import TASKS, GenConfig, TaskRecords
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import workloads  # noqa: E402
 
 # --- TaskRecords.rng ------------------------------------------------------------------
 
@@ -108,6 +106,28 @@ def test_dump_line_without_a_c_encoder_matches_json_dumps(doc):
         cli._c_encode = saved
 
 
+def _eight_argument_encoder(markers, default, encoder, indent, key_separator,
+                            item_separator, sort_keys, skipkeys):
+    raise AssertionError("unreachable: the caller passes nine arguments")
+
+
+@pytest.mark.parametrize("make_encoder", [None, _eight_argument_encoder],
+                         ids=["absent", "another_signature"])
+def test_cli_imports_without_a_usable_c_encoder(monkeypatch, make_encoder):
+    """A C encoder that is missing or that rejects the nine arguments leaves
+    _dump_line on JSONEncoder.encode, with the same bytes."""
+    saved = json.encoder.c_make_encoder
+    monkeypatch.setattr(json.encoder, "c_make_encoder", make_encoder)
+    spec = importlib.util.spec_from_file_location("sceneqa._cli_probe", cli.__file__)
+    probe = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, probe)
+    spec.loader.exec_module(probe)
+    assert probe._c_encode is None
+    monkeypatch.setattr(json.encoder, "c_make_encoder", saved)  # encode's own, as stdlib has it
+    doc = {"b": [-0.0, 1e16], "a": {"z": "\u00e9\n", "y": None}}
+    assert probe._dump_line(doc) == _reference_dump_line(doc)
+
+
 def test_a_failed_line_leaves_no_circular_reference_marks():
     doc = {"meta": {"bad": [object()]}}
     with pytest.raises(TypeError):
@@ -121,9 +141,14 @@ def test_a_failed_line_leaves_no_circular_reference_marks():
     assert cli._dump_line({"a": [1]}) == _reference_dump_line({"a": [1]})
 
 
-def test_dump_line_on_every_line_of_the_benchmark_records(tmp_path):
+def test_dump_line_on_every_line_of_the_benchmark_records(tmp_path, monkeypatch):
     """The gen_geom benchmark corpus at seed 1: every line, header included,
     re-encodes to itself."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
     scenes = tmp_path / "scenes"
     workloads.build_scene_corpus(scenes, 1, workloads.TAG_GEN_GEOM, 60)
     out = tmp_path / "records.jsonl"
