@@ -124,7 +124,8 @@ class OrientedBox3:
         ql = q.tolist()
         if not all(map(math.isfinite, ql)):
             raise ValueError("rotation quaternion has non-finite components")
-        if abs(vector_norm(q) - 1.0) > ORTHO_TOL:
+        # a component beyond 2 fails the norm check too, and would overflow it
+        if max(map(abs, ql)) > 2 or abs(vector_norm(q) - 1.0) > ORTHO_TOL:
             raise ValueError("rotation quaternion is not unit norm")
         object.__setattr__(self, "center", _read_only(c))
         object.__setattr__(self, "size", _read_only(s))

@@ -31,11 +31,11 @@ object.
 A frame's camera view is a 3x3 ``rotation`` and a (3,) ``position``
 (p_world = rotation @ p_cam + position); position components are bounded
 by ``geometry.MAX_COORD``, like box centres and scene extents. This
-loader is the one place that checks a pose. It checks a whole capture in
-one batched pass over one (F, 4, 4) pose stack and one (N, 4) bbox stack;
-a document that pass cannot clear goes to the per-field walker, which
-raises naming the first bad field or accepts it. Either way the frames
-are read-only views into the stacks.
+loader is the one place that checks a pose. It checks each value once, as
+masks over one (F, 4, 4) pose stack and one (N, 4) bbox stack, and names
+the first failure from them; a missing key, a wrong type, an id out of
+order or a number that is not finite goes to the per-field walker, which
+names that field. The frames are read-only views into the stacks.
 """
 
 from __future__ import annotations
@@ -292,36 +292,45 @@ def _columns(frames_doc: list):
 
 
 def _frames(frames_doc: list, intrinsics: Intrinsics) -> tuple:
-    """The capture's frames, checked in one pass over its stacked arrays.
-
-    The array checks are the walker's, except that a rotation clears only
-    when its batched orthonormality and determinant errors are at most
-    ORTHO_TOL / 2, so that the walker's per-matrix expressions, which may
-    round differently, are within ORTHO_TOL too. Otherwise the walker runs.
-    """
+    """The capture's frames, each value checked once as a mask over the
+    stacked arrays; the walker names a field _columns rejects or a non-finite number."""
     columns = _columns(frames_doc)
     if columns is None:
         _check_frames(frames_doc, intrinsics)  # raises
     ids, poses, colors, depths, visible, instance_ids, bboxes = columns
     try:
-        with np.errstate(all="ignore"):
-            m = np.fromiter(chain.from_iterable(poses), float, 16 * len(poses)).reshape(-1, 4, 4)
-            b = np.fromiter(chain.from_iterable(bboxes), float, 4 * len(bboxes)).reshape(-1, 4)
-            rot = m[:, :3, :3]
-            ortho_err = np.abs(np.matmul(rot.transpose(0, 2, 1), rot) - np.eye(3)).max(axis=(1, 2))
-            det_err = np.abs(np.linalg.det(rot) - 1.0)
-            cleared = (np.isfinite(m).all() and np.isfinite(b).all()
-                       and (np.abs(m[:, 3] - np.array([0.0, 0.0, 0.0, 1.0])).max(axis=1)
-                            <= ORTHO_TOL).all()
-                       and (ortho_err <= ORTHO_TOL / 2).all() and (det_err <= ORTHO_TOL / 2).all()
-                       and (np.abs(m[:, :3, 3]) <= MAX_COORD).all()
-                       and ((b[:, 0] < b[:, 2]) & (b[:, 1] < b[:, 3])).all()
-                       and ((b[:, 0] >= 0) & (b[:, 1] >= 0) & (b[:, 2] <= intrinsics.width)
-                            & (b[:, 3] <= intrinsics.height)).all())
+        m = np.fromiter(chain.from_iterable(poses), float, 16 * len(poses)).reshape(-1, 4, 4)
+        b = np.fromiter(chain.from_iterable(bboxes), float, 4 * len(bboxes)).reshape(-1, 4)
     except OverflowError:  # an integer too large for a float
         _check_frames(frames_doc, intrinsics)  # raises
-    if not cleared:
-        _check_frames(frames_doc, intrinsics)
+    if not (np.isfinite(m).all() and np.isfinite(b).all()):
+        _check_frames(frames_doc, intrinsics)  # raises
+    rot, (x0, y0, x1, y1) = m[:, :3, :3], b.T
+    with np.errstate(all="ignore"):  # an overflow fails its check
+        ortho = np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2)) > ORTHO_TOL
+        det = np.abs(np.linalg.det(rot) - 1.0) > ORTHO_TOL
+    checks = (  # (mask, field, message): per frame in field order, then per detection
+        (np.abs(m[:, 3] - np.array([0.0, 0.0, 0.0, 1.0])).max(axis=1) > ORTHO_TOL,
+         "pose.rotation", "pose matrix last row must be (0, 0, 0, 1)"),
+        (ortho, "pose.rotation", "rotation is not orthonormal"),
+        (det, "pose.rotation", "rotation determinant is not +1"),
+        (np.abs(m[:, :3, 3]).max(axis=1) > MAX_COORD,  # no camera distance overflows
+         "pose_c2w", f"camera position components must be at most {MAX_COORD:g} m"),
+        ((x0 >= x1) | (y0 >= y1), "bbox_2d", "empty or inverted box"),  # all finite here
+        ((x0 < 0) | (y0 < 0) | (x1 > intrinsics.width) | (y1 > intrinsics.height),
+         "bbox_2d", "box exceeds image bounds"))
+    pose = checks[0][0] | checks[1][0] | checks[2][0] | checks[3][0]
+    bbox = checks[4][0] | checks[5][0]
+    if pose.any() or bbox.any():  # raise the first failure in document order
+        i = int(pose.argmax()) if pose.any() else len(pose)
+        d = int(bbox.argmax()) if bbox.any() else len(bbox)
+        f = int(np.searchsorted(np.cumsum(list(map(len, visible))), d, side="right"))  # d's frame
+        if i <= f:
+            at, check = f"frames[{i}]", next(c for c in checks[:4] if c[0][i])
+        else:
+            at = f"frames[{f}].visible_objects[{d - sum(map(len, visible[:f]))}]"
+            check = next(c for c in checks[4:] if c[0][d])
+        raise SchemaViolation(f"{at}.{check[1]}", check[2])
     m.flags.writeable = False
     b.flags.writeable = False
     rows = list(b)
@@ -336,44 +345,34 @@ def _frames(frames_doc: list, intrinsics: Intrinsics) -> tuple:
 
 
 def _check_frames(frames_doc: list, intrinsics: Intrinsics):
-    """Check the capture's frames field by field; raises SchemaViolation
-    naming the first bad field, and returns only when every field is valid."""
-    prev_id = None
-    for i, fr in enumerate(frames_doc):
-        path = f"frames[{i}]"
-        frame_id = _integer(_require(fr, "frame_id", path), f"{path}.frame_id")
-        if prev_id is not None and frame_id <= prev_id:
-            raise SchemaViolation(f"{path}.frame_id", "frame ids must strictly increase")
-        prev_id = frame_id
+    """Raise SchemaViolation naming the first field that _columns rejects or
+    that is not a finite number, once _frames has checked the part before it."""
+    prev_id, i, sound = None, 0, None  # sound: this frame's part found sound
+    try:
+        for i, fr in enumerate(frames_doc):
+            path, sound = f"frames[{i}]", None
+            frame_id = _integer(_require(fr, "frame_id", path), f"{path}.frame_id")
+            if prev_id is not None and frame_id <= prev_id:
+                raise SchemaViolation(f"{path}.frame_id", "frame ids must strictly increase")
+            prev_id = frame_id
 
-        # every entry is finite (_number checks it); then the pose checks
-        m = _vec(_require(fr, "pose_c2w", path), 16, f"{path}.pose_c2w").reshape(4, 4)
-        r = m[:3, :3]
-        pose_path = f"{path}.pose.rotation"
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > ORTHO_TOL:
-            raise SchemaViolation(pose_path, "pose matrix last row must be (0, 0, 0, 1)")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHO_TOL:
-            raise SchemaViolation(pose_path, "rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHO_TOL:
-            raise SchemaViolation(pose_path, "rotation determinant is not +1")
-        if np.abs(m[:3, 3]).max() > MAX_COORD:  # the box bound: no camera distance overflows
-            raise SchemaViolation(f"{path}.pose_c2w", "camera position components must be "
-                                                      f"at most {MAX_COORD:g} m")
+            # every entry is finite (_number checks it)
+            _vec(_require(fr, "pose_c2w", path), 16, f"{path}.pose_c2w")
+            sound = {**fr, "color_path": "-", "depth_path": "-", "visible_objects": []}
+            _string(_require(fr, "color_path", path), f"{path}.color_path")
+            _string(_require(fr, "depth_path", path), f"{path}.depth_path")
 
-        _string(_require(fr, "color_path", path), f"{path}.color_path")
-        _string(_require(fr, "depth_path", path), f"{path}.depth_path")
-
-        vis_doc = _require(fr, "visible_objects", path)
-        if not isinstance(vis_doc, list):
-            raise SchemaViolation(f"{path}.visible_objects", "expected a list")
-        for j, v in enumerate(vis_doc):
-            vpath = f"{path}.visible_objects[{j}]"
-            _integer(_require(v, "instance_id", vpath), f"{vpath}.instance_id")
-            xmin, ymin, xmax, ymax = _vec(_require(v, "bbox_2d", vpath), 4, f"{vpath}.bbox_2d")
-            if not (xmin < xmax and ymin < ymax):
-                raise SchemaViolation(f"{vpath}.bbox_2d", "empty or inverted box")
-            if xmin < 0 or ymin < 0 or xmax > intrinsics.width or ymax > intrinsics.height:
-                raise SchemaViolation(f"{vpath}.bbox_2d", "box exceeds image bounds")
+            vis_doc = _require(fr, "visible_objects", path)
+            if not isinstance(vis_doc, list):
+                raise SchemaViolation(f"{path}.visible_objects", "expected a list")
+            for j, v in enumerate(vis_doc):
+                vpath = f"{path}.visible_objects[{j}]"
+                _integer(_require(v, "instance_id", vpath), f"{vpath}.instance_id")
+                _vec(_require(v, "bbox_2d", vpath), 4, f"{vpath}.bbox_2d")
+                sound["visible_objects"].append(v)
+    except SchemaViolation:
+        _frames(frames_doc[:i] + ([sound] if sound else []), intrinsics)  # raises for a bad value
+        raise
 
 
 def load_frame_metadata(path) -> FrameMetadata:

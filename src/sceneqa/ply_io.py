@@ -15,11 +15,11 @@ vertex block straight from the open file, ``_CHUNK_ROWS`` rows at a time:
 ``np.loadtxt`` decodes an ASCII chunk, one read fills a binary one, and each
 chunk is checked and copied into the preallocated arrays of the cloud.
 Neither the file nor the whole vertex table is ever held, so a parse holds
-one copy of the cloud plus one chunk. An ASCII block that does not decode is
-read again whole to report its error, which numbers rows within the block.
-A file that cannot seek (a pipe) is read into memory first and parsed the
-same way; error offsets are byte offsets into the file, and "the file
-length" for a truncated body.
+one copy of the cloud plus one chunk. An ASCII chunk that does not decode is
+read again line by line to name its first bad row, counted from 0 as in
+every error. A file that cannot seek (a pipe) is read into memory first and
+parsed the same way; error offsets are byte offsets into the file, and "the
+file length" for a truncated body.
 
 Limitations (documented, raise rather than guess): binary big-endian files,
 list-typed vertex properties, and list-typed elements that precede the
@@ -195,42 +195,40 @@ def _loadtxt(rows, dtype):
         return np.loadtxt(rows, dtype=dtype, comments=None, usecols=range(len(dtype)), ndmin=1)
 
 
-def _read_ascii_vertices(fh, size, before, count, dtype):
-    """The whole vertex block of an ASCII file as one table, from the body
-    on; the error a bad block raises is the one parse_ply reports."""
-    # One row per line. islice bounds must fit a machine word, and a body
-    # never holds more lines than bytes, so clamping changes no result.
-    skip = sum(el.count for el in before)
-    rows = itertools.islice(fh, min(skip, size), min(skip + count, size))
-    try:
-        table = _loadtxt(rows, dtype)
-    except ValueError as exc:
-        raise MalformedHeader(f"vertex element: {exc}") from None
-    # loadtxt skips blank lines, so a blank line inside the block shows up here.
-    if len(table) < count:
-        raise TruncatedBody(
-            f"vertex element declares {count} rows, body holds {len(table)}", offset=size)
-    return table
+def _bad_row(line, row, dtype) -> MalformedHeader:
+    """The error for an ASCII vertex line that does not decode as one row."""
+    values = line.decode("latin-1").split()  # split as loadtxt splits a line
+    for name, value in zip(dtype.names, values):
+        try:
+            _loadtxt([value], dtype[[name]])
+        except ValueError:
+            return MalformedHeader(f"vertex element: property {name!r} holds {value!r} in "
+                                   f"row {row}, not a {dtype[name].name} value")
+    return MalformedHeader(f"vertex element: row {row} does not split into {len(dtype)} values")
 
 
 def _ascii_chunks(fh, size, before, count, dtype):
     """Iterate over (first row, table) for each run of at most _CHUNK_ROWS
     vertex rows, read from the body on. A chunk that fails to decode or
-    comes up short (a bad token, a blank line, the end of the file) makes
-    _read_ascii_vertices read the whole block again and raise, so that the
-    error names its row as the whole-block reader does."""
-    body = fh.tell()
-    skip = sum(el.count for el in before)
-    rows = itertools.islice(fh, min(skip, size), min(skip + count, size))  # clamped as there
+    comes up short is read again line by line, and its first line that is
+    not a row raises: a blank line or the end of the body is truncation."""
+    skip = min(sum(el.count for el in before), size)  # fits islice; lines <= bytes
+    next(itertools.islice(fh, skip, skip), None)
     for first in range(0, count, _CHUNK_ROWS):
-        want = min(_CHUNK_ROWS, count - first)
+        want, start = min(_CHUNK_ROWS, count - first), fh.tell()
         try:
-            table = _loadtxt(itertools.islice(rows, want), dtype)
+            table = _loadtxt(itertools.islice(fh, want), dtype)
         except ValueError:
-            table = None
-        if table is None or len(table) < want:
-            fh.seek(body)
-            _read_ascii_vertices(fh, size, before, count, dtype)  # raises
+            table = ()
+        if len(table) < want:  # read again, the end of the body as one more blank line
+            fh.seek(start)
+            for row, line in enumerate(itertools.chain(itertools.islice(fh, want), [b""]), first):
+                try:
+                    if not len(_loadtxt([line], dtype)):
+                        break
+                except ValueError:
+                    raise _bad_row(line, row, dtype) from None
+            raise TruncatedBody(f"vertex element declares {count} rows, body holds {row}", size)
         yield first, table
 
 
@@ -241,12 +239,14 @@ def _vertex_chunks(fh, fmt, size, before, count, dtype):
     before parse_ply allocates the cloud."""
     offset = fh.tell()
     if fmt == "ascii":
+        chunks = _ascii_chunks(fh, size, before, count, dtype)
         # A row holds at least one byte per property and a blank between
-        # two; a body too small for that cannot decode, and the whole-block
-        # read reports how.
+        # two; a body too small for that cannot decode, and the chunk that
+        # fails says how.
         if count * (2 * len(dtype) - 1) > size - offset:
-            _read_ascii_vertices(fh, size, before, count, dtype)  # raises
-        return _ascii_chunks(fh, size, before, count, dtype)
+            for _ in chunks:  # raises
+                pass
+        return chunks
     for el in before:
         if el.has_list:
             raise UnsupportedEncoding(

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
-import itertools
 import json
 import math
 import warnings
@@ -607,26 +605,41 @@ def _reference_read_binary_vertices(blob, body_offset, before, count, dtype):
 
 
 def _reference_read_ascii_vertices(blob, body_offset, before, count, dtype):
-    body = io.BytesIO(blob)
-    body.seek(body_offset)
-    # One row per line. islice bounds must fit a machine word, and a body
-    # never holds more lines than bytes, so clamping changes no result.
-    skip = sum(el.count for el in before)
-    rows = itertools.islice(body, min(skip, len(blob)), min(skip + count, len(blob)))
+    """The vertex block decoded one line of the blob at a time. The first
+    line that is not one row is named by its row, counted from 0: a value
+    that does not decode as its property's type or a short row is
+    MalformedHeader, a blank line or the end of the body TruncatedBody."""
+    lines = blob[body_offset:].split(b"\n")
+    if lines[-1] == b"":  # the newline that ends the last line
+        lines.pop()
+    lines = lines[sum(el.count for el in before):]
+    rows = []
     with warnings.catch_warnings():
-        # An empty block is reported below as truncation, not as a warning.
+        # a blank line decodes to no row, and loadtxt warns of that
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            table = np.loadtxt(rows, dtype=dtype, comments=None,
-                               usecols=range(len(dtype)), ndmin=1)
-        except ValueError as exc:
-            raise MalformedHeader(f"vertex element: {exc}") from None
-    # loadtxt skips blank lines, so a blank line inside the block shows up here.
-    if len(table) < count:
+        for row, line in enumerate(lines[:count]):
+            try:
+                table = np.loadtxt([line], dtype=dtype, comments=None,
+                                   usecols=range(len(dtype)), ndmin=1)
+            except ValueError:
+                tokens = line.decode("latin-1").split()
+                for name, token in zip(dtype.names, tokens):
+                    try:
+                        np.loadtxt([token], dtype=dtype.fields[name][0], comments=None)
+                    except ValueError:
+                        raise MalformedHeader(
+                            f"vertex element: property {name!r} holds {token!r} in row "
+                            f"{row}, not a {dtype.fields[name][0].name} value") from None
+                raise MalformedHeader(f"vertex element: row {row} does not split into "
+                                      f"{len(dtype)} values") from None
+            if len(table) == 0:
+                break
+            rows.append(table)
+    if len(rows) < count:
         raise TruncatedBody(
-            f"vertex element declares {count} rows, body holds {len(table)}",
+            f"vertex element declares {count} rows, body holds {len(rows)}",
             offset=len(blob))
-    return table
+    return np.concatenate(rows) if rows else np.zeros(0, dtype=dtype)
 
 
 def _reference_int_column(table, aliases):

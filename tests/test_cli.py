@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -523,6 +524,29 @@ def test_gen_half_written_scene_dir_is_input_error(tmp_path, capsys, missing):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {root / 'm01' / missing}: missing"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("scene_metadata.json", lambda doc: doc["objects"][0].update(rotation=[1e308, 0, 0, 0]),
+     "objects[0]: rotation quaternion is not unit norm"),
+    ("frame_metadata.json", lambda doc: doc["frames"][1]["pose_c2w"].__setitem__(0, 1e155),
+     "frames[1].pose.rotation: rotation is not orthonormal"),
+], ids=["quaternion", "pose"])
+def test_gen_overflowing_value_is_input_error_with_warnings_as_errors(tmp_path, capsys, name,
+                                                                       edit, message):
+    """A value whose square overflows fails its check as an input error; no
+    RuntimeWarning is raised on the way, as CI runs with warnings as errors."""
+    root = _small_corpus(tmp_path / "scenes", n=1)
+    path = root / "m00" / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["gen", "--input-root", str(root), "--out", str(tmp_path / "r.jsonl"),
+                     "--workers", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_gen_skips_a_subdirectory_without_metadata(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The batched frame-metadata pass against the former per-field walker.
 
-``frame_metadata_from_dict`` checks a capture in one pass over stacked
-arrays and hands anything it cannot clear to the walker. The accepted set,
+``frame_metadata_from_dict`` checks every value of a capture in one pass
+over stacked arrays and names the first failure from its masks; only a
+field of the wrong type, a missing key, an id out of order or a number that
+is not finite goes to the walker. The accepted set,
 the error raised for a rejected document (with its field path) and every
 loaded pose and bbox bit must stay those of
 ``oracles.reference_frame_metadata_from_dict``, with two documented changes:
@@ -17,7 +19,7 @@ loaded pose and bbox bit must stay those of
 import copy
 import json
 import math
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from hypothesis import strategies as st
 from oracles import reference_frame_metadata_from_dict
 from synth import frame_metadata_to_dict, make_scene, upright_pose_matrix
 from test_metadata import minimal_frames
-from sceneqa import metadata
 from sceneqa.errors import SchemaViolation
 from sceneqa.geometry import MAX_COORD, ORTHO_TOL
 from sceneqa.metadata import frame_metadata_from_dict
@@ -107,16 +108,6 @@ def assert_same_outcome(doc):
     return new
 
 
-def cleared_by_batched_pass(doc) -> bool:
-    """Whether the batched pass accepts the document without the walker."""
-    with mock.patch.object(metadata, "_check_frames", wraps=metadata._check_frames) as walker:
-        try:
-            frame_metadata_from_dict(copy.deepcopy(doc))
-        except SchemaViolation:
-            return False
-    return not walker.called
-
-
 def float64_doc(doc) -> dict:
     """The document with every bbox value an np.float64, as tests/synth.py
     passes them."""
@@ -133,7 +124,6 @@ def float64_doc(doc) -> dict:
 def test_synth_capture_loads_bit_for_bit(seed):
     doc = capture_doc(3100 + seed)
     assert assert_same_outcome(doc)[0] == "accepted"
-    assert cleared_by_batched_pass(doc)
 
 
 @pytest.mark.parametrize("make", [
@@ -145,7 +135,6 @@ def test_synth_capture_loads_bit_for_bit(seed):
 def test_fixtures_load_bit_for_bit(make):
     doc = make()
     assert assert_same_outcome(doc)[0] == "accepted"
-    assert cleared_by_batched_pass(doc)
 
 
 def test_loaded_arrays_are_read_only():
@@ -168,25 +157,13 @@ def assert_views_into_one_stack(meta):
         assert all(a.base is stack and not a.flags.writeable for a in arrays)
 
 
-def near_threshold_doc() -> dict:
-    """A capture whose frame-1 rotation has an orthonormality error of about
-    0.75 * ORTHO_TOL: past the batched pass's ORTHO_TOL / 2, so the walker
-    checks and accepts it."""
-    doc = minimal_frames()
-    t = 0.75 * ORTHO_TOL
-    doc["frames"][1]["pose_c2w"] = scaled_pose((t / 2, -t / 2, 0.0))
-    return doc
-
-
-@pytest.mark.parametrize("make,cleared", [
-    (lambda: capture_doc(3201), True),
-    (near_threshold_doc, False),
-    (lambda: float64_doc(capture_doc(3202)), True),
-], ids=["batched", "walker_near_threshold", "float64"])
-def test_frames_are_read_only_views_into_one_stack(make, cleared):
+@pytest.mark.parametrize("make", [
+    lambda: capture_doc(3201),
+    lambda: float64_doc(capture_doc(3202)),
+], ids=["batched", "float64"])
+def test_frames_are_read_only_views_into_one_stack(make):
     doc = make()
     assert assert_same_outcome(doc)[0] == "accepted"
-    assert cleared_by_batched_pass(doc) == cleared
     assert_views_into_one_stack(frame_metadata_from_dict(doc))
 
 
@@ -221,8 +198,8 @@ def test_each_bad_value_in_each_field_matches_the_walker():
             doc = minimal_frames()
             owner, key = locate(doc)
             owner[key] = value
-            with np.errstate(all="ignore"):
-                new = outcome(frame_metadata_from_dict, doc)
+            new = outcome(frame_metadata_from_dict, doc)
+            with np.errstate(all="ignore"):  # the former walker's overflows
                 assert new == reference_outcome(doc), (field, value)
                 if field == "width" and value == 10 ** 400:
                     # a documented change from the former walker
@@ -235,6 +212,56 @@ def test_each_bad_value_in_each_field_matches_the_walker():
                     assert new[:2] == ("rejected", "frames[1].pose_c2w")
 
 
+@pytest.mark.parametrize("value", [1e155, -1e200, 1e308])
+@pytest.mark.parametrize("frame,index", [(0, 0), (1, 5), (1, 10)])
+def test_huge_rotation_entries_fail_without_a_warning(frame, index, value):
+    """A rotation entry whose square overflows is "not orthonormal", raised
+    from the batched masks with no RuntimeWarning on the way."""
+    doc = minimal_frames()
+    doc["frames"][frame]["pose_c2w"][index] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new = outcome(frame_metadata_from_dict, doc)
+    path = f"frames[{frame}].pose.rotation"
+    assert new == ("rejected", path, f"{path}: rotation is not orthonormal")
+    with np.errstate(all="ignore"):
+        assert new == reference_outcome(doc)
+
+
+def edit_fields(doc, edits) -> dict:
+    """The document with each (frame, key path, value) of ``edits`` set."""
+    for frame, keys, value in edits:
+        owner = doc["frames"][frame]
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("edits, path", [
+    ([(0, ("visible_objects", 0, "bbox_2d"), [60, 10, 10, 60]), (1, ("depth_path",), "")],
+     "frames[0].visible_objects[0].bbox_2d"),
+    ([(1, ("pose_c2w", 0), 2.0), (1, ("color_path",), 5)], "frames[1].pose.rotation"),
+    ([(1, ("pose_c2w", 15), 2.0), (1, ("visible_objects",), [{"instance_id": 1,
+                                                            "bbox_2d": [1, 2, 3, math.nan]}])],
+     "frames[1].pose.rotation"),
+    ([(0, ("visible_objects",), [{"instance_id": 1, "bbox_2d": [10, 10, 641, 60]},
+                                 {"instance_id": "2", "bbox_2d": [1, 2, 3, 4]}])],
+     "frames[0].visible_objects[0].bbox_2d"),
+    ([(0, ("color_path",), None), (1, ("pose_c2w", 0), 2.0)], "frames[0].color_path"),
+    ([(0, ("pose_c2w", 0), 2.0), (0, ("visible_objects", 0, "bbox_2d", 0), 70)],
+     "frames[0].pose.rotation"),
+    ([(0, ("pose_c2w", 0), 10 ** 400), (0, ("visible_objects", 0, "bbox_2d", 0), 70)],
+     "frames[0].pose_c2w[0]"),
+], ids=["bbox_before_path", "pose_before_path", "pose_before_nan", "bbox_before_id",
+        "path_before_pose", "pose_before_its_bbox", "huge_int_before_bbox"])
+def test_the_first_bad_field_in_document_order_is_named(edits, path):
+    """A bad value before a field the walker rejects is named from the masks
+    first, and a field the walker rejects before a bad value is named."""
+    doc = edit_fields(minimal_frames(), edits)
+    assert assert_same_outcome(doc)[:2] == ("rejected", path)
+
+
 @pytest.mark.parametrize("index,value", [
     (2, 640), (2, 640.0), (2, math.nextafter(640.0, math.inf)), (2, 641),
     (3, 480), (3, math.nextafter(480.0, math.inf)),
@@ -244,8 +271,7 @@ def test_each_bad_value_in_each_field_matches_the_walker():
 def test_bboxes_on_the_image_edge_match_the_walker(index, value):
     doc = minimal_frames()
     doc["frames"][0]["visible_objects"][0]["bbox_2d"][index] = value
-    outcome_ = assert_same_outcome(doc)
-    assert cleared_by_batched_pass(doc) == (outcome_[0] == "accepted")
+    assert_same_outcome(doc)
 
 
 @pytest.mark.parametrize("index", [3, 7, 11])
@@ -256,7 +282,7 @@ def test_camera_positions_are_bounded_by_max_coord(index, value):
     doc["frames"][1]["pose_c2w"][index] = value
     new = assert_same_outcome(doc)
     if abs(value) <= MAX_COORD:
-        assert new[0] == "accepted" and cleared_by_batched_pass(doc)
+        assert new[0] == "accepted"
     else:
         assert new[:2] == ("rejected", "frames[1].pose_c2w")
 
@@ -290,21 +316,15 @@ def probe_scales(target: float, kind: str) -> list:
 @pytest.mark.parametrize("target", [ORTHO_TOL, ORTHO_TOL / 2], ids=["tol", "half_tol"])
 @pytest.mark.parametrize("kind", ["ortho", "det"])
 def test_rotations_just_under_at_and_over_the_tolerance(kind, target):
-    outcomes, cleared, errors = set(), set(), []
+    outcomes, errors = set(), []
     for scales in probe_scales(target, kind):
         doc = minimal_frames()
         doc["frames"][1]["pose_c2w"] = scaled_pose(scales)
         outcomes.add(assert_same_outcome(doc)[0])
-        cleared.add(cleared_by_batched_pass(doc))
         errors.append(walker_errors(doc["frames"][1]["pose_c2w"])[kind == "det"])
     # the probes straddle the target in the walker's own arithmetic
     assert min(errors) < target < max(errors)
-    if target == ORTHO_TOL:
-        assert outcomes == {"accepted", "rejected"} and cleared == {False}
-    else:
-        # the batched pass clears only up to ORTHO_TOL / 2; past it the walker
-        # accepts as before
-        assert outcomes == {"accepted"} and cleared == {True, False}
+    assert outcomes == ({"accepted", "rejected"} if target == ORTHO_TOL else {"accepted"})
 
 
 # --- fuzzed documents -----------------------------------------------------------------
@@ -423,5 +443,6 @@ def test_fuzzed_documents_match_the_walker(data):
     doc = copy.deepcopy(data.draw(st.sampled_from(BASE_DOCS), label="base"))
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         mutate(doc, data)
+    new = outcome(frame_metadata_from_dict, doc)
     with np.errstate(all="ignore"):
-        assert_same_outcome(doc)
+        assert new == reference_outcome(doc)

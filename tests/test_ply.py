@@ -12,7 +12,7 @@ from sceneqa.errors import MalformedHeader, SceneQaError, TruncatedBody, Unsuppo
 from sceneqa.ply_io import (
     LabeledPointCloud,
     _parse_header,
-    _read_ascii_vertices,
+    _vertex_chunks,
     _vertex_element,
     parse_ply,
     write_ply,
@@ -159,8 +159,9 @@ def ascii_table(blob):
     body = io.BytesIO(blob)
     _, elements, _ = _parse_header(body)
     v_idx, vertex = _vertex_element(elements)
-    return _read_ascii_vertices(body, len(blob), elements[:v_idx], vertex.count,
-                                np.dtype(vertex.properties))
+    chunks = _vertex_chunks(body, "ascii", len(blob), elements[:v_idx], vertex.count,
+                            np.dtype(vertex.properties))
+    return np.concatenate([table for _, table in chunks])
 
 
 def assert_same_table(blob):

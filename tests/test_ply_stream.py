@@ -271,8 +271,8 @@ def test_bad_binary_value_past_the_first_chunk_names_its_row(tmp_path, small_chu
 
 @pytest.mark.parametrize("edits, error, message", [
     ({8: "8.5 abc 2.5 8 0 0 4 1"}, MalformedHeader, "row 8"),
-    ({2: "2.5 1.5 2.5 2 0 0 4.5 1", 8: "8.5 1.5"}, MalformedHeader, "row 9 "),  # 1-based
-    ({9: ""}, TruncatedBody, "body holds 11"),
+    ({2: "2.5 1.5 2.5 2 0 0 4.5 1", 8: "8.5 1.5"}, MalformedHeader, "row 8 "),
+    ({9: ""}, TruncatedBody, "body holds 9 "),
 ], ids=["bad_token", "short_row_after_bad_label", "blank_line"])
 def test_undecodable_later_chunk_reports_as_the_whole_block(tmp_path, small_chunks, edits,
                                                             error, message):
@@ -291,6 +291,34 @@ def declare_rows(path, n, declared):
     path.write_bytes(head.replace(b"element vertex %d" % n, b"element vertex %d" % declared)
                      + b"end_header\n" + body)
     return declared
+
+
+BAD_ROWS = {
+    "bad_token": lambda row: f"{row}.5 1.5 2.5 {row} 0 x7 4 1",
+    "short_row": lambda row: f"{row}.5 1.5",
+    "blank_line": lambda row: "",
+}
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first_chunk", "later_chunk"])
+@pytest.mark.parametrize("case", [*BAD_ROWS, "cut_body"])
+def test_first_bad_ascii_row_is_named_from_0(tmp_path, small_chunks, case, later):
+    """The chunk that holds the first bad row is read again line by line;
+    the error names that row of the whole block, counted from 0."""
+    row = 10 if later else small_chunks - 1
+    path = tmp_path / "f.ply"
+    if case == "cut_body":
+        declare_rows(float_ids_file(path, row), row, 12)
+    else:
+        float_ids_file(path, 12, {row: BAD_ROWS[case](row)})
+    expected = {
+        "bad_token": ("MalformedHeader", "vertex element: property 'blue' holds 'x7' in "
+                                         f"row {row}, not a float32 value", None),
+        "short_row": ("MalformedHeader",
+                      f"vertex element: row {row} does not split into 8 values", None),
+    }.get(case, ("TruncatedBody", f"vertex element declares 12 rows, body holds {row} "
+                                  f"(byte offset {path.stat().st_size})", path.stat().st_size))
+    assert assert_same_outcome(path) == expected
 
 
 @pytest.mark.parametrize("declared", [13, "body", 10 ** 6, 10 ** 30])
