@@ -9,6 +9,7 @@ list is byte-stable across runs and worker layouts.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -98,9 +99,12 @@ def gen_relative_direction(ctx: SceneGraph, cfg: GenConfig):
     """Left/right/back of a query object from an observer standing at A facing B."""
     out = TaskRecords(ctx.scene_id, "rel_dir", cfg)
     for a, b, c in out.select(permutations(ctx.unique_objects, 3)):
-        forward = b.box.center - a.box.center
-        rel = c.box.center - a.box.center
-        if vector_norm(rel[:2]) < cfg.min_planar_dist_m:
+        ax, ay, _ = a.box.center_floats
+        bx, by, _ = b.box.center_floats
+        cx, cy, _ = c.box.center_floats
+        forward = (bx - ax, by - ay)
+        rel = (cx - ax, cy - ay)
+        if vector_norm(rel) < cfg.min_planar_dist_m:
             continue
         try:
             theta = planar_signed_angle(forward, rel)
@@ -205,7 +209,9 @@ def convex_hull_area_xy(points: np.ndarray) -> float:
     An Akl-Toussaint octagon cull runs first, on the raw points; the
     survivors are lexsorted and equal neighbours dropped, Andrew's monotone
     chain runs on them as plain Python floats, and the shoelace sum over the
-    hull gives the area. The cull cannot change the area: it drops only points that lie
+    hull gives the area: each product x_k y_k+1 and -(y_k x_k+1) rounded
+    once, and their sum rounded once by ``math.fsum``, so no summation order
+    enters. The cull cannot change the area: it drops only points that lie
     inside the hull by over a thousand times the rounding error of an
     orientation test. Such a point is no hull vertex, and its depth, not
     rounding, decides every test it takes part in, so it enters the chain
@@ -225,9 +231,11 @@ def convex_hull_area_xy(points: np.ndarray) -> float:
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     lower = _half_chain(xs, ys, range(len(xs)))
     upper = _half_chain(xs, ys, range(len(xs) - 1, -1, -1))
-    hull = pts[lower[:-1] + upper[:-1]]
-    x, y = hull[:, 0], hull[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+    hull = lower[:-1] + upper[:-1]
+    succ = hull[1:] + hull[:1]
+    twice = math.fsum([xs[i] * ys[j] for i, j in zip(hull, succ)]
+                      + [-(ys[i] * xs[j]) for i, j in zip(hull, succ)])
+    return abs(twice) / 2.0
 
 
 def gen_room_size(ctx: SceneGraph, cfg: GenConfig):

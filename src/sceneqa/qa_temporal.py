@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import closest_point_on_box, vector_norm
+from .geometry import point_box_distance, vector_norm
 from .graph import SceneGraph, object_in_camera
 from .qa_records import ANSWER_MCA, ANSWER_NA, GenConfig, TaskRecords, round_tenth
 
@@ -29,7 +29,7 @@ def gen_cam_obj_abs_dist(ctx: SceneGraph, cfg: GenConfig):
              for pos, fid in enumerate(seq)
              for obj in ctx.unique_visible(fid)]
     for pos, fid, obj in out.select(cases):
-        _, dist = closest_point_on_box(ctx.frame(fid).position, obj.box)
+        dist = point_box_distance(ctx.frame(fid).position, obj.box)
         if dist < cfg.min_pair_dist_m:  # camera inside or touching: degenerate
             continue
         out.add(
@@ -57,8 +57,8 @@ def gen_cam_obj_rel_dist(ctx: SceneGraph, cfg: GenConfig):
         rng = out.rng(pos)
         picks = rng.choice(len(visible), size=4, replace=False).tolist()
         candidates = [visible[i] for i in picks]
-        cam = ctx.frame(fid).position
-        dists = [closest_point_on_box(cam, c.box)[1] for c in candidates]
+        cam = ctx.frame(fid).position.tolist()
+        dists = [point_box_distance(cam, c.box) for c in candidates]
         order = np.argsort(dists, kind="stable")
         if dists[order[1]] - dists[order[0]] < cfg.ambiguity_margin_m:
             continue
@@ -127,8 +127,9 @@ def gen_cam_displacement(ctx: SceneGraph, cfg: GenConfig):
     seq = ctx.frame_seq
     n = len(seq)
     out = TaskRecords(ctx.scene_id, "cam_displacement", cfg)
+    positions = [ctx.frame(fid).position.tolist() for fid in seq]
     for i, j in out.select(combinations(range(n), 2)):
-        dist = vector_norm(ctx.frame(seq[j]).position - ctx.frame(seq[i]).position)
+        dist = vector_norm([b - a for a, b in zip(positions[i], positions[j])])
         if dist < cfg.min_displacement_m:
             continue
         out.add(
@@ -145,17 +146,20 @@ def gen_cam_displacement(ctx: SceneGraph, cfg: GenConfig):
 MOVE_DIR_OPTIONS = ("Forward", "Backward", "Left", "Right")
 
 
-def classify_camera_motion(rotation_start: np.ndarray, displacement: np.ndarray,
+def classify_camera_motion(rotation_start: np.ndarray, displacement,
                            dominance_ratio: float):
     """Dominant planar motion direction in the starting frame's coordinates.
 
-    The world displacement is rotated into the start camera frame; the
+    The world displacement (an array or a sequence of 3 floats) is rotated
+    into the start camera frame, R^T d in ``geometry``'s fixed order; the
     vertical component (+Y, pointing down) is ignored. Returns one of
     MOVE_DIR_OPTIONS, or None when neither remaining axis dominates the
     other by ``dominance_ratio``.
     """
-    local = rotation_start.T @ np.asarray(displacement, dtype=float)
-    x, z = local[0], local[2]
+    (r00, _, r02), (r10, _, r12), (r20, _, r22) = rotation_start.tolist()
+    d0, d1, d2 = displacement.tolist() if isinstance(displacement, np.ndarray) else displacement
+    x = (r00 * d0 + r10 * d1) + r20 * d2
+    z = (r02 * d0 + r12 * d1) + r22 * d2
     if max(abs(x), abs(z)) < 1e-9:  # purely vertical motion
         return None
     if abs(z) >= dominance_ratio * abs(x):
@@ -170,12 +174,13 @@ def gen_cam_move_dir(ctx: SceneGraph, cfg: GenConfig):
     seq = ctx.frame_seq
     n = len(seq)
     out = TaskRecords(ctx.scene_id, "cam_move_dir", cfg)
+    positions = [ctx.frame(fid).position.tolist() for fid in seq]
     for i, j in out.select(combinations(range(n), 2)):
-        start = ctx.frame(seq[i])
-        net = ctx.frame(seq[j]).position - start.position
+        net = [b - a for a, b in zip(positions[i], positions[j])]
         if vector_norm(net) < cfg.min_displacement_m:
             continue
-        direction = classify_camera_motion(start.rotation, net, cfg.dominance_ratio)
+        direction = classify_camera_motion(ctx.frame(seq[i]).rotation, net,
+                                           cfg.dominance_ratio)
         if direction is None:
             continue
         out.add(

@@ -80,7 +80,8 @@ class ClassifiedRoute:
 
 
 def _arclength_midpoint(w: np.ndarray) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(w, axis=0), axis=1)
+    d = w[1:] - w[:-1]
+    seg = np.sqrt(np.add.reduce(d * d, axis=1))  # np.linalg.norm(axis=1)'s bits
     half = seg.sum() / 2.0
     walked = 0.0
     for k, length in enumerate(seg):
@@ -149,7 +150,7 @@ def label_anchors(route: ClassifiedRoute, objects, centers: np.ndarray,
     used = []
     for anchor in route.anchors:
         d = centers - anchor[:2]
-        dists = np.sqrt(d[:, None, :] @ d[:, :, None]).ravel()  # vector_norm's bits
+        dists = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # vector_norm's bits
         k = int(np.argmin(dists))
         if dists[k] > max_anchor_dist_m:
             raise NoNearbyObject(f"nearest object is {dists[k]:.2f} m away")

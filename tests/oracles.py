@@ -4,8 +4,10 @@ Everything here deliberately avoids the package's own geometry paths:
 rotations go through scipy, box distances through surface sampling with a
 k-d tree plus local grid refinement, camera transforms through explicit
 4x4 matrix inversion. The ``reference_*`` functions are the exception: they
-keep former implementations verbatim, so faster code can be checked bit
-for bit against them.
+keep former implementations verbatim, or restate the fixed-order float
+formulas of ``sceneqa.geometry`` as plain loops, so faster code can be
+checked bit for bit against them. The ``former_*`` functions keep the BLAS
+geometry those formulas replaced.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from sceneqa.errors import (
     TruncatedBody,
     UnsupportedEncoding,
 )
-from sceneqa.geometry import MAX_COORD, ORTHO_TOL, OrientedBox3, quat_from_yaw, vector_norm
+from sceneqa.geometry import MAX_COORD, ORTHO_TOL, OrientedBox3, quat_from_yaw
 from sceneqa.graph import build_graph, scene_context
 from sceneqa.metadata import (
     DEFAULT_MIN_POINTS,
@@ -188,13 +190,13 @@ def hull_area_xy(points) -> float:
     return float(ConvexHull(pts).volume)  # 2D "volume" is the area
 
 
-def reference_hull_area_xy(points: np.ndarray) -> float:
-    """The former ``qa_spatial.convex_hull_area_xy``, kept verbatim: a
-    monotone chain over every unique point + shoelace. The culled hull must
-    return the same float bits."""
+def _reference_hull(points: np.ndarray) -> np.ndarray | None:
+    """The former hull of ``qa_spatial.convex_hull_area_xy``, kept verbatim:
+    a monotone chain over every unique point. Its vertices, in order, or
+    None for fewer than 3 unique points."""
     pts = np.unique(np.asarray(points, dtype=float)[:, :2], axis=0)
     if len(pts) < 3:
-        return 0.0
+        return None
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
     def cross2(o, a, b):
@@ -210,7 +212,30 @@ def reference_hull_area_xy(points: np.ndarray) -> float:
 
     lower = half(pts)
     upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def reference_hull_area_xy(points: np.ndarray) -> float:
+    """The area over the full chain, the shoelace as one ``math.fsum`` of
+    the products x_k y_k+1 and -(y_k x_k+1). The culled hull must return the
+    same float bits, so the cull must keep the hull vertices as they were."""
+    hull = _reference_hull(points)
+    if hull is None:
+        return 0.0
+    x, y = hull[:, 0].tolist(), hull[:, 1].tolist()
+    n = len(x)
+    products = []
+    for k in range(n):
+        products.append(x[k] * y[(k + 1) % n])
+        products.append(-(y[k] * x[(k + 1) % n]))
+    return abs(math.fsum(products)) / 2.0
+
+
+def former_hull_area_xy(points: np.ndarray) -> float:
+    """The former BLAS shoelace over the same hull: two ``np.dot`` calls."""
+    hull = _reference_hull(points)
+    if hull is None:
+        return 0.0
     x, y = hull[:, 0], hull[:, 1]
     return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
 
@@ -262,11 +287,15 @@ def reference_derive_instance_boxes(cloud, label_map: dict,
     return instances
 
 
-# --- the former geometry path, kept verbatim as the bitwise reference ---------
+# --- the geometry path's fixed-order formulas, the bitwise reference -----------
 #
-# Before boxes derived their matrices once and the hot loops skipped
-# re-validation, sceneqa.geometry computed these exactly as below. The
-# current code must return the same float bits.
+# sceneqa.geometry computes every value in the fixed order its module
+# docstring writes down. The references below restate those formulas as
+# index loops over plain Python floats, with no call into the package's
+# geometry, and the current code must return the same float bits. The
+# ``former_*`` functions keep the BLAS implementations the formulas
+# replaced (``@`` products and ``np.linalg.norm``); the tests bound how far
+# the two ever drift apart.
 
 REFERENCE_STEP_TOL = 1e-7
 REFERENCE_MAX_PROJECTION_ITERS = 200
@@ -299,47 +328,133 @@ def _reference_half_size(box):
     return box.size / 2.0
 
 
-def _reference_to_local(box, p):
-    return reference_quat_to_matrix(box.rotation).T @ (_reference_as_vec3(p, "point") - box.center)
+def reference_norm(v) -> float:
+    """sqrt of the squares summed left to right: ((x*x + y*y) + z*z) ..."""
+    v = [float(x) for x in v]
+    total = v[0] * v[0]
+    for k in range(1, len(v)):
+        total = total + v[k] * v[k]
+    return math.sqrt(total)
 
 
-def _reference_to_world(box, p_local):
-    return reference_quat_to_matrix(box.rotation) @ np.asarray(p_local, dtype=float) + box.center
+def _reference_transposed_apply(rotation, t, p) -> list:
+    """l_j = (R[0][j]*d0 + R[1][j]*d1) + R[2][j]*d2 with d = p - t."""
+    r, t, p = np.asarray(rotation, dtype=float).tolist(), list(t), list(p)
+    d = [p[i] - t[i] for i in range(3)]
+    out = []
+    for j in range(3):
+        acc = r[0][j] * d[0]
+        for i in range(1, 3):
+            acc = acc + r[i][j] * d[i]
+        out.append(acc)
+    return out
+
+
+def _reference_to_local(box, p) -> list:
+    return _reference_transposed_apply(reference_quat_to_matrix(box.rotation),
+                                       box.center.tolist(), p)
+
+
+def _reference_to_world(box, p_local) -> list:
+    """w_i = ((R[i][0]*l0 + R[i][1]*l1) + R[i][2]*l2) + c_i."""
+    r, c = reference_quat_to_matrix(box.rotation).tolist(), box.center.tolist()
+    out = []
+    for i in range(3):
+        acc = r[i][0] * p_local[0]
+        for j in range(1, 3):
+            acc = acc + r[i][j] * p_local[j]
+        out.append(acc + c[i])
+    return out
 
 
 def reference_corners(box) -> np.ndarray:
-    local = _REFERENCE_CORNER_SIGNS * _reference_half_size(box)
-    return local @ reference_quat_to_matrix(box.rotation).T + box.center
+    half = _reference_half_size(box).tolist()
+    return np.array([_reference_to_world(box, [sign[j] * half[j] for j in range(3)])
+                     for sign in _REFERENCE_CORNER_SIGNS.tolist()])
 
 
 def reference_world_to_camera(p, rotation, translation) -> np.ndarray:
-    return rotation.T @ (_reference_as_vec3(p, "point") - translation)
+    p = _reference_as_vec3(p, "point").tolist()
+    return np.array(_reference_transposed_apply(rotation, np.asarray(translation).tolist(), p))
+
+
+def _reference_closest(p, box) -> list:
+    """Local, clamp with min(max(l, -h), h), back to world; p a float list."""
+    half = _reference_half_size(box).tolist()
+    local = _reference_to_local(box, p)
+    clamped = [min(max(local[j], -half[j]), half[j]) for j in range(3)]
+    return _reference_to_world(box, clamped)
+
+
+def _reference_distance(p, q) -> float:
+    return reference_norm([p[i] - q[i] for i in range(3)])
 
 
 def reference_closest_point_on_box(p, box):
-    p = _reference_as_vec3(p, "point")
-    local = _reference_to_local(box, p)
-    clamped = np.clip(local, -_reference_half_size(box), _reference_half_size(box))
-    point = _reference_to_world(box, clamped)
-    return point, float(np.linalg.norm(p - point))
+    p = _reference_as_vec3(p, "point").tolist()
+    point = _reference_closest(p, box)
+    return np.array(point), _reference_distance(p, point)
 
 
 def _reference_box_sort_key(box):
     return tuple(box.center) + tuple(box.size) + tuple(box.rotation)
 
 
-def reference_box_box_distance(a, b) -> float:
+def _reference_projections(a, b) -> tuple:
+    """Alternating projections as box_box_distance runs them: (distance,
+    iterations run), the iterations equal to the cap when it stops there."""
     if _reference_box_sort_key(b) < _reference_box_sort_key(a):
         a, b = b, a
-    p, _ = reference_closest_point_on_box(b.center, a)
+    p = _reference_closest(b.center.tolist(), a)
+    iters = REFERENCE_MAX_PROJECTION_ITERS
+    for k in range(REFERENCE_MAX_PROJECTION_ITERS):
+        p_next = _reference_closest(_reference_closest(p, b), a)
+        if _reference_distance(p_next, p) < REFERENCE_STEP_TOL:
+            p, iters = p_next, k + 1
+            break
+        p = p_next
+    return _reference_distance(p, _reference_closest(p, b)), iters
+
+
+def reference_box_box_distance(a, b) -> float:
+    return _reference_projections(a, b)[0]
+
+
+def reference_projection_iters(a, b) -> int:
+    """Iterations reference_box_box_distance runs on a pair; equal to
+    REFERENCE_MAX_PROJECTION_ITERS when it stops at the cap."""
+    return _reference_projections(a, b)[1]
+
+
+def former_world_to_camera(p, rotation, translation) -> np.ndarray:
+    """The former BLAS world_to_camera of one point: R^T (p - t) as ``@``."""
+    return rotation.T @ (_reference_as_vec3(p, "point") - translation)
+
+
+def former_closest_point_on_box(p, box):
+    """The former BLAS closest_point_on_box: ``@`` products, np.clip and
+    np.linalg.norm."""
+    p = _reference_as_vec3(p, "point")
+    rot = reference_quat_to_matrix(box.rotation)
+    local = rot.T @ (p - box.center)
+    clamped = np.clip(local, -_reference_half_size(box), _reference_half_size(box))
+    point = rot @ clamped + box.center
+    return point, float(np.linalg.norm(p - point))
+
+
+def former_box_box_distance(a, b) -> float:
+    """The former BLAS box_box_distance, on former_closest_point_on_box."""
+    if _reference_box_sort_key(b) < _reference_box_sort_key(a):
+        a, b = b, a
+    p, _ = former_closest_point_on_box(b.center, a)
     for _ in range(REFERENCE_MAX_PROJECTION_ITERS):
-        q, _ = reference_closest_point_on_box(p, b)
-        p_next, _ = reference_closest_point_on_box(q, a)
+        q, _ = former_closest_point_on_box(p, b)
+        p_next, _ = former_closest_point_on_box(q, a)
         if np.linalg.norm(p_next - p) < REFERENCE_STEP_TOL:
             p = p_next
             break
         p = p_next
-    _, dist = reference_closest_point_on_box(p, b)
+    _, dist = former_closest_point_on_box(p, b)
     return dist
 
 
@@ -358,7 +473,7 @@ def reference_box_error(center, size, rotation) -> str | None:
             raise ValueError(f"rotation quaternion must have shape (4,), got {q.shape}")
         if not np.isfinite(q).all():
             raise ValueError("rotation quaternion has non-finite components")
-        if abs(vector_norm(q) - 1.0) > ORTHO_TOL:
+        if abs(reference_norm(q) - 1.0) > ORTHO_TOL:
             raise ValueError("rotation quaternion is not unit norm")
     except ValueError as exc:
         return str(exc)
@@ -371,13 +486,13 @@ def reference_box_key(box) -> tuple:
 
 
 def reference_planar_signed_angle(from_dir, to_dir) -> float:
-    """The former planar_signed_angle: numpy scalar arithmetic on the first
-    two components."""
+    """planar_signed_angle: numpy scalar arithmetic on the first two
+    components, the degeneracy norms in the fixed order."""
     u = from_dir[:2]
     v = to_dir[:2]
-    if np.linalg.norm(u) < 1e-9:
+    if reference_norm(u) < 1e-9:
         raise DegenerateDirection("from_dir has no floor-plane component")
-    if np.linalg.norm(v) < 1e-9:
+    if reference_norm(v) < 1e-9:
         raise DegenerateDirection("to_dir has no floor-plane component")
     ang = math.degrees(math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]))
     if ang >= 180.0:
@@ -401,26 +516,21 @@ def reference_trajectory_waypoints(waypoints):
     return w
 
 
-def reference_projection_iters(a, b) -> int:
-    """Iterations reference_box_box_distance runs on a pair; equal to
-    REFERENCE_MAX_PROJECTION_ITERS when it stops at the cap."""
-    if _reference_box_sort_key(b) < _reference_box_sort_key(a):
-        a, b = b, a
-    p, _ = reference_closest_point_on_box(b.center, a)
-    for k in range(REFERENCE_MAX_PROJECTION_ITERS):
-        q, _ = reference_closest_point_on_box(p, b)
-        p_next, _ = reference_closest_point_on_box(q, a)
-        if np.linalg.norm(p_next - p) < REFERENCE_STEP_TOL:
-            return k + 1
-        p = p_next
-    return REFERENCE_MAX_PROJECTION_ITERS
-
-
 def reference_object_in_camera(g, frame_id, instance_id) -> np.ndarray:
     fr = g.frame(frame_id)
     obj = g.object(instance_id)
     corners = reference_corners(obj.box)
     return np.stack([reference_world_to_camera(c, fr.rotation, fr.position) for c in corners])
+
+
+def former_object_in_camera(g, frame_id, instance_id) -> np.ndarray:
+    """The former BLAS corners, ``local @ R^T + c``, each mapped by
+    former_world_to_camera."""
+    fr = g.frame(frame_id)
+    box = g.object(instance_id).box
+    local = _REFERENCE_CORNER_SIGNS * _reference_half_size(box)
+    corners = local @ reference_quat_to_matrix(box.rotation).T + box.center
+    return np.stack([former_world_to_camera(c, fr.rotation, fr.position) for c in corners])
 
 
 def reference_label_anchors(route, g, max_anchor_dist_m):
@@ -433,9 +543,9 @@ def reference_label_anchors(route, g, max_anchor_dist_m):
     for anchor in route.anchors:
         best = min(
             g.scene.objects,
-            key=lambda o: vector_norm(o.box.center[:2] - anchor[:2]),
+            key=lambda o: reference_norm(o.box.center[:2] - anchor[:2]),
         )
-        dist = vector_norm(best.box.center[:2] - anchor[:2])
+        dist = reference_norm(best.box.center[:2] - anchor[:2])
         if dist > max_anchor_dist_m:
             raise NoNearbyObject(f"nearest object is {dist:.2f} m away")
         if best.instance_id in used:

@@ -26,15 +26,19 @@ INTRINSICS = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
               "width": 640, "height": 480}
 
 
+def _cross(a, b) -> list:
+    """np.cross of two 3-vectors on plain floats: the same products and
+    differences, so the same bits, without numpy's per-call overhead."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
 def upright_pose_matrix(position, yaw, pitch=0.0) -> np.ndarray:
     """Camera-to-world 4x4 for an upright camera (+Y down maps near world -Z)."""
-    forward = np.array([math.cos(yaw) * math.cos(pitch),
-                        math.sin(yaw) * math.cos(pitch),
-                        -math.sin(pitch)])
-    down = np.array([0.0, 0.0, -1.0])
-    right = np.cross(down, forward)
+    forward = [math.cos(yaw) * math.cos(pitch), math.sin(yaw) * math.cos(pitch),
+               -math.sin(pitch)]
+    right = np.array(_cross([0.0, 0.0, -1.0], forward))
     right = right / np.linalg.norm(right)
-    down_cam = np.cross(forward, right)
+    down_cam = _cross(forward, right.tolist())
     m = np.eye(4)
     m[:3, 0] = right
     m[:3, 1] = down_cam

@@ -1,10 +1,13 @@
-"""The geometry path bit for bit against its former implementation.
+"""The geometry path bit for bit against its fixed-order formulas.
 
-Boxes derive their rotation matrix and half extents once, the hot loops skip
-re-validation, norms are sqrt(v . v) and the scene graph memoizes pair
-distances and camera-space corners. None of that may change a float bit:
-every result here is compared by ``float.hex`` with the ``reference_*``
-functions in ``oracles.py``.
+Boxes derive their rotation matrix, half extents and their float copies
+once, the hot loops skip re-validation, every value follows the fixed order
+of ``sceneqa.geometry``'s docstring (norms ``sqrt((x*x + y*y) + z*z)``, no
+BLAS call) and the scene graph memoizes pair distances and camera-space
+corners. None of that may change a float bit: every result here is compared
+by ``float.hex`` with the ``reference_*`` functions in ``oracles.py``, which
+restate the formulas as plain loops. The former BLAS path, kept there as
+``former_*``, must agree with them to 1e-12 m.
 """
 
 import math
@@ -17,6 +20,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     REFERENCE_MAX_PROJECTION_ITERS,
+    former_box_box_distance,
+    former_closest_point_on_box,
+    former_object_in_camera,
+    former_world_to_camera,
     reference_box_box_distance,
     reference_box_error,
     reference_box_key,
@@ -35,6 +42,7 @@ from sceneqa.geometry import (
     box_box_distance,
     closest_point_on_box,
     planar_signed_angle,
+    point_box_distance,
     quat_from_yaw,
     quat_to_matrix,
     world_to_camera,
@@ -77,6 +85,8 @@ def assert_closest_point_bits(p, box):
     ref_point, ref_dist = reference_closest_point_on_box(p, box)
     assert hexes(point) == hexes(ref_point)
     assert dist.hex() == ref_dist.hex()
+    assert point_box_distance(p, box).hex() == ref_dist.hex()
+    assert point_box_distance([float(x) for x in p], box).hex() == ref_dist.hex()
 
 
 # --- box_box_distance ----------------------------------------------------------------
@@ -152,12 +162,18 @@ def test_closest_point_bits_on_seeded_points():
         assert_closest_point_bits(box.center, box)  # inside: distance 0
 
 
-def test_world_to_camera_bits_on_seeded_poses():
+def seeded_poses():
     rng = np.random.default_rng(43)
     for _ in range(50):
         rot, t = quat_to_matrix(unit_quat(rng)), rng.uniform(-5, 5, size=3)
-        for p in rng.uniform(-10, 10, size=(10, 3)):
-            assert hexes(world_to_camera(p, rot, t)) == hexes(reference_world_to_camera(p, rot, t))
+        yield rot, t, rng.uniform(-10, 10, size=(10, 3))
+
+
+def test_world_to_camera_bits_on_seeded_poses():
+    for rot, t, points in seeded_poses():
+        want = [hexes(reference_world_to_camera(p, rot, t)) for p in points]
+        assert [hexes(world_to_camera(p, rot, t)) for p in points] == want
+        assert hexes(world_to_camera(points, rot, t)) == sum(want, [])  # batched: same bits
 
 
 # --- object_in_camera and the graph's memos ------------------------------------------
@@ -211,19 +227,58 @@ def test_context_box_distance_is_order_free_and_exact(synth_graph):
         assert box_box_distance(a.box, b.box).hex() == want
 
 
+# --- the re-pin moved no value beyond rounding -------------------------------------------
+
+def test_fixed_order_agrees_with_the_former_blas_path_to_1e_12_m():
+    """The references above restate the fixed-order formulas, so a slip in a
+    convention (a transposed matrix, a sign) would move code and reference
+    alike; against the former BLAS path, which fixed the conventions, every
+    distance, point and camera corner on the seeded sets agrees to 1e-12 m."""
+    tol = 1e-12
+    pairs = []
+    for boxes in (seeded_boxes(17, 40, span=4.0, yaw_only=True), seeded_boxes(17, 40, span=4.0),
+                  seeded_boxes(5, 2000)):
+        pairs += zip(boxes[0::2], boxes[1::2])
+    for a, b in pairs:
+        assert abs(box_box_distance(a, b) - former_box_box_distance(a, b)) <= tol
+
+    rng = np.random.default_rng(29)
+    boxes = seeded_boxes(31, 10) + seeded_boxes(37, 10, yaw_only=True) + \
+        seeded_boxes(41, 5, size_lo=1e-6, size_hi=2e-6)
+    for box in boxes:
+        for p in rng.uniform(-4, 4, size=(20, 3)):
+            point, dist = closest_point_on_box(p, box)
+            former_point, former_dist = former_closest_point_on_box(p, box)
+            assert np.abs(point - former_point).max() <= tol
+            assert abs(dist - former_dist) <= tol
+
+    for rot, t, points in seeded_poses():
+        for p in points:
+            assert np.abs(world_to_camera(p, rot, t) - former_world_to_camera(p, rot, t)).max() <= tol
+    for seed in (606, 607, 608):
+        g = build_graph(*make_scene(seed=seed, scene_id=f"bits{seed}"))
+        for fid in g.frame_ids():
+            for iid in sorted(g.visible_in(fid)):
+                got = object_in_camera(g, fid, iid)
+                assert np.abs(got - former_object_in_camera(g, fid, iid)).max() <= tol
+
+
 # --- derived arrays cannot go stale ---------------------------------------------------
 
 def test_box_arrays_are_read_only_copies():
     center = np.array([1.0, 2.0, 3.0])
     box = OrientedBox3(center, [1.0, 2.0, 3.0], quat_from_yaw(0.5))
-    for arr in (box.center, box.size, box.rotation, box.matrix, box.half, box.neg_half):
+    for arr in (box.center, box.size, box.rotation, box.matrix, box.half):
         with pytest.raises(ValueError):
             arr[0] = 9.0
     center[0] = 9.0  # the caller's array stays writable and the box keeps its copy
     assert box.center[0] == 1.0
     assert hexes(box.matrix) == hexes(quat_to_matrix(box.rotation))
     assert hexes(box.half) == hexes(box.size / 2.0)
-    assert hexes(box.neg_half) == hexes(-(box.size / 2.0))
+    assert box.center_floats == (1.0, 2.0, 3.0) and box.half_floats == (0.5, 1.0, 1.5)
+    assert hexes(box.matrix_floats) == hexes(box.matrix)
+    with pytest.raises(AttributeError):
+        box.center_floats = (0.0, 0.0, 0.0)
 
 
 # --- the box and trajectory constructors' checks ----------------------------------------
@@ -284,7 +339,8 @@ def assert_box_checks(center, size, rotation):
     assert hexes(box.rotation) == hexes(rotation)
     assert hexes(box.matrix) == hexes(reference_quat_to_matrix(rotation))
     assert hexes(box.half) == hexes(np.asarray(size) / 2.0)
-    assert hexes(box.neg_half) == hexes(-(np.asarray(size) / 2.0))
+    assert hexes(box.center_floats) == hexes(center) and hexes(box.half_floats) == hexes(box.half)
+    assert hexes(box.matrix_floats) == hexes(box.matrix)
     assert hexes(box._key) == hexes(reference_box_key(box))
 
 
