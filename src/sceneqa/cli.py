@@ -149,15 +149,10 @@ def discover_scenes(root) -> list[SceneInputs]:
     return scenes
 
 
-def _route_plan(g, cfg: GenConfig):
-    records, _ = gen_route_plan(g, g.trajectories, cfg)
-    return records
-
-
 def task_generators() -> dict:
-    """Task name -> ``gen(ctx, cfg)``, read from the registries at call time."""
+    """Task name -> ``gen(ctx, cfg)``, each looked up at call time."""
     return {**qa_spatial.SPATIAL_GENERATORS, **qa_temporal.TEMPORAL_GENERATORS,
-            "route_plan": _route_plan}
+            "route_plan": lambda g, cfg: gen_route_plan(g, g.trajectories, cfg)[0]}
 
 
 def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
@@ -172,18 +167,17 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
         raise InputError(f"{inputs.scene_path}: scene_id {scene.scene_id!r} is not a "
                          f"single file name, so --dump-graphs cannot name a file after it")
     frames = _load(inputs.frames_path, load_frame_metadata)
-    try:
-        g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px)
-    except DanglingInstanceRef as exc:
-        raise InputError(f"{inputs.frames_path}: {exc}") from None
-    cloud = None
-    if "room_size" in tasks and inputs.cloud_path:
-        cloud = _load(inputs.cloud_path, parse_ply)
+    cloud = (_load(inputs.cloud_path, parse_ply)
+             if "room_size" in tasks and inputs.cloud_path else None)
     trajectories = ()
     if "route_plan" in tasks and inputs.trajectories_path:
         trajectories = [t for sid, t in load_trajectories(inputs.trajectories_path)
                         if sid == scene.scene_id]
-    g = graph_mod.scene_context(g, cfg.sample_frames, cloud, trajectories)
+    try:
+        g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px, cfg.sample_frames,
+                                  cloud, trajectories)
+    except DanglingInstanceRef as exc:
+        raise InputError(f"{inputs.frames_path}: {exc}") from None
 
     if dump_dir is not None:
         with open(Path(dump_dir) / f"{scene.scene_id}.json", "w", encoding="utf-8") as fh:

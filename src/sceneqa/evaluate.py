@@ -19,6 +19,9 @@ from .qa_records import ANSWER_NA, TASK_ORDER
 # The ten tolerance levels, written out so the grid is exact and auditable.
 THETA_GRID = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 
+# Every judgment's status, in report order.
+STATUSES = ("scored", "no_match", "ambiguous", "no_number", "missing")
+
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 _LONE_LETTER_RE = re.compile(r"[\(\[]?([A-Da-d])[\)\]\.:,]?")
 _PUNCT_LETTER_RE = re.compile(r"(?:^|\s)[\(\[]?([A-Da-d])[\)\]\.:,?!](?=\s|$)")
@@ -123,6 +126,8 @@ class EvalReport:
     overall: float
     per_question: tuple  # of judgment dicts, sorted by qid
     weight_by_question: bool
+    status_counts: dict  # task -> {status: judgments with it}, every status listed
+    unknown_qid: int     # predictions whose qid names no record
 
     def to_dict(self) -> dict:
         return {
@@ -131,6 +136,8 @@ class EvalReport:
                                   else "mean_of_task_means"),
             "per_task": {t: dict(v) for t, v in sorted(self.per_task.items())},
             "per_question": [dict(j) for j in self.per_question],
+            "status_counts": {t: dict(v) for t, v in sorted(self.status_counts.items())},
+            "unknown_qid": self.unknown_qid,
         }
 
 
@@ -139,7 +146,9 @@ def score_run(records, preds, weight_by_question: bool = False) -> EvalReport:
 
     Missing predictions score 0 and stay in the counts. The overall score is
     the unweighted mean of per-task scores (the benchmark averages task
-    columns); per-question weighting is available behind the flag.
+    columns); per-question weighting is available behind the flag. The
+    report also counts each task's judgments by status, and the predictions
+    whose qid names no record, which are otherwise ignored.
     """
     by_qid = {}
     for p in preds:
@@ -177,11 +186,13 @@ def score_run(records, preds, weight_by_question: bool = False) -> EvalReport:
                     j["status"] = "ambiguous"
         judgments.append(j)
 
-    per_task = {}
+    per_task, status_counts = {}, {}
     for j in judgments:
         bucket = per_task.setdefault(j["task"], {"count": 0, "score": 0.0})
         bucket["count"] += 1
         bucket["score"] += j["score"]
+        status_counts.setdefault(j["task"], dict.fromkeys(STATUSES, 0))[j["status"]] += 1
+    unknown_qid = len(by_qid.keys() - {rec.qid for rec in records})
     for bucket in per_task.values():
         bucket["score"] = bucket["score"] / bucket["count"]
 
@@ -190,7 +201,8 @@ def score_run(records, preds, weight_by_question: bool = False) -> EvalReport:
     else:
         overall = (sum(b["score"] for b in per_task.values()) / len(per_task)) if per_task else 0.0
 
-    return EvalReport(per_task, overall, tuple(judgments), weight_by_question)
+    return EvalReport(per_task, overall, tuple(judgments), weight_by_question, status_counts,
+                      unknown_qid)
 
 
 def render_table(report: EvalReport) -> str:

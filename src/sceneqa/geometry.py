@@ -31,8 +31,10 @@ implementation can reproduce every bit (as ``qa_records`` does for its RNG
 streams):
 
 - rotation matrix of a quaternion: as written in ``quat_to_matrix``.
-- norm: ``sqrt((x*x + y*y) + z*z)``, summed left to right; a 2-vector or a
-  quaternion is summed the same way.
+- norm: ``sqrt((x*x + y*y) + z*z)``, summed left to right; a 2-vector, a
+  quaternion and each row of a stack (``row_norms``) the same way.
+- any other sum: left to right from 0.0 (``ordered_sum``), not numpy's
+  ``sum`` (pairwise from 8 terms on) nor Python's (compensated from 3.12).
 - world to box-local, and world to camera, with ``d = p - t`` (``t`` the box
   centre or the camera position, ``R`` the box-to-world or camera-to-world
   rotation): ``l_j = (R[0][j]*d0 + R[1][j]*d1) + R[2][j]*d2``.
@@ -80,15 +82,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def ordered_sum(values) -> float:
+    """The sum of floats, added left to right from 0.0."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def vector_norm(v) -> float:
     """Euclidean norm of a vector of floats (a 1-D array or a sequence),
     its squares summed left to right."""
-    if isinstance(v, np.ndarray):
-        v = v.ravel().tolist()
-    total = 0.0  # 0.0 + x*x is x*x: a square is never -0.0
-    for x in v:
-        total += x * x
-    return math.sqrt(total)
+    return math.sqrt(ordered_sum(x * x for x in _components(v)))
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """The norm of each row of an (N, 2) or (N, 3) stack, as ``vector_norm``."""
+    total = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    return np.sqrt(total + d[:, 2] * d[:, 2] if d.shape[1] == 3 else total)
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -179,7 +190,7 @@ class OrientedBox3:
 
 
 def _components(v):
-    """A 3-vector's components: an array's as Python floats, a sequence as it is."""
+    """A vector's components: an array's as Python floats, a sequence as it is."""
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 

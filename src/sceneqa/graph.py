@@ -1,12 +1,12 @@
 """Spatio-temporal scene graph: object nodes, per-frame camera nodes, visibility.
 
-The graph is the per-scene object every task generator reads; scene_context
-attaches a run's inputs, and derived facts are computed on first use and kept.
+The graph is the per-scene object every task generator reads; one build_graph
+call makes it, and derived facts are computed on first use and kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -86,8 +86,11 @@ class SceneGraph:
 
 
 def build_graph(scene: SceneMetadata, frames: FrameMetadata,
-                min_bbox_area_px: float = GenConfig.min_bbox_area_px) -> SceneGraph:
-    """Build the graph, keeping only detections with 2D area >= the threshold.
+                min_bbox_area_px: float = GenConfig.min_bbox_area_px,
+                sample_frames: int = GenConfig.sample_frames, cloud=None,
+                trajectories=()) -> SceneGraph:
+    """Build the graph, keeping only detections with 2D area >= the threshold,
+    with a run's frame sample size, cloud and trajectories attached.
 
     Raises DanglingInstanceRef if any frame references an instance id that
     the scene metadata does not declare.
@@ -120,7 +123,7 @@ def build_graph(scene: SceneMetadata, frames: FrameMetadata,
 
     frames_by_id = {fr.frame_id: fr for fr in frames.frames}
     return SceneGraph(scene, frames, visibility, first_seen, category_first_seen,
-                      objects_by_id, frames_by_id)
+                      objects_by_id, frames_by_id, sample_frames, cloud, tuple(trajectories))
 
 
 def object_in_camera(g: SceneGraph, frame_id: int, instance_id: int) -> np.ndarray:
@@ -151,13 +154,6 @@ def sample_frame_sequence(g: SceneGraph, n: int):
         return list(ids)
     picks = [int(i * (m - 1) / (n - 1) + 0.5) for i in range(n)]
     return [ids[p] for p in picks]
-
-
-def scene_context(g: SceneGraph, sample_frames: int, cloud=None,
-                  trajectories=()) -> SceneGraph:
-    """The graph with one run's inputs attached, and memos of its own."""
-    return replace(g, sample_frames=sample_frames, cloud=cloud,
-                   trajectories=tuple(trajectories))
 
 
 def graph_to_dict(g: SceneGraph) -> dict:

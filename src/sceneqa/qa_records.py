@@ -247,6 +247,16 @@ class TaskRecords:
         words = np.frombuffer(hashlib.sha256(name.encode("utf-8")).digest(), dtype="<u4")
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
+    def until_full(self, items):
+        """``items`` in order while the task holds fewer than ``max_per_task``
+        records (first come, first kept); none is pulled once it is full."""
+        if len(self.records) >= self.cfg.max_per_task:
+            return
+        for item in items:
+            yield item  # resumed once the caller's loop body has run
+            if len(self.records) >= self.cfg.max_per_task:
+                return
+
     def select(self, cases) -> list:
         """At most ``max_per_task`` of ``cases``, in order, drawn from the
         task's ``"select"`` stream."""

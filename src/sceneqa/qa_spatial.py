@@ -61,9 +61,7 @@ def gen_relative_distance(ctx: SceneGraph, cfg: GenConfig):
     if len(uniq) < 5:
         return []
     out = TaskRecords(ctx.scene_id, "rel_dist", cfg)
-    for k, target in enumerate(uniq):
-        if len(out.records) >= cfg.max_per_task:
-            break
+    for k, target in out.until_full(enumerate(uniq)):
         rng = out.rng(k)
         others = [o for o in uniq if o.instance_id != target.instance_id]
         picks = rng.choice(len(others), size=4, replace=False).tolist()

@@ -48,9 +48,7 @@ def gen_cam_obj_rel_dist(ctx: SceneGraph, cfg: GenConfig):
     seq = ctx.frame_seq
     n = len(seq)
     out = TaskRecords(ctx.scene_id, "cam_obj_rel_dist", cfg)
-    for pos, fid in enumerate(seq):
-        if len(out.records) >= cfg.max_per_task:
-            break
+    for pos, fid in out.until_full(enumerate(seq)):
         visible = ctx.unique_visible(fid)
         if len(visible) < 4:
             continue
@@ -101,11 +99,11 @@ def gen_obj_obj_rel_pos(ctx: SceneGraph, cfg: GenConfig):
     out = TaskRecords(ctx.scene_id, "obj_obj_rel_pos", cfg)
     for pos, fid, a, b, axis_idx in out.select(cases):
         axis, low_label, high_label, fragment = _AXIS_RULES[axis_idx]
-        ca = object_in_camera(ctx, fid, a.instance_id)[:, axis]
-        cb = object_in_camera(ctx, fid, b.instance_id)[:, axis]
-        if ca.max() + cfg.interval_gap_m <= cb.min():
+        ca = object_in_camera(ctx, fid, a.instance_id)[:, axis].tolist()  # max, min: exact
+        cb = object_in_camera(ctx, fid, b.instance_id)[:, axis].tolist()
+        if max(ca) + cfg.interval_gap_m <= min(cb):
             truth = low_label
-        elif cb.max() + cfg.interval_gap_m <= ca.min():
+        elif max(cb) + cfg.interval_gap_m <= min(ca):
             truth = high_label
         else:
             continue

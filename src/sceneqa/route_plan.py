@@ -13,13 +13,13 @@ describes, so a mirrored or reversed route can never carry a stale label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, TooShort
-from .geometry import MAX_COORD, planar_signed_angle
+from .geometry import MAX_COORD, ordered_sum, planar_signed_angle, row_norms
 from .graph import SceneGraph
 from .metadata import read_jsonl
 from .qa_records import ANSWER_MCA, GenConfig, QaRecord, TaskRecords
@@ -46,13 +46,16 @@ TEMPLATE_2 = (
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered floor-plane waypoints, each coordinate within
-    ``geometry.MAX_COORD``. Consecutive waypoints must be distinct; a
-    single-waypoint path is representable but unclassifiable (TooShort)."""
+    ``geometry.MAX_COORD``, and the steps between them with their lengths,
+    derived once. Consecutive waypoints must be distinct; a single-waypoint
+    path is representable but unclassifiable (TooShort)."""
 
     waypoints: np.ndarray  # (m, 3)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)  # (m - 1, 3)
+    step_lengths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.waypoints, dtype=float)
+        w = np.array(self.waypoints, dtype=float)  # a copy: the derived steps cannot go stale
         if w.ndim < 2:  # as np.atleast_2d
             w = w.reshape(1, -1)
         if w.shape[1] == 2:
@@ -61,12 +64,12 @@ class Trajectory:
             raise ValueError(f"waypoints must be (m, 3), got {w.shape}")
         if not (np.abs(w) <= MAX_COORD).all():  # or NaN; bounded, so no step overflows
             raise ValueError(f"waypoints must be finite and within {MAX_COORD:g} m")
-        # np.linalg.norm(np.diff(w, axis=0), axis=1), the same operations
-        # without the wrappers
-        d = w[1:] - w[:-1]
-        if (np.sqrt(np.add.reduce(d * d, axis=1)) <= 1e-6).any():
+        steps = w[1:] - w[:-1]
+        lengths = row_norms(steps).tolist()
+        if any(length <= 1e-6 for length in lengths):
             raise ValueError("consecutive waypoints must be more than 1e-6 m apart")
-        object.__setattr__(self, "waypoints", w)
+        for name, value in (("waypoints", w), ("steps", steps), ("step_lengths", tuple(lengths))):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.waypoints)
@@ -79,17 +82,14 @@ class ClassifiedRoute:
     turn_angle_deg: float
 
 
-def _arclength_midpoint(w: np.ndarray) -> np.ndarray:
-    d = w[1:] - w[:-1]
-    seg = np.sqrt(np.add.reduce(d * d, axis=1))  # np.linalg.norm(axis=1)'s bits
-    half = seg.sum() / 2.0
+def _arclength_midpoint(t: Trajectory) -> np.ndarray:
+    half = ordered_sum(t.step_lengths) / 2.0
     walked = 0.0
-    for k, length in enumerate(seg):
+    for k, length in enumerate(t.step_lengths):
         if walked + length >= half:
-            t = (half - walked) / length
-            return w[k] + t * (w[k + 1] - w[k])
+            return t.waypoints[k] + (half - walked) / length * t.steps[k]
         walked += length
-    return w[-1]
+    return t.waypoints[-1]
 
 
 def classify_trajectory(t: Trajectory, cfg: GenConfig) -> ClassifiedRoute:
@@ -102,9 +102,7 @@ def classify_trajectory(t: Trajectory, cfg: GenConfig) -> ClassifiedRoute:
     if len(w) < 2:
         raise TooShort(f"trajectory has {len(w)} waypoint(s)")
 
-    segments = np.diff(w, axis=0)
-    deltas = [planar_signed_angle(segments[k - 1], segments[k])
-              for k in range(1, len(segments))]
+    deltas = [planar_signed_angle(a, b) for a, b in zip(t.steps, t.steps[1:])]
 
     # Cluster significant junctions that sit within the jitter window.
     clusters = []  # (first_junction, last_junction)
@@ -116,11 +114,8 @@ def classify_trajectory(t: Trajectory, cfg: GenConfig) -> ClassifiedRoute:
         else:
             clusters.append((k, k))
 
-    qualifying = []
-    for first, last in clusters:
-        angle = sum(deltas[first:last + 1])
-        if abs(angle) > cfg.turn_threshold_deg:
-            qualifying.append((first, last, angle))
+    turns = [(first, last, ordered_sum(deltas[first:last + 1])) for first, last in clusters]
+    qualifying = [turn for turn in turns if abs(turn[2]) > cfg.turn_threshold_deg]
 
     if len(qualifying) > 1:
         raise MultiTurn(f"{len(qualifying)} qualifying turns")
@@ -132,7 +127,7 @@ def classify_trajectory(t: Trajectory, cfg: GenConfig) -> ClassifiedRoute:
         kind = "TurnLeft" if angle > 0 else "TurnRight"
         return ClassifiedRoute(kind, (w[0], turn_point, w[-1]), float(angle))
 
-    return ClassifiedRoute("TurnBack", (w[0], _arclength_midpoint(w), w[-1]), 0.0)
+    return ClassifiedRoute("TurnBack", (w[0], _arclength_midpoint(t), w[-1]), 0.0)
 
 
 def label_anchors(route: ClassifiedRoute, objects, centers: np.ndarray,
@@ -149,8 +144,7 @@ def label_anchors(route: ClassifiedRoute, objects, centers: np.ndarray,
     labels = []
     used = []
     for anchor in route.anchors:
-        d = centers - anchor[:2]
-        dists = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # vector_norm's bits
+        dists = row_norms(centers - anchor[:2])
         k = int(np.argmin(dists))
         if dists[k] > max_anchor_dist_m:
             raise NoNearbyObject(f"nearest object is {dists[k]:.2f} m away")
@@ -227,9 +221,7 @@ def gen_route_plan(g: SceneGraph, trajectories, cfg: GenConfig):
     centers = np.array([o.box.center[:2] for o in objects])
     out = TaskRecords(g.scene_id, "route_plan", cfg)
     skipped = 0
-    for traj in trajectories:
-        if len(out.records) >= cfg.max_per_task:
-            break
+    for traj in out.until_full(trajectories):
         try:
             route = classify_trajectory(traj, cfg)
             labels = label_anchors(route, objects, centers, cfg.max_anchor_dist_m)

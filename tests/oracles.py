@@ -33,7 +33,7 @@ from sceneqa.errors import (
     UnsupportedEncoding,
 )
 from sceneqa.geometry import MAX_COORD, ORTHO_TOL, OrientedBox3, quat_from_yaw
-from sceneqa.graph import build_graph, scene_context
+from sceneqa.graph import build_graph
 from sceneqa.metadata import (
     DEFAULT_MIN_POINTS,
     CameraFrame,
@@ -824,7 +824,6 @@ def _reference_scene_records(inputs, cfg, tasks) -> list:
     scene = load_scene_metadata(inputs.scene_path)
     with open(inputs.frames_path, "r", encoding="utf-8") as fh:
         frames = reference_frame_metadata_from_dict(json.load(fh))
-    g = build_graph(scene, frames, cfg.min_bbox_area_px)
     cloud = None
     if "room_size" in tasks and inputs.cloud_path:
         cloud = parse_ply(inputs.cloud_path)
@@ -832,7 +831,8 @@ def _reference_scene_records(inputs, cfg, tasks) -> list:
     if "route_plan" in tasks and inputs.trajectories_path:
         trajectories = [t for sid, t in load_trajectories(inputs.trajectories_path)
                         if sid == scene.scene_id]
-    ctx = scene_context(g, cfg.sample_frames, cloud, trajectories)
+    ctx = build_graph(scene, frames, cfg.min_bbox_area_px, cfg.sample_frames, cloud,
+                      trajectories)
     generators = task_generators()
     return [rec for task in TASKS if task in tasks for rec in generators[task](ctx, cfg)]
 

@@ -23,7 +23,7 @@ from sceneqa.geometry import (
     quat_to_matrix,
     world_to_camera,
 )
-from sceneqa.graph import build_graph, scene_context
+from sceneqa.graph import build_graph
 from sceneqa.qa_records import GenConfig, TaskRecords, validate_record
 from sceneqa.qa_spatial import SPATIAL_GENERATORS
 from sceneqa.qa_temporal import TEMPORAL_GENERATORS
@@ -104,8 +104,7 @@ def test_generator_oracle_consistency(synthetic_scenes):
     for idx, (scene, frames) in enumerate(synthetic_scenes):
         cloud = make_rect_cloud(900 + idx, *np.asarray(scene.scene_extents[1][:2])) \
             if idx % 2 == 0 else None
-        ctx = scene_context(build_graph(scene, frames, cfg.min_bbox_area_px),
-                            cfg.sample_frames, cloud)
+        ctx = build_graph(scene, frames, cfg.min_bbox_area_px, cfg.sample_frames, cloud)
         records = [rec for gen in TWELVE_GENERATORS.values() for rec in gen(ctx, cfg)]
 
         for rec in records:

@@ -18,7 +18,7 @@ import sceneqa
 from sceneqa import cli, errors, qa_spatial, qa_temporal
 from sceneqa.cli import discover_scenes, main, read_records_jsonl, task_generators
 from sceneqa.geometry import OrientedBox3
-from sceneqa.graph import build_graph, scene_context
+from sceneqa.graph import build_graph
 from sceneqa.metadata import ObjectInstance, load_frame_metadata, load_scene_metadata
 from sceneqa.ply_io import parse_ply, write_ply
 from sceneqa.qa_records import TASKS, GenConfig, make_qid, validate_record
@@ -825,15 +825,28 @@ def test_every_error_survives_pickling(cls):
     assert type(back) is cls and str(back) == str(exc) and vars(back) == vars(exc)
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_gen_dangling_instance_names_the_frame_file(tmp_path, workers):
+@pytest.mark.parametrize("workers,inputs", [
+    pytest.param(workers, inputs, id=f"{inputs}-{workers}" if inputs else workers)
+    for inputs in ("", "cloud_and_trajectories", "bad_cloud") for workers in ("1", "2")])
+def test_gen_dangling_instance_names_the_frame_file(tmp_path, workers, inputs):
+    # the graph is built after the scene's cloud and trajectories are read,
+    # so only a malformed cloud is reported before the dangling instance
     root = tmp_path / "scenes"
+    rng = np.random.default_rng(31)
     for i in range(2):
-        write_scene_dir(root, *make_scene(seed=3100 + i, scene_id=f"d{i:02d}"))
+        scene, frames = make_scene(seed=3100 + i, scene_id=f"d{i:02d}")
+        extras = {}
+        if inputs:  # "" is the metadata pair alone
+            extras = {"cloud": make_rect_cloud(3100 + i, 6.0, 5.0),
+                      "trajectories": [make_single_turn_waypoints(rng)[0] for _ in range(3)]}
+        write_scene_dir(root, scene, frames, **extras)
     path = root / "d01" / "frame_metadata.json"
     doc = json.loads(path.read_text())
     doc["frames"][2]["visible_objects"].append({"instance_id": 999, "bbox_2d": [1, 1, 50, 50]})
     path.write_text(json.dumps(doc))
+    cloud = root / "d01" / "cloud.ply"
+    if inputs == "bad_cloud":
+        cloud.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 2\nend_header\n")
     src = str(Path(sceneqa.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -841,7 +854,11 @@ def test_gen_dangling_instance_names_the_frame_file(tmp_path, workers):
                           "--out", str(tmp_path / "r.jsonl"), "--workers", workers],
                          capture_output=True, text=True, timeout=120, env=env)
     assert run.returncode == 2, run.stderr
-    assert f"{path}: frame 2 references unknown instance 999" in run.stderr
+    lines = run.stderr.splitlines()
+    if inputs == "bad_cloud":
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cloud}: "), run.stderr
+    else:
+        assert lines == [f"error: {path}: frame 2 references unknown instance 999"], run.stderr
     assert os.listdir(tmp_path) == ["scenes"]
 
 
@@ -995,8 +1012,8 @@ def test_task_registry_resolves_every_task_once(scene_dir):
     frames = load_frame_metadata(scene_dir / "frame_metadata.json")
     trajectories = [t for _, t in load_trajectories(scene_dir / "trajectories.jsonl")]
     cfg = GenConfig(seed=5)
-    ctx = scene_context(build_graph(scene, frames, cfg.min_bbox_area_px), cfg.sample_frames,
-                        parse_ply(scene_dir / "cloud.ply"), trajectories)
+    ctx = build_graph(scene, frames, cfg.min_bbox_area_px, cfg.sample_frames,
+                      parse_ply(scene_dir / "cloud.ply"), trajectories)
     emitted = set()
     for task in TASKS:
         records = generators[task](ctx, cfg)

@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import re
@@ -18,6 +19,7 @@ from sceneqa.errors import (
     NoNumberFound,
 )
 from sceneqa.evaluate import (
+    STATUSES,
     Prediction,
     extract_number,
     match_option,
@@ -226,6 +228,54 @@ def test_score_run_question_weighting_flag():
     report = score_run(FIXTURE, PREDICTIONS, weight_by_question=True)
     want = (1.0 + 0.8 + 0.4 + 1.0 + 0.0 + 0.0) / 6
     assert report.overall == pytest.approx(want)
+
+
+# every status at least once, and two predictions whose qid names no record
+STATUS_RECORDS = FIXTURE + [
+    rec("s:abs_dist:0002", "abs_dist", "NA", "1.0"),
+    rec("s:rel_dir:0002", "rel_dir", "MCA", "left", ("left", "right", "back")),
+    rec("s:rel_dir:0003", "rel_dir", "MCA", "right", ("left", "right", "back")),
+]
+STATUS_PREDICTIONS = PREDICTIONS + [
+    Prediction("s:abs_dist:0002", "no idea"),            # no_number
+    Prediction("s:rel_dir:0002", "purple"),              # no_match
+    Prediction("s:rel_dir:0003", "(a) or (b)"),          # ambiguous
+    Prediction("s:abs_dist:0099", "2"),                  # unknown qid
+    Prediction("other:rel_dir:0000", "A"),               # unknown qid
+]
+
+
+def test_score_run_counts_each_status_and_unknown_qids():
+    report = score_run(STATUS_RECORDS, STATUS_PREDICTIONS)
+    doc = report.to_dict()
+    zero = dict.fromkeys(STATUSES, 0)
+    assert doc["status_counts"] == {
+        "abs_dist": {**zero, "scored": 2, "no_number": 1},
+        "obj_count": {**zero, "scored": 1},
+        "rel_dir": {**zero, "scored": 2, "no_match": 1, "ambiguous": 1},
+        "route_plan": {**zero, "missing": 1},
+    }
+    assert doc["unknown_qid"] == 2
+    for task, counts in doc["status_counts"].items():
+        assert sum(counts.values()) == doc["per_task"][task]["count"]
+    # the totals, as the benchmark's tracing derives them from per_question
+    derived = collections.Counter(j["status"] for j in doc["per_question"])
+    known = {r.qid for r in STATUS_RECORDS}
+    derived["unknown_qid"] = sum(1 for p in STATUS_PREDICTIONS if p.qid not in known)
+    totals = collections.Counter()
+    for counts in doc["status_counts"].values():
+        totals.update(counts)
+    assert {s: totals[s] for s in STATUSES} == {s: derived[s] for s in STATUSES}
+    assert doc["unknown_qid"] == derived["unknown_qid"]
+
+
+def test_status_counts_leave_the_other_report_keys_and_the_table_alone():
+    report = score_run(STATUS_RECORDS, STATUS_PREDICTIONS)
+    doc = report.to_dict()
+    assert list(doc) == ["overall", "overall_weighting", "per_task", "per_question",
+                         "status_counts", "unknown_qid"]
+    assert all(set(v) == {"count", "score"} for v in doc["per_task"].values())
+    assert "unknown" not in render_table(report) and "missing" not in render_table(report)
 
 
 def test_render_table_mentions_every_task():

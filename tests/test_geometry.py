@@ -17,8 +17,11 @@ from sceneqa.geometry import (
     OrientedBox3,
     box_box_distance,
     closest_point_on_box,
+    ordered_sum,
     planar_signed_angle,
     quat_to_matrix,
+    row_norms,
+    vector_norm,
     world_to_camera,
 )
 
@@ -202,3 +205,27 @@ def test_planar_angle_antisymmetry(ux, uy, vx, vy):
     if abs(abs(fwd) - 180.0) < 1e-9:  # antipodal boundary is one-sided
         return
     assert planar_signed_angle(v, u) == pytest.approx(-fwd, abs=1e-9)
+
+
+_COORD = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 3.0])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(width=st.sampled_from([2, 3]), data=st.data())
+def test_row_norms_are_vector_norms_bit_for_bit(width, data):
+    rows = data.draw(st.lists(st.lists(_COORD, min_size=width, max_size=width), max_size=12))
+    stack = np.array(rows, dtype=float).reshape(-1, width)
+    assert [v.hex() for v in row_norms(stack).tolist()] == \
+        [vector_norm(row).hex() for row in rows]
+
+
+def test_ordered_sum_adds_left_to_right():
+    # 1e16 + 1 rounds back to 1e16; an exact or compensated sum would give 1.0
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([]) == 0.0
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.1, 3.0, size=40).tolist()
+    walked = 0.0
+    for v in values:
+        walked += v
+    assert ordered_sum(values).hex() == walked.hex()

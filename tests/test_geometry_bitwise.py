@@ -48,7 +48,7 @@ from sceneqa.geometry import (
     world_to_camera,
 )
 from sceneqa.errors import DegenerateDirection
-from sceneqa.graph import build_graph, object_in_camera, scene_context
+from sceneqa.graph import build_graph, object_in_camera
 from sceneqa.route_plan import Trajectory
 
 IDENTITY = [1.0, 0.0, 0.0, 0.0]
@@ -181,7 +181,7 @@ def test_world_to_camera_bits_on_seeded_poses():
 @pytest.fixture(scope="module")
 def synth_graph():
     scene, frames = make_scene(seed=606, scene_id="bits00")
-    return scene_context(build_graph(scene, frames), 32)
+    return build_graph(scene, frames, sample_frames=32)
 
 
 def assert_corner_bits(g, monkeypatch):
@@ -215,7 +215,7 @@ def assert_corner_bits(g, monkeypatch):
 def test_object_in_camera_bits(monkeypatch):
     for seed in (606, 607, 608):
         scene, frames = make_scene(seed=seed, scene_id=f"bits{seed}")
-        assert_corner_bits(scene_context(build_graph(scene, frames), 32), monkeypatch)
+        assert_corner_bits(build_graph(scene, frames, sample_frames=32), monkeypatch)
 
 
 def test_context_box_distance_is_order_free_and_exact(synth_graph):

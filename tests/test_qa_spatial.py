@@ -10,7 +10,7 @@ from scipy.spatial import ConvexHull
 from oracles import hull_area_xy, oracle_box_box_distance, reference_hull_area_xy
 from synth import make_rect_cloud
 from sceneqa.geometry import box_box_distance
-from sceneqa.graph import build_graph, scene_context
+from sceneqa.graph import build_graph
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 from sceneqa.ply_io import LabeledPointCloud
 from sceneqa.qa_records import GenConfig, record_to_dict, validate_record
@@ -58,7 +58,7 @@ def hand_context(objects, visibility_by_frame=None, n_frames=2, extent=6.0, clou
             for f in range(n_frames)
         ],
     })
-    return scene_context(build_graph(scene, frames), CFG.sample_frames, cloud)
+    return build_graph(scene, frames, sample_frames=CFG.sample_frames, cloud=cloud)
 
 
 def obj(instance_id, category, center, size=(0.5, 0.5, 0.5), yaw=None):
@@ -367,7 +367,7 @@ def test_appearance_order_needs_four_categories():
 
 def test_generators_are_deterministic(synthetic_scenes):
     scene, frames = synthetic_scenes[0]
-    ctx = scene_context(build_graph(scene, frames), CFG.sample_frames)
+    ctx = build_graph(scene, frames, sample_frames=CFG.sample_frames)
     for gen in (gen_object_count, gen_absolute_distance, gen_relative_distance,
                 gen_relative_direction, gen_object_size, gen_appearance_order):
         a = [json.dumps(record_to_dict(r), sort_keys=True) for r in gen(ctx, CFG)]
@@ -377,7 +377,7 @@ def test_generators_are_deterministic(synthetic_scenes):
 
 def test_mca_invariants_on_synthetic_scenes(synthetic_scenes):
     for scene, frames in synthetic_scenes[:5]:
-        ctx = scene_context(build_graph(scene, frames), CFG.sample_frames)
+        ctx = build_graph(scene, frames, sample_frames=CFG.sample_frames)
         for rec in (gen_relative_distance(ctx, CFG) + gen_relative_direction(ctx, CFG)
                     + gen_appearance_order(ctx, CFG)):
             validate_record(rec)

@@ -5,7 +5,7 @@ import numpy as np
 from oracles import oracle_point_box_distance
 from synth import upright_pose_matrix
 from sceneqa.geometry import closest_point_on_box, quat_to_matrix
-from sceneqa.graph import build_graph, scene_context
+from sceneqa.graph import build_graph
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
 from sceneqa.qa_records import GenConfig, validate_record
 from sceneqa.qa_temporal import (
@@ -48,7 +48,7 @@ def temporal_context(objects, poses, visible=None):
             for f, m in enumerate(poses)
         ],
     })
-    return scene_context(build_graph(scene, frames), CFG.sample_frames)
+    return build_graph(scene, frames, sample_frames=CFG.sample_frames)
 
 
 def obj(instance_id, category, center, size=(2, 2, 2), yaw=None):

@@ -12,7 +12,7 @@ from synth import make_single_turn_waypoints
 from sceneqa.errors import InputError, MultiTurn, NoNearbyObject, TooShort
 from sceneqa.graph import build_graph
 from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
-from sceneqa.qa_records import GenConfig, TaskRecords, validate_record
+from sceneqa.qa_records import ANSWER_NA, GenConfig, TaskRecords, validate_record
 from sceneqa.route_plan import (
     ClassifiedRoute,
     Trajectory,
@@ -84,6 +84,59 @@ def test_straight_path_is_turn_back_with_arclength_midpoint():
     route = classify_trajectory(traj([(0, 0, 0), (4, 0, 0)]), CFG)
     assert route.kind == "TurnBack"
     assert np.allclose(route.anchors[1], [2, 0, 0])
+
+
+def gentle_polyline(seed, m):
+    """m waypoints, each step 0.3-2 m long and turning under 4 degrees, so
+    the route has no qualifying turn and classifies as TurnBack."""
+    rng = np.random.default_rng(seed)
+    heading = rng.uniform(-math.pi, math.pi)
+    x, y = rng.uniform(-5, 5, size=2).tolist()
+    rows = [[x, y, 0.0]]
+    for _ in range(m - 1):
+        heading += math.radians(rng.uniform(-4, 4))
+        step = rng.uniform(0.3, 2.0)
+        x, y = x + step * math.cos(heading), y + step * math.sin(heading)
+        rows.append([x, y, rng.uniform(0, 0.05)])
+    return rows
+
+
+def midpoint_walk(rows):
+    """The arclength midpoint as a plain float walk: step lengths as
+    sqrt((dx*dx + dy*dy) + dz*dz), their total summed left to right."""
+    lengths = []
+    for a, b in zip(rows, rows[1:]):
+        dx, dy, dz = (q - p for p, q in zip(a, b))
+        lengths.append(math.sqrt((dx * dx + dy * dy) + dz * dz))
+    total = 0.0
+    for length in lengths:
+        total += length
+    half, walked = total / 2.0, 0.0
+    for k, length in enumerate(lengths):
+        if walked + length >= half:
+            t = (half - walked) / length
+            return [p + t * (q - p) for p, q in zip(rows[k], rows[k + 1])]
+        walked += length
+    return rows[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 4, 6])
+def test_turn_back_midpoint_of_12_waypoints_is_a_left_to_right_walk(seed):
+    # from 8 terms on, numpy's sum adds pairwise; taken that way, these
+    # seeds' midpoints differ from the left-to-right walk in the last bits
+    rows = gentle_polyline(seed, 12)
+    route = classify_trajectory(traj(rows), CFG)
+    assert route.kind == "TurnBack"
+    assert [v.hex() for v in route.anchors[1].tolist()] == \
+        [v.hex() for v in midpoint_walk(rows)]
+
+
+def test_trajectory_holds_a_copy_of_its_waypoints():
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+    t = Trajectory(points)
+    points[2] = [5.0, 5.0, 0.0]  # the caller's array changes; the steps were derived
+    assert t.waypoints[2].tolist() == [1.0, 2.0, 0.0]
+    assert t.steps.tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]] and t.step_lengths == (1.0, 2.0)
 
 
 def test_multi_turn_rejected():
@@ -294,6 +347,48 @@ def test_gen_route_plan_skips_bad_trajectories():
     records, skipped = gen_route_plan(g, trajectories, CFG)
     assert len(records) == 1 and skipped == 3
     assert records[0].ground_truth == "turn left"
+
+
+# --- TaskRecords.until_full ------------------------------------------------------------
+
+class CountingIterator:
+    """0, 1, ..., n - 1, counting how many items were pulled."""
+
+    def __init__(self, n):
+        self.n, self.pulled = n, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.pulled == self.n:
+            raise StopIteration
+        self.pulled += 1
+        return self.pulled - 1
+
+
+def test_until_full_stops_before_the_item_after_the_cap():
+    out = TaskRecords("s", "obj_count", dataclasses.replace(CFG, max_per_task=3))
+    items, seen = CountingIterator(10), []
+    for k in out.until_full(items):
+        seen.append(k)
+        if k % 2 == 0:
+            out.add(ANSWER_NA, "q", "2")
+    assert seen == [0, 1, 2, 3, 4] and len(out.records) == 3
+    assert items.pulled == 5
+
+
+def test_until_full_on_a_full_task_pulls_nothing():
+    out = TaskRecords("s", "obj_count", dataclasses.replace(CFG, max_per_task=1))
+    out.add(ANSWER_NA, "q", "2")
+    items = CountingIterator(4)
+    assert list(out.until_full(items)) == [] and items.pulled == 0
+
+
+def test_until_full_passes_a_short_input_whole():
+    out = TaskRecords("s", "obj_count", CFG)
+    items = CountingIterator(3)
+    assert list(out.until_full(items)) == [0, 1, 2] and items.pulled == 3
 
 
 # --- ingestion ------------------------------------------------------------------------
