@@ -17,14 +17,27 @@ leaves the old ``--out`` as it was.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
+
+A run pays only for its own command. Every command imports the package
+(numpy, the metadata, PLY, graph and record modules), ``evaluate`` and
+``route_plan``; only ``gen`` imports the generator modules ``qa_spatial``
+and ``qa_temporal``, before it starts any helper, and only ``fusion-check``
+imports ``fusion``. ``main`` registers ``gc.freeze`` as an exit hook, once
+per process, so the interpreter's collections at exit skip the objects the
+run leaves instead of walking them; nothing is frozen while a command runs.
+The price is that an object still in a reference cycle at exit is never
+finalized, so every output is closed and every staging directory removed
+before ``main`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import dataclasses
 import errno
+import gc
 import json
 import os
 import shutil
@@ -36,7 +49,6 @@ from pathlib import Path
 import numpy as np
 
 from . import graph as graph_mod
-from . import qa_spatial, qa_temporal
 from .errors import DanglingInstanceRef, DuplicateQid, InputError, SceneQaError, WorkerDied
 from .evaluate import Prediction, render_table, score_run
 from .metadata import (
@@ -150,7 +162,10 @@ def discover_scenes(root) -> list[SceneInputs]:
 
 
 def task_generators() -> dict:
-    """Task name -> ``gen(ctx, cfg)``, each looked up at call time."""
+    """Task name -> ``gen(ctx, cfg)``, each looked up at call time. The
+    generator modules are imported here, so only gen loads them."""
+    from . import qa_spatial, qa_temporal
+
     return {**qa_spatial.SPATIAL_GENERATORS, **qa_temporal.TEMPORAL_GENERATORS,
             "route_plan": lambda g, cfg: gen_route_plan(g, g.trajectories, cfg)[0]}
 
@@ -397,6 +412,7 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
 
 def cmd_gen(args) -> int:
     cfg, tasks, workers = _resolve_config(args)
+    task_generators()  # loaded before any fork, so the helpers share them
     if args.input_root:
         scene_inputs = discover_scenes(args.input_root)
         if not scene_inputs:
@@ -560,7 +576,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Whether main has registered gc.freeze as an exit hook in this process.
+_freeze_at_exit = False
+
+
 def main(argv=None) -> int:
+    global _freeze_at_exit
+    if not _freeze_at_exit:  # atexit.unregister would leave a dead slot behind
+        # The interpreter's collections at exit then skip what the run left
+        # (numpy's import-time objects above all) instead of walking it.
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import AmbiguousMatch, DuplicateQid, NoMatch, NoNumberFound
+from .geometry import ordered_sum
 from .qa_records import ANSWER_NA, TASK_ORDER
 
 # The ten tolerance levels, written out so the grid is exact and auditable.
@@ -196,10 +197,13 @@ def score_run(records, preds, weight_by_question: bool = False) -> EvalReport:
     for bucket in per_task.values():
         bucket["score"] = bucket["score"] / bucket["count"]
 
+    # Added left to right on every Python: 3.12's builtin sum is compensated.
     if weight_by_question:
-        overall = (sum(j["score"] for j in judgments) / len(judgments)) if judgments else 0.0
+        overall = (ordered_sum(j["score"] for j in judgments) / len(judgments)
+                   if judgments else 0.0)
     else:
-        overall = (sum(b["score"] for b in per_task.values()) / len(per_task)) if per_task else 0.0
+        overall = (ordered_sum(b["score"] for b in per_task.values()) / len(per_task)
+                   if per_task else 0.0)
 
     return EvalReport(per_task, overall, tuple(judgments), weight_by_question, status_counts,
                       unknown_qid)

@@ -444,6 +444,22 @@ def _runs(labels, order):
     return labels[order[starts]], starts, np.diff(bounds)
 
 
+def _extents(*columns) -> tuple:
+    """``(lo, hi)`` of an (N, k) array given as its k 1-D columns: the
+    per-column min and max, as the array's axis-0 reduction gives them. A
+    1-D reduction, fastest over a contiguous column, takes a fraction of the
+    time of the axis-0 one, whose inner loop runs over the k values of one
+    row. The two break a tie between 0.0 and -0.0 differently, so when any
+    extremum is zero the axis-0 reduction over the stacked columns gives
+    both extents."""
+    lo = np.array([col.min() for col in columns])
+    hi = np.array([col.max() for col in columns])
+    if lo.all() and hi.all():
+        return lo, hi
+    stacked = np.stack(columns, axis=1)
+    return stacked.min(axis=0), stacked.max(axis=0)
+
+
 def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
                           min_points: int = DEFAULT_MIN_POINTS,
                           oriented: bool = False):
@@ -460,7 +476,11 @@ def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
     category comes from the majority semantic label of its points, the
     smallest such id on a tie (ids not in the map become "class_<id>").
     Boxes are axis-aligned min/max fits by default; with ``oriented=True`` a
-    PCA-derived yaw (rotation about +Z only) is removed before fitting.
+    PCA-derived yaw (rotation about +Z only) is removed before fitting. The
+    min and max are taken over each instance's x, y and z as contiguous 1-D
+    columns (with a yaw, the unrotated x and y), not by an axis-0 reduction
+    over its (n, 3) points; only when an extremum is zero, where the two
+    could keep different signs of zero, is the axis-0 reduction used.
 
     Raises EmptyAfterFiltering when no instance survives.
     """
@@ -484,16 +504,14 @@ def derive_instance_boxes(cloud: LabeledPointCloud, label_map: dict,
             yaw = float(np.arctan2(major[1], major[0]))
             quat = quat_from_yaw(yaw)
             c, s = np.cos(-yaw), np.sin(-yaw)
-            unrot = pts.copy()
-            unrot[:, 0] = c * pts[:, 0] - s * pts[:, 1]
-            unrot[:, 1] = s * pts[:, 0] + c * pts[:, 1]
-            lo, hi = unrot.min(axis=0), unrot.max(axis=0)
+            x, y, z = pts.T.copy()
+            lo, hi = _extents(c * x - s * y, s * x + c * y, z)
             center_local = (lo + hi) / 2.0
             center = np.array([np.cos(yaw) * center_local[0] - np.sin(yaw) * center_local[1],
                                np.sin(yaw) * center_local[0] + np.cos(yaw) * center_local[1],
                                center_local[2]])
         else:
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            lo, hi = _extents(*pts.T.copy())
             center = (lo + hi) / 2.0
             quat = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -511,6 +529,6 @@ def build_scene_metadata(scene_id: str, objects, points) -> SceneMetadata:
     extents are those of the (N, 3) cloud ``points``, and the room center is
     their midpoint."""
     objects = tuple(objects)
-    lo, hi = points.min(axis=0), points.max(axis=0)
+    lo, hi = _extents(*points.T)
     counts = dict(Counter(o.category for o in objects))
     return SceneMetadata(scene_id, (lo, hi), (lo + hi) / 2.0, counts, objects)

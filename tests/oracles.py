@@ -287,6 +287,13 @@ def reference_derive_instance_boxes(cloud, label_map: dict,
     return instances
 
 
+def reference_scene_extents(points):
+    """The former extents of ``metadata.build_scene_metadata``, kept
+    verbatim: one axis-0 min and max over the (N, 3) points. A tie between
+    0.0 and -0.0 keeps the sign this reduction gives."""
+    return points.min(axis=0), points.max(axis=0)
+
+
 # --- the geometry path's fixed-order formulas, the bitwise reference -----------
 #
 # sceneqa.geometry computes every value in the fixed order its module

@@ -476,6 +476,61 @@ def test_gen_at_one_worker_does_not_load_multiprocessing(tmp_path):
     assert run.stdout.splitlines()[-1] == "0 False", run.stdout
 
 
+GENERATOR_MODULES = ("sceneqa.qa_spatial", "sceneqa.qa_temporal")
+
+
+@pytest.mark.parametrize("command", ["ingest", "eval", "stats"])
+def test_only_gen_loads_the_generator_modules(tmp_path, command):
+    records, preds = tmp_path / "r.jsonl", tmp_path / "p.jsonl"
+    assert main(["gen", "--input-root", str(_small_corpus(tmp_path / "scenes", n=1)),
+                 "--out", str(records), "--tasks", "obj_count"]) == 0
+    _, recs = read_records_jsonl(records)
+    preds.write_text("".join(json.dumps({"qid": r.qid, "raw_text": "3"}) + "\n" for r in recs))
+    argv = {"ingest": [*_ingest_inputs(tmp_path), "--out", str(tmp_path / "meta.json")],
+            "eval": ["eval", "--records", str(records), "--predictions", str(preds)],
+            "stats": ["stats", "--records", str(records)]}[command]
+    code = (
+        "import json, sys\n"
+        "from sceneqa.cli import main\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        f"print(code, [m for m in {GENERATOR_MODULES!r} if m in sys.modules])\n")
+    run = _run_python(code, json.dumps(argv))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []", run.stdout
+
+
+def test_gen_loads_the_generator_modules_before_the_fan_out(tmp_path):
+    # Loaded before the helpers fork, the modules' pages are shared with them.
+    root = _small_corpus(tmp_path / "scenes", n=2)
+    code = (
+        "import sys\n"
+        "from sceneqa import cli\n"
+        "fan_out, seen = cli._fan_out, []\n"
+        "def fan_out_logged(*args):\n"
+        f"    seen.append([m in sys.modules for m in {GENERATOR_MODULES!r}])\n"
+        "    return fan_out(*args)\n"
+        "cli._fan_out = fan_out_logged\n"
+        "code = cli.main(['gen', '--input-root', sys.argv[1], '--out', sys.argv[2],\n"
+        "                 '--workers', '2', '--tasks', 'obj_count'])\n"
+        "print(code, seen)\n")
+    run = _run_python(code, root, tmp_path / "r.jsonl")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 [[True, True]]", run.stdout
+
+
+def test_main_adds_one_exit_hook_and_freezes_nothing_while_running(tmp_path):
+    argv = [*_ingest_inputs(tmp_path), "--out", str(tmp_path / "meta.json")]
+    code = (
+        "import atexit, gc, json, sys\n"
+        "from sceneqa.cli import main\n"
+        "hooks = atexit._ncallbacks()\n"
+        "codes = [main(json.loads(sys.argv[1])) for _ in range(2)]\n"
+        "print(codes, atexit._ncallbacks() - hooks, gc.get_freeze_count())\n")
+    run = _run_python(code, json.dumps(argv))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0] 1 0", run.stdout
+
+
 def test_gen_reads_the_cloud_only_for_room_size(scene_dir, tmp_path, capsys):
     (scene_dir / "cloud.ply").write_bytes(b"ply\nformat ascii 1.0\ncorrupt\n")
     out = tmp_path / "records.jsonl"

@@ -1,6 +1,7 @@
 import collections
 import copy
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneqa import evaluate
 from sceneqa.cli import read_records_jsonl
 from sceneqa.errors import (
     AmbiguousMatch,
@@ -228,6 +230,29 @@ def test_score_run_question_weighting_flag():
     report = score_run(FIXTURE, PREDICTIONS, weight_by_question=True)
     want = (1.0 + 0.8 + 0.4 + 1.0 + 0.0 + 0.0) / 6
     assert report.overall == pytest.approx(want)
+
+
+# Scores 0.1, 0.2 and 0.3 (relative errors 0.46, 0.41 and 0.36), one per
+# task, in qid and task order: added left to right they come to
+# 0.6000000000000001, while a compensated sum, which Python's builtin sum is
+# from 3.12 on, gives 0.6.
+LEFT_TO_RIGHT_RECORDS = [rec(f"s:{task}:0000", task, "NA", "10.0")
+                         for task in ("abs_dist", "obj_size", "room_size")]
+LEFT_TO_RIGHT_PREDICTIONS = [Prediction(r.qid, pred)
+                             for r, pred in zip(LEFT_TO_RIGHT_RECORDS, ["14.6", "14.1", "13.6"])]
+
+
+@pytest.mark.parametrize("weight_by_question", [False, True])
+def test_overall_is_added_left_to_right_on_every_python(monkeypatch, weight_by_question):
+    scores, left_to_right = [0.1, 0.2, 0.3], 0.0
+    for score in scores:
+        left_to_right += score
+    assert left_to_right != math.fsum(scores)
+    monkeypatch.setattr(evaluate, "sum", math.fsum, raising=False)  # as 3.12's builtin
+    report = score_run(LEFT_TO_RIGHT_RECORDS, LEFT_TO_RIGHT_PREDICTIONS,
+                       weight_by_question=weight_by_question)
+    assert [j["score"] for j in report.per_question] == scores
+    assert report.overall == left_to_right / 3
 
 
 # every status at least once, and two predictions whose qid names no record

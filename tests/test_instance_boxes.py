@@ -6,6 +6,9 @@ instance ids, so that each instance is a contiguous slice in file order.
 Every fitted box, category and count must equal what
 ``oracles.reference_derive_instance_boxes`` (one boolean mask per id) gives:
 the ``scene_metadata.json`` bytes are compared, oriented and axis-aligned.
+Where a min or max ties 0.0 with -0.0, the extents, the scene's included,
+keep the sign the former axis-0 reduction
+(``oracles.reference_scene_extents``) gives.
 """
 
 import json
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_derive_instance_boxes
+from oracles import reference_derive_instance_boxes, reference_scene_extents
 from synth import make_cluster_cloud
 from sceneqa import metadata
 from sceneqa.errors import EmptyAfterFiltering
@@ -181,6 +184,66 @@ def test_signed_zero_extents_match_reference(seed):
     positions[:, 2] = rng.choice([-0.0, 0.0], size=n)
     cloud = cloud_of(positions, rng.integers(0, 8, n), rng.integers(0, 40, n))
     assert_same_as_reference(cloud, min_points=1)
+
+
+def bits(values) -> bytes:
+    """The float64 bytes of ``values``: equal only when every sign of zero is."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# A 1-D min or max and the axis-0 one break a tie between 0.0 and -0.0
+# differently at some lengths (with SIMD, where the vector loop's tail
+# begins), so the cases below run one instance of each length in a range.
+ZERO_TIE_LENGTHS = range(8, 73)
+
+
+@pytest.mark.parametrize("far", [5.0, -5.0])  # the zeros tie at the min, or at the max
+def test_zero_ties_in_aligned_boxes_keep_the_former_signs(far):
+    """x and y draw from {0.0, -0.0, far}, z from the two zeros alone, so a
+    box centre's z is -0.0 or 0.0 as z's min and max broke their ties."""
+    rng = np.random.default_rng(31)
+    lengths = np.array(ZERO_TIE_LENGTHS)
+    instance = np.repeat(lengths, lengths)
+    positions = rng.choice([0.0, -0.0, far], size=(len(instance), 3))
+    positions[:, 2] = rng.choice([0.0, -0.0], size=len(instance))
+    cloud = cloud_of(positions, np.zeros(len(instance)), instance)
+    assert_same_as_reference(cloud, min_points=1)
+    for inst in derive_instance_boxes(cloud, LABELS, min_points=1)[0]:
+        lo, hi = reference_scene_extents(positions[instance == inst.instance_id])
+        assert bits(inst.box.center) == bits((lo + hi) / 2.0)
+        assert bits(inst.box.size) == bits(np.maximum(hi - lo, 1e-6))
+
+
+def test_zero_ties_in_oriented_boxes_keep_the_former_signs():
+    """Clusters of 4m + 1 points with an exactly diagonal covariance, so the
+    fitted yaw is 0: x is -0.0, 0.0 or 4.0 and y is 1.0 or -1.0, half and
+    half, plus one point at their means (2, 0); z is a signed zero, which
+    the unrotation leaves alone."""
+    rng = np.random.default_rng(37)
+    clusters = []
+    for m in range(2, 19):
+        x = np.concatenate([rng.choice([0.0, -0.0], 2 * m), np.full(2 * m, 4.0), [2.0]])
+        y = np.concatenate([np.tile([1.0, -1.0], 2 * m), [0.0]])
+        clusters.append(np.stack([x, y, rng.choice([0.0, -0.0], 4 * m + 1)], axis=1))
+    positions = np.concatenate(clusters)
+    instance = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+    cloud = cloud_of(positions, np.zeros(len(instance)), instance)
+    oriented = assert_same_as_reference(cloud, min_points=1)
+    for inst, points in zip(oriented, clusters):
+        assert inst.box.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]  # yaw 0
+        lo, hi = reference_scene_extents(points)
+        assert bits(inst.box.center[2]) == bits((lo[2] + hi[2]) / 2.0)
+
+
+@pytest.mark.parametrize("values", [(0.0, -0.0, 5.0), (0.0, -0.0, -5.0)])
+def test_zero_ties_in_scene_extents_keep_the_former_signs(values):
+    rng = np.random.default_rng(41)
+    for n in ZERO_TIE_LENGTHS:
+        points = rng.choice(values, size=(n, 3))
+        meta = build_scene_metadata("s", (), points)
+        lo, hi = reference_scene_extents(points)
+        assert bits(meta.scene_extents) == bits((lo, hi)), n
+        assert bits(meta.room_center) == bits((lo + hi) / 2.0), n
 
 
 def test_oriented_fit_allocates_at_most_16_bytes_a_point():
