@@ -13,7 +13,8 @@ worker count never changes the bytes on disk and the parent never holds a
 block. Only when every check has passed and the whole file is written does
 it rename that file onto ``--out`` (and move any ``--dump-graphs`` files,
 which the workers also write there, into their directory): a failed run
-leaves the old ``--out`` as it was.
+leaves the old ``--out`` as it was. ``gen`` reads only ``--input-root``, and
+every command publishes its ``--out`` this way, through ``_publish``.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
@@ -60,6 +61,7 @@ from .metadata import (
     load_scene_metadata,
     read_jsonl,
     save_scene_metadata,
+    write_json,
 )
 from .ply_io import parse_ply
 from .qa_records import TASKS, GenConfig, record_from_dict, record_to_dict
@@ -80,8 +82,17 @@ def _load(path, loader):
 
 
 def _read_json(path):
+    """The JSON document at ``path``, in which no object repeats a key."""
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise InputError(f"key {key!r} appears twice in one object")
+            doc[key] = value
+        return doc
+
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=unique_keys)
 
 
 # --- record file helpers ------------------------------------------------------
@@ -133,8 +144,8 @@ def read_records_jsonl(path):
 class SceneInputs:
     scene_path: str
     frames_path: str
-    cloud_path: str | None = None
-    trajectories_path: str | None = None
+    cloud_path: str | None
+    trajectories_path: str | None
 
 
 def discover_scenes(root) -> list[SceneInputs]:
@@ -182,6 +193,9 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
         raise InputError(f"{inputs.scene_path}: scene_id {scene.scene_id!r} is not a "
                          f"single file name, so --dump-graphs cannot name a file after it")
     frames = _load(inputs.frames_path, load_frame_metadata)
+    if frames.scene_id != scene.scene_id:
+        raise InputError(f"{inputs.frames_path}: scene_id {frames.scene_id!r} is not "
+                         f"{scene.scene_id!r}, the scene_id of {inputs.scene_path}")
     cloud = (_load(inputs.cloud_path, parse_ply)
              if "room_size" in tasks and inputs.cloud_path else None)
     trajectories = ()
@@ -195,9 +209,7 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
         raise InputError(f"{inputs.frames_path}: {exc}") from None
 
     if dump_dir is not None:
-        with open(Path(dump_dir) / f"{scene.scene_id}.json", "w", encoding="utf-8") as fh:
-            json.dump(graph_mod.graph_to_dict(g), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(Path(dump_dir) / f"{scene.scene_id}.json", graph_mod.graph_to_dict(g))
 
     generators = task_generators()
     lines = []
@@ -312,35 +324,29 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, spool_dir, workers: int 
 # --- commands -------------------------------------------------------------------
 
 @contextlib.contextmanager
-def _staging_dir(out: str):
-    """A new private directory beside ``out``, on its disk, removed on exit.
-    A command writes its output there and renames it onto ``out`` only once
-    it is whole, so a failed run leaves the old ``out`` as it was."""
+def _publish(out: str):
+    """Yield a file path in a new private directory beside ``out``, on its
+    disk, for the caller's output (and any other files it stages); rename
+    that file onto ``out`` only if the block exits cleanly, and always
+    remove the directory, so a failed run leaves nothing beside ``out``."""
     path = Path(out)
     if path.is_dir() or not path.parent.is_dir():  # fail before any work, as open() would
         code = errno.EISDIR if path.is_dir() else errno.ENOENT
         raise OSError(code, os.strerror(code), out)
     stage = tempfile.mkdtemp(prefix=f".{path.name}.spool-", dir=path.parent)
     try:
-        yield stage
+        staged = os.path.join(stage, "out")  # gen's spool files are named by job index
+        yield staged
+        os.replace(staged, out)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-
-
-def _write_json(out: str, doc):
-    """``doc`` as strict, indented JSON at ``out``, staged beside it and
-    renamed onto it only once whole."""
-    with _staging_dir(out) as stage:
-        staged = os.path.join(stage, "report")
-        with open(staged, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
-        os.replace(staged, out)
 
 
 def cmd_ingest(args) -> int:
     if not args.scene_id:  # as load_scene_metadata would reject it
         raise InputError("--scene-id: expected a nonempty string")
+    if args.min_points < 1:
+        raise InputError(f"--min-points: expected an integer >= 1, got {args.min_points}")
     cloud = _load(args.ply, parse_ply)
     doc = _load(args.label_map, _read_json)
     label_map = {}
@@ -361,10 +367,8 @@ def cmd_ingest(args) -> int:
                                                min_points=args.min_points,
                                                oriented=args.oriented)
     meta = build_scene_metadata(args.scene_id, instances, cloud.positions)
-    with _staging_dir(args.out) as stage:
-        staged = os.path.join(stage, "metadata")
+    with _publish(args.out) as staged:
         save_scene_metadata(staged, meta)
-        os.replace(staged, args.out)
     print(f"scene {args.scene_id}: {len(instances)} instance(s), "
           f"{dropped} dropped (< {args.min_points} points)")
     return EXIT_OK
@@ -413,20 +417,12 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
 def cmd_gen(args) -> int:
     cfg, tasks, workers = _resolve_config(args)
     task_generators()  # loaded before any fork, so the helpers share them
-    if args.input_root:
-        scene_inputs = discover_scenes(args.input_root)
-        if not scene_inputs:
-            raise SceneQaError(f"no scene directories under {args.input_root}")
-    else:
-        if not (args.scene_metadata and args.frame_metadata):
-            raise SceneQaError("need --input-root or --scene-metadata with --frame-metadata")
-        scene_inputs = [SceneInputs(args.scene_metadata, args.frame_metadata,
-                                    args.cloud, args.trajectories)]
+    scene_inputs = discover_scenes(args.input_root)
+    if not scene_inputs:
+        raise SceneQaError(f"no scene directories under {args.input_root}")
 
-    # Beside --out, on its disk: a tmpfs /tmp would hold the blocks in memory.
-    with _staging_dir(args.out) as spool_dir:
-        # The graphs and the records file are staged in the spool directory
-        # too (its spool files are named by job index, so no name clashes).
+    with _publish(args.out) as staged:  # on --out's disk: a tmpfs /tmp holds files in memory
+        spool_dir = os.path.dirname(staged)  # the spool files and graphs are staged there too
         staged_dumps = None
         if args.dump_graphs:
             Path(args.dump_graphs).mkdir(parents=True, exist_ok=True)
@@ -436,13 +432,11 @@ def cmd_gen(args) -> int:
                                        staged_dumps)
         header = {"config": dataclasses.asdict(cfg), "tasks": tasks,
                   "record_count": count}
-        staged = os.path.join(spool_dir, "records")
         write_records_jsonl(staged, spools, header)
         if staged_dumps:  # shutil.move: the dump directory may be on another disk
             for name in sorted(os.listdir(staged_dumps)):
                 shutil.move(os.path.join(staged_dumps, name),
                             os.path.join(args.dump_graphs, name))
-        os.replace(staged, args.out)
     print(f"wrote {count} record(s) to {args.out}")
     return EXIT_OK
 
@@ -453,7 +447,8 @@ def cmd_eval(args) -> int:
                           lambda doc: Prediction(doc["qid"], doc["raw_text"]))
     report = score_run(records, preds, weight_by_question=args.weight_by_question)
     if args.out:
-        _write_json(args.out, report.to_dict())
+        with _publish(args.out) as staged:
+            write_json(staged, report.to_dict())
     print(render_table(report))
     return EXIT_OK
 
@@ -470,7 +465,8 @@ def cmd_stats(args) -> int:
     lines.append(f"{'total':<18}{total:>8}")
     print("\n".join(lines))
     if args.out:
-        _write_json(args.out, {"per_task": counts, "total": total})
+        with _publish(args.out) as staged:
+            write_json(staged, {"per_task": counts, "total": total})
     return EXIT_OK
 
 
@@ -538,11 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("gen", help="generate question records")
-    p.add_argument("--input-root", help="directory of per-scene subdirectories")
-    p.add_argument("--scene-metadata")
-    p.add_argument("--frame-metadata")
-    p.add_argument("--cloud", help="optional labeled PLY for room-size hulls")
-    p.add_argument("--trajectories", help="optional trajectory JSONL for route planning")
+    p.add_argument("--input-root", required=True, help="directory of per-scene subdirectories")
     p.add_argument("--out", required=True)
     p.add_argument("--tasks", help="comma-separated subset of task names")
     p.add_argument("--seed", type=int)

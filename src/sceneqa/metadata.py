@@ -218,10 +218,15 @@ def load_scene_metadata(path) -> SceneMetadata:
         return scene_metadata_from_dict(json.load(fh))
 
 
-def save_scene_metadata(path, meta: SceneMetadata):
+def write_json(path, doc):
+    """``doc`` at ``path`` as every JSON document is written: strict, sorted, indent 1."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_metadata_to_dict(meta), fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
+
+
+def save_scene_metadata(path, meta: SceneMetadata):
+    write_json(path, scene_metadata_to_dict(meta))
 
 
 # --- frame metadata ----------------------------------------------------------

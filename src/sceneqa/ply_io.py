@@ -123,7 +123,7 @@ def _parse_header(fh):
     offset = len(lines[0]) + 1
     for line in lines[1:]:
         tokens = line.split()
-        if not tokens or tokens[0] == "comment":
+        if not tokens or tokens[0] in ("comment", "obj_info"):
             offset += len(line) + 1
             continue
         kind = tokens[0]

@@ -48,8 +48,8 @@ TASK_ORDER = {t: i for i, t in enumerate(TASKS)}
 ANSWER_NA = "NA"
 ANSWER_MCA = "MCA"
 
-# Fixed option arity per multiple-choice task. obj_obj_rel_pos is a binary
-# question (one option per side of the compared axis).
+# The multiple-choice tasks, with their fixed option arity; every other task
+# is NA. obj_obj_rel_pos is binary (one option per side of the compared axis).
 MCA_OPTION_COUNTS = {
     "rel_dist": 4,
     "rel_dir": 3,
@@ -81,6 +81,11 @@ def validate_record(rec: QaRecord):
     """Enforce the record invariants; raises ValueError on violation."""
     if not isinstance(rec.task, str) or rec.task not in TASK_ORDER:
         raise ValueError(f"unknown task {rec.task!r}")
+    if rec.answer_type not in (ANSWER_MCA, ANSWER_NA):
+        raise ValueError(f"unknown answer type {rec.answer_type!r}")
+    want = MCA_OPTION_COUNTS.get(rec.task)  # a task is MCA exactly when it has a count
+    if (rec.answer_type == ANSWER_MCA) != (want is not None):
+        raise ValueError(f"{rec.task} is an {'MCA' if want else 'NA'} task, not {rec.answer_type}")
     if rec.answer_type == ANSWER_MCA:
         if not rec.options:
             raise ValueError("MCA record without options")
@@ -88,10 +93,9 @@ def validate_record(rec: QaRecord):
             raise ValueError("MCA options are not pairwise distinct")
         if rec.ground_truth not in rec.options:
             raise ValueError("MCA ground truth not among options")
-        want = MCA_OPTION_COUNTS.get(rec.task)
-        if want is not None and len(rec.options) != want:
+        if len(rec.options) != want:
             raise ValueError(f"{rec.task} expects {want} options, got {len(rec.options)}")
-    elif rec.answer_type == ANSWER_NA:
+    else:
         if rec.options:
             raise ValueError("NA record must not carry options")
         try:
@@ -102,8 +106,6 @@ def validate_record(rec: QaRecord):
             raise ValueError(f"NA ground truth must be positive, got {rec.ground_truth!r}")
         if not math.isfinite(value):
             raise ValueError(f"NA ground truth must be finite, got {rec.ground_truth!r}")
-    else:
-        raise ValueError(f"unknown answer type {rec.answer_type!r}")
 
 
 def record_to_dict(rec: QaRecord) -> dict:

@@ -614,20 +614,6 @@ def test_gen_skips_a_subdirectory_without_metadata(tmp_path, capsys):
     assert records and {r.scene_id for r in records} == {"m00"}
 
 
-def test_gen_single_scene_flags(scene_dir, tmp_path):
-    out_single = tmp_path / "single.jsonl"
-    out_root = tmp_path / "root.jsonl"
-    assert main(["gen",
-                 "--scene-metadata", str(scene_dir / "scene_metadata.json"),
-                 "--frame-metadata", str(scene_dir / "frame_metadata.json"),
-                 "--cloud", str(scene_dir / "cloud.ply"),
-                 "--trajectories", str(scene_dir / "trajectories.jsonl"),
-                 "--out", str(out_single), "--seed", "5"]) == 0
-    assert main(["gen", "--input-root", str(scene_dir.parent),
-                 "--out", str(out_root), "--seed", "5"]) == 0
-    assert out_single.read_bytes() == out_root.read_bytes()
-
-
 def test_gen_graph_dump(scene_dir, tmp_path):
     write_scene_dir(scene_dir.parent, *make_scene(seed=2025, scene_id="cli001"))
     runs = {}
@@ -653,14 +639,38 @@ def test_gen_graph_dump_needs_a_file_name_scene_id(tmp_path, capsys, scene_id):
         (scene_dir / name).write_text(json.dumps(doc))
     dumps = tmp_path / "dumps" / "inner"
     out = tmp_path / "r.jsonl"
-    assert main(["gen", "--scene-metadata", str(scene_dir / "scene_metadata.json"),
-                 "--frame-metadata", str(scene_dir / "frame_metadata.json"),
+    assert main(["gen", "--input-root", str(scene_dir.parent),
                  "--out", str(out), "--tasks", "obj_count",
                  "--dump-graphs", str(dumps)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {scene_dir / 'scene_metadata.json'}: scene_id "), line
     assert os.listdir(tmp_path / "dumps") == ["inner"] and not os.listdir(dumps)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_gen_frame_file_of_another_scene_is_input_error(tmp_path, capsys, workers):
+    root = _small_corpus(tmp_path / "scenes", n=2)
+    # m01's frames copied from m00: the instance ids overlap, the scene_id does not
+    frames = root / "m01" / "frame_metadata.json"
+    frames.write_bytes((root / "m00" / "frame_metadata.json").read_bytes())
+    out = tmp_path / "out" / "records.jsonl"
+    out.parent.mkdir()
+    assert main(["gen", "--input-root", str(root), "--out", str(out),
+                 "--workers", workers]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {frames}: scene_id 'm00' is not 'm01', the scene_id of "
+        f"{root / 'm01' / 'scene_metadata.json'}\n")
+    assert os.listdir(out.parent) == []
+
+
+def test_gen_needs_an_input_root(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["gen", "--out", str(tmp_path / "r.jsonl")])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sceneqa gen ") and "--input-root" in err, err
+    assert os.listdir(tmp_path) == []
 
 
 def test_gen_single_frame_capture_skips_temporal_tasks(tmp_path):
@@ -956,6 +966,39 @@ def test_label_map_non_canonical_key_is_input_error(tmp_path, capsys, key, canon
     err = capsys.readouterr().err
     assert str(labels) in err and repr(key) in err and f"(write '{canonical}')" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "gen"])
+def test_json_object_that_repeats_a_key_is_input_error(scene_dir, tmp_path, capsys, command):
+    # json.load would keep the last value: {"4": "table"} here, {"seed": 2} there
+    if command == "ingest":
+        bad = tmp_path / "repeated.json"
+        bad.write_text('{"4": "chair", "4": "table", "7": "lamp"}')
+        argv = _ingest_inputs(tmp_path)
+        argv[argv.index("--label-map") + 1] = str(bad)
+        key = "4"
+    else:
+        bad = tmp_path / "config.json"
+        bad.write_text('{"seed": 1, "tasks": ["obj_count"], "seed": 2}')
+        argv = ["gen", "--input-root", str(scene_dir.parent), "--config", str(bad)]
+        key = "seed"
+    out = tmp_path / "out" / "o.json"
+    out.parent.mkdir()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: key {key!r} appears twice in one object\n")
+    assert os.listdir(out.parent) == []
+
+
+@pytest.mark.parametrize("min_points", ["0", "-5"])
+def test_ingest_min_points_below_one_is_input_error(tmp_path, capsys, min_points):
+    out = tmp_path / "out" / "scene_metadata.json"
+    out.parent.mkdir()
+    assert main([*_ingest_inputs(tmp_path), "--out", str(out),
+                 "--min-points", min_points]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --min-points: expected an integer >= 1, got {min_points}\n")
+    assert os.listdir(out.parent) == []
 
 
 def test_ingest_stdout_counts_instances_and_dropped(tmp_path, capsys):

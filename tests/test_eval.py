@@ -159,6 +159,8 @@ FIXTURE = [
     (("rel_dir", "MCA", "up", ("left", "right", "back")), "not among options"),
     (("rel_dir", "MCA", "left", ("left", "left", "back")), "pairwise distinct"),
     (("rel_dir", "MCA", "left", ("left", "right")), "expects 3 options"),
+    (("obj_count", "MCA", "3", ("1", "2", "3")), "obj_count is an NA task, not MCA"),
+    (("rel_dir", "NA", "2.5"), "rel_dir is an MCA task, not NA"),
 ])
 def test_a_record_that_breaks_the_invariants_is_never_made(args, fragment):
     with pytest.raises(ValueError, match=fragment):

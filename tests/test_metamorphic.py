@@ -6,8 +6,10 @@ the records is known, so that a convention slip shows without an oracle.
   and the records file stays byte-identical.
 - Instance ids relabelled by a non-monotone permutation: the record lines
   stay identical once the ids in ``meta`` are mapped back.
+- A mirror x -> -x: every left/right truth swaps, the signed angles in
+  ``meta`` change sign, and every other byte stays as it was.
 
-Both run on the corpus of ``test_golden_records.write_golden_corpus`` at
+All three run on the corpus of ``test_golden_records.write_golden_corpus`` at
 seed 1, which has every task, a cloud and trajectories in each scene.
 """
 
@@ -153,3 +155,75 @@ def test_relabelled_instance_ids_change_only_the_ids_in_meta(golden, tmp_path):
         assert mapped == original
         changed += line != original
     assert changed > 0  # the relation is not vacuous: ids did reach the records
+
+
+# --- a mirror x -> -x -----------------------------------------------------------------
+
+# Every left/right answer, and the left/right words a record's meta holds.
+SWAP = {"left": "right", "right": "left", "Left": "Right", "Right": "Left",
+        "turn left": "turn right", "turn right": "turn left",
+        "TurnLeft": "TurnRight", "TurnRight": "TurnLeft"}
+
+
+def mirror(p):
+    """(x, ...) -> (-x, ...), exact."""
+    x, *rest = p
+    return [-x, *rest]
+
+
+def mirror_scene(doc):
+    for o in doc["objects"]:
+        o["center"] = mirror(o["center"])
+        w, x, y, z = o["rotation"]  # S R S with S = diag(-1, 1, 1)
+        o["rotation"] = [w, x, -y, -z]
+    lo, hi = doc["scene_extents"]["min"], doc["scene_extents"]["max"]
+    lo[0], hi[0] = -hi[0], -lo[0]
+    doc["room_center"] = mirror(doc["room_center"])
+    return doc
+
+
+def mirror_frames(doc):
+    intrinsics = doc["intrinsics"]
+    width = intrinsics["width"]
+    intrinsics["cx"] = width - intrinsics["cx"]
+    for fr in doc["frames"]:
+        p = fr["pose_c2w"]  # row-major 4x4: S R S, and the position's x negated
+        for i in (1, 2, 3, 4, 8):
+            p[i] = -p[i]
+        for v in fr["visible_objects"]:  # the image mirrored about its vertical centre line
+            x0, y0, x1, y1 = v["bbox_2d"]
+            v["bbox_2d"] = [width - x1, y0, width - x0, y1]
+    return doc
+
+
+def mirrored_record(doc) -> dict:
+    """The record that the mirrored corpus is expected to hold in place of ``doc``."""
+    task, meta = doc["task"], doc["meta"]
+    if task in ("rel_dir", "cam_move_dir", "route_plan") or meta.get("axis") == "left_right":
+        doc["ground_truth"] = SWAP.get(doc["ground_truth"], doc["ground_truth"])
+    for key in ("kind", "primary_action"):  # route_plan's turn, named in its meta
+        if key in meta:
+            meta[key] = SWAP.get(meta[key], meta[key])
+    for key in ("angle_deg", "turn_angle_deg"):
+        if meta.get(key):  # a turn-back route's 0.0 keeps its sign
+            meta[key] = -meta[key]
+    return doc
+
+
+def test_a_mirror_swaps_every_left_right_truth_and_nothing_else(golden, tmp_path):
+    root, want = golden
+    flipped = transform_corpus(root, tmp_path / "scenes", mirror_scene, mirror_frames, mirror,
+                               lambda pos: pos * np.array([-1.0, 1.0, 1.0], pos.dtype))
+    got = generate(flipped, tmp_path / "records.jsonl").decode().splitlines()
+    want = want.decode().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)  # the header, and the count
+    swapped = {}
+    for line, original in zip(got[1:], want[1:]):
+        doc = json.loads(original)
+        truth = doc["ground_truth"]
+        expected = json.dumps(mirrored_record(doc), sort_keys=True, separators=(",", ":"))
+        assert line == expected, (line, original)
+        if doc["ground_truth"] != truth:
+            swapped[doc["task"]] = swapped.get(doc["task"], 0) + 1
+    # not vacuous: each task with a left/right answer swapped some of its truths
+    assert sorted(swapped) == ["cam_move_dir", "obj_obj_rel_pos", "rel_dir", "route_plan"]

@@ -97,6 +97,28 @@ def test_malformed_header_cases(tmp_path):
         parse_ply(write(tmp_path / "m3.ply", no_end))
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+def test_obj_info_lines_are_skipped_like_comments(tmp_path, binary):
+    source = make_cluster_cloud(5, [(1, 4, [0, 0, 0], [1, 1, 1], 40),
+                                    (2, 7, [3, 3, 1], [0.5, 0.5, 0.5], 25)])
+    plain, info = tmp_path / "plain.ply", tmp_path / "info.ply"
+    write_ply(plain, source, binary=binary)
+    magic, fmt, rest = plain.read_bytes().split(b"\n", 2)
+    info.write_bytes(b"\n".join([magic, fmt, b"obj_info made by scanner", rest]))
+    a, b = parse_ply(plain), parse_ply(info)
+    for name in ("positions", "colors", "semantic_labels", "instance_labels"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_header_error_offset_counts_obj_info_lines(tmp_path):
+    text = ASCII_FIXTURE.replace("comment handwritten fixture\n",
+                                 "obj_info made by scanner\ncomment handwritten fixture\n")
+    text = text.replace("property float y", "property quux y")
+    with pytest.raises(MalformedHeader) as err:
+        parse_ply(write(tmp_path / "info.ply", text))
+    assert err.value.offset == text.index("property quux y")
+
+
 def test_unknown_properties_skipped(tmp_path):
     text = ASCII_FIXTURE.replace(
         "property int instance",
