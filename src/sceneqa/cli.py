@@ -3,18 +3,24 @@
 Exit codes: 0 success, 2 input error (missing/unreadable/malformed files),
 3 evaluation error, 4 a gen worker process that ended abruptly. All outputs
 are deterministic: ``gen --workers N`` runs the parent process plus N - 1
-helpers, which claim scenes from one shared counter (``--workers 1`` just
-loops over the scenes). Job ``i``'s block of JSON lines, sorted by (task
-order, qid), goes to the file ``<i>`` of a temporary directory beside
-``--out``, and the worker hands back only ``(scene_id, i, record count)``.
-The parent sorts those by scene_id, which must be unique, and then copies
-the files one at a time into a records file in that same directory, so the
-worker count never changes the bytes on disk and the parent never holds a
-block. Only when every check has passed and the whole file is written does
-it rename that file onto ``--out`` (and move any ``--dump-graphs`` files,
-which the workers also write there, into their directory): a failed run
-leaves the old ``--out`` as it was. ``gen`` reads only ``--input-root``, and
-every command publishes its ``--out`` this way, through ``_publish``.
+helpers forked from it with ``os.fork`` (so N > 1 needs a platform that has
+it). A worker claims job ``i`` by creating the file ``<i>`` of a temporary
+directory beside ``--out``: the spool file is the claim. It writes the job's
+block of JSON lines, sorted by (task order, qid), there and keeps only
+``(scene_id, i, record count)``; ``--workers 1`` runs the same loop alone. A
+helper sends its tuples down a pipe of its own once, as it exits, and the
+parent polls the helpers between two of its own scenes, so one that ended
+without a whole report stops the run (exit 4) before the parent claims
+another scene. The parent sorts the tuples by scene_id, which must be
+unique, and then copies the files one at a time into a records file in that
+same directory, so the worker count never changes the bytes on disk and the
+parent never holds a block. Only when every check has passed and the whole
+file is written does it rename that file onto ``--out`` (and move any
+``--dump-graphs`` files, which the workers also write there, into their
+directory): a failed run leaves the old ``--out`` as it was. ``gen`` reads
+only ``--input-root``, and every command publishes its ``--out`` this way,
+through ``_publish``, having checked it before reading any scene, cloud or
+record.
 
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
@@ -41,6 +47,7 @@ import errno
 import gc
 import json
 import os
+import pickle
 import shutil
 import sys
 import tempfile
@@ -223,81 +230,134 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
     return scene.scene_id, len(lines), "".join(lines)
 
 
-def _generate_job(jobs, i, spool_dir) -> tuple:
-    """Generate job ``i`` and write its block to ``spool_dir/<i>``, a name no
-    other job uses; returns ``(scene_id, i, record count)``."""
-    scene_id, count, text = generate_scene_records(*jobs[i])
-    with open(os.path.join(spool_dir, str(i)), "wb") as fh:
-        fh.write(text.encode())
-    return scene_id, i, count
+def _claim(spool_dir, i) -> bool:
+    """Create job ``i``'s spool file ``spool_dir/<i>``, empty; False if it
+    exists. Creating the file is the claim, so no two workers generate one
+    job."""
+    try:
+        os.close(os.open(os.path.join(spool_dir, str(i)),
+                         os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600))
+        return True
+    except FileExistsError:
+        return False
 
 
-# The (jobs, claim counter, spool directory) of a fan-out, as the pool
-# initializer hands them to a helper process.
-_helper_args = None
+def _stop_claims(jobs, spool_dir):
+    """Claim every job still unclaimed, so that no worker starts another."""
+    for i in range(len(jobs)):
+        with contextlib.suppress(OSError):  # at worst the others generate on
+            _claim(spool_dir, i)
 
 
-def _init_helper(*args):
-    global _helper_args
-    _helper_args = args
-
-
-def _drain(jobs, next_index, spool_dir) -> list:
-    """Claim job indices one at a time from the shared counter and generate
-    each until none is left; returns their ``_generate_job`` tuples. A
-    failure runs the counter out, so that no worker claims another scene."""
+def _drain(jobs, spool_dir, between_scenes=None) -> list:
+    """Claim the jobs one at a time in index order, skipping any another
+    worker holds, and write each one's block to its spool file; returns
+    ``(scene_id, i, record count)`` for each job generated here.
+    ``between_scenes()`` runs after each scene, before the next claim. A
+    failure claims every job left, so that no worker starts another scene."""
     done = []
     try:
-        while True:
-            with next_index.get_lock():
-                i = next_index.value
-                next_index.value = i + 1
-            if i >= len(jobs):
-                return done
-            done.append(_generate_job(jobs, i, spool_dir))
+        for i in range(len(jobs)):
+            if not _claim(spool_dir, i):
+                continue
+            scene_id, count, text = generate_scene_records(*jobs[i])
+            # opened only now: held open while the scene was generated, the
+            # file object raised a one-worker gen's peak RSS by about 0.13 MB
+            with open(os.path.join(spool_dir, str(i)), "wb") as spool:
+                spool.write(text.encode())
+            done.append((scene_id, i, count))
+            if between_scenes is not None:
+                between_scenes()
+        return done
     except BaseException:
-        with next_index.get_lock():
-            next_index.value = len(jobs)
+        _stop_claims(jobs, spool_dir)
         raise
 
 
-def _helper_drain() -> list:
-    return _drain(*_helper_args)
+def _helper(jobs, spool_dir, read_end, write_end):
+    """A forked helper's whole life: drain, send one pickled ``(ok, tuples or
+    exception)`` down the report pipe's ``write_end``, and leave with
+    ``os._exit``, so that nothing the parent's stack would run on its way out
+    (the staging directory's removal above all) runs here too."""
+    try:
+        os.close(read_end)
+        try:
+            report = pickle.dumps((True, _drain(jobs, spool_dir)))
+        except BaseException as exc:  # the parent raises it
+            try:
+                report = pickle.dumps((False, exc))
+            except Exception:  # an error that cannot be pickled is sent as text
+                report = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write_end, "wb") as pipe:
+            pipe.write(report)
+    finally:
+        os._exit(0)
+
+
+def _read_report(fd) -> bytes:
+    with open(fd, "rb") as pipe:
+        return pipe.read()
+
+
+def _unpickle_report(report: bytes) -> list:
+    """A helper's tuples; raises its error, or WorkerDied if the report is
+    missing or cut short because the helper ended before sending it all."""
+    try:
+        ok, result = pickle.loads(report)
+    except Exception:
+        raise WorkerDied("a gen worker process ended abruptly "
+                         "(killed, or out of memory)") from None
+    if not ok:
+        raise result
+    return result
 
 
 def _fan_out(jobs, spool_dir, helpers: int) -> list:
-    """``_drain`` in this process and in ``helpers`` helper processes at once;
-    returns all of their tuples."""
-    import multiprocessing  # only a fan-out pays for the imports
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    """``_drain`` in this process and in ``helpers`` forked helper processes
+    at once; returns all of their tuples.
 
+    Plain ``os.fork`` on purpose, not multiprocessing, whose default start
+    method is not fork everywhere: a forked helper shares the pages of numpy
+    and of every module gen has loaded, where a spawned one pays a whole
+    interpreter, numpy and sceneqa start-up (about 130 ms of CPU and 30 MB
+    of its own). This process runs no other thread when it forks. Between
+    two of its scenes it polls the helpers, so one that died stops the run
+    before this process claims another scene. Every helper is read and
+    reaped before this returns or raises."""
     # Every worker draws from numpy.random, which loads OpenSSL through
     # secrets; loaded before the fork, its pages are shared, not loaded anew.
     import numpy.random  # noqa: F401
 
-    next_index = multiprocessing.Value("q", 0)
+    pipes = {}  # helper pid -> the read end of its report pipe, until it is reaped
+    done, reports = [], []  # the helpers' tuples; the reports read after this drain
 
-    def stop_claims(future):  # a helper that died cannot run the counter out itself
-        if not future.cancelled() and future.exception() is not None:
-            with next_index.get_lock():
-                next_index.value = len(jobs)
+    def poll():
+        for pid in list(pipes):
+            if os.waitpid(pid, os.WNOHANG)[0]:
+                done.extend(_unpickle_report(_read_report(pipes.pop(pid))))
 
-    pool = ProcessPoolExecutor(helpers, initializer=_init_helper,
-                               initargs=(jobs, next_index, spool_dir))
     try:
-        pending = [pool.submit(_helper_drain) for _ in range(helpers)]
-        for future in pending:
-            future.add_done_callback(stop_claims)
-        done = _drain(jobs, next_index, spool_dir)
-        for future in pending:
-            done += future.result()
-        return done
-    except BrokenProcessPool:
-        raise WorkerDied("a gen worker process ended abruptly "
-                         "(killed, or out of memory)") from None
+        for _ in range(helpers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                _stop_claims(jobs, spool_dir)  # the helpers already forked claim no more
+                raise
+            if pid == 0:
+                _helper(jobs, spool_dir, read_end, write_end)  # never returns
+            os.close(write_end)
+            pipes[pid] = read_end
+        own = _drain(jobs, spool_dir, poll)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in list(pipes):
+            reports.append(_read_report(pipes.pop(pid)))  # to its end: the helper has exited
+            os.waitpid(pid, 0)
+    for report in reports:
+        done += _unpickle_report(report)
+    return own + done
 
 
 def run_generation(scene_inputs, cfg: GenConfig, tasks, spool_dir, workers: int = 1,
@@ -307,11 +367,7 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, spool_dir, workers: int 
     files)``, the files in the canonical record order by scene_id, for
     write_records_jsonl."""
     jobs = [(inp, cfg, tuple(tasks), dump_dir) for inp in scene_inputs]
-    helpers = min(workers, len(jobs)) - 1
-    if helpers > 0:
-        done = _fan_out(jobs, spool_dir, helpers)
-    else:
-        done = [_generate_job(jobs, i, spool_dir) for i in range(len(jobs))]
+    done = _fan_out(jobs, spool_dir, min(workers, len(jobs)) - 1)
     done.sort()  # by scene_id, then by job index
     for (scene_id, i, _), (other, j, _) in zip(done, done[1:]):
         if scene_id == other:
@@ -323,16 +379,24 @@ def run_generation(scene_inputs, cfg: GenConfig, tasks, spool_dir, workers: int 
 
 # --- commands -------------------------------------------------------------------
 
+def _check_out(out: str) -> Path:
+    """``out`` as a Path; raises the OSError that open(out, "w") would for a
+    directory or a path in a missing directory. Each command checks its
+    ``--out`` so before it reads any scene, cloud or record."""
+    path = Path(out)
+    if path.is_dir() or not path.parent.is_dir():
+        code = errno.EISDIR if path.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
+    return path
+
+
 @contextlib.contextmanager
 def _publish(out: str):
     """Yield a file path in a new private directory beside ``out``, on its
     disk, for the caller's output (and any other files it stages); rename
     that file onto ``out`` only if the block exits cleanly, and always
     remove the directory, so a failed run leaves nothing beside ``out``."""
-    path = Path(out)
-    if path.is_dir() or not path.parent.is_dir():  # fail before any work, as open() would
-        code = errno.EISDIR if path.is_dir() else errno.ENOENT
-        raise OSError(code, os.strerror(code), out)
+    path = _check_out(out)
     stage = tempfile.mkdtemp(prefix=f".{path.name}.spool-", dir=path.parent)
     try:
         staged = os.path.join(stage, "out")  # gen's spool files are named by job index
@@ -347,6 +411,7 @@ def cmd_ingest(args) -> int:
         raise InputError("--scene-id: expected a nonempty string")
     if args.min_points < 1:
         raise InputError(f"--min-points: expected an integer >= 1, got {args.min_points}")
+    _check_out(args.out)
     cloud = _load(args.ply, parse_ply)
     doc = _load(args.label_map, _read_json)
     label_map = {}
@@ -400,6 +465,9 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InputError(f"{workers_source}: workers must be an integer >= 1, "
                          f"got {workers!r}")
+    if workers > 1 and not hasattr(os, "fork"):  # the helpers are forked: see _fan_out
+        raise InputError(f"{workers_source}: workers above 1 need os.fork, which this "
+                         f"platform does not have; use 1")
     unknown = [t for t in tasks if t not in TASKS]
     if unknown:
         raise InputError(f"{tasks_source}: unknown task(s): {', '.join(unknown)}")
@@ -442,6 +510,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_out(args.out)
     _, records = read_records_jsonl(args.records)
     _, preds = read_jsonl(args.predictions,
                           lambda doc: Prediction(doc["qid"], doc["raw_text"]))
@@ -454,6 +524,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.out:
+        _check_out(args.out)
     counts, total = {}, 0
     for rec in iter_jsonl(args.records, record_from_dict):  # one record held at a time
         counts[rec.task] = counts.get(rec.task, 0) + 1

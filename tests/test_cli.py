@@ -342,6 +342,16 @@ def _run_python(code, *args):
                           text=True, timeout=120, env=env)
 
 
+# Appended to a script that has run main(): prints whether a child process
+# of it is left, running or unreaped.
+_NO_CHILD_LEFT = (
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "    print('child left')\n"
+    "except ChildProcessError:\n"
+    "    print('no child left')\n")
+
+
 def _small_corpus(root, n=4):
     for i in range(n):
         write_scene_dir(root, *make_scene(seed=3200 + i, scene_id=f"m{i:02d}"))
@@ -390,20 +400,21 @@ def test_gen_claims_each_scene_once_with_more_workers_than_cores(tmp_path):
 
 
 def test_gen_helper_error_is_one_line_and_stops_the_parent(tmp_path):
-    # Under fork the helper inherits the patched module globals. A scene
-    # fails only where a helper generates it, and the parent holds its own
-    # first scene until the helper's drain has ended, so the failing scene is
-    # certainly a helper's and the parent may claim no scene after it.
+    # A forked helper inherits the patched module globals. A scene fails only
+    # where a helper generates it, and the parent holds its own first scene
+    # until the helper's drain has ended, so the failing scene is certainly a
+    # helper's and the parent may claim no scene after it. The helper then
+    # waits before it reports, so that what stops the parent is the claims
+    # the failed drain took, not a poll that found the helper gone.
     root = _small_corpus(tmp_path / "scenes")
     log = tmp_path / "calls.txt"
     code = (
-        "import multiprocessing, os, sys, time\n"
+        "import os, sys, time\n"
         "from pathlib import Path\n"
-        "multiprocessing.set_start_method('fork')\n"
         "from sceneqa import cli\n"
         "from sceneqa.errors import InputError\n"
         "parent, marker, log = os.getpid(), Path(sys.argv[1]), Path(sys.argv[2])\n"
-        "generate, drain = cli.generate_scene_records, cli._helper_drain\n"
+        "generate, drain = cli.generate_scene_records, cli._drain\n"
         "def generate_logged(inputs, *rest):\n"
         "    who = 'parent' if os.getpid() == parent else 'helper'\n"
         "    with open(log, 'a') as fh:\n"
@@ -414,19 +425,24 @@ def test_gen_helper_error_is_one_line_and_stops_the_parent(tmp_path):
         "    while not marker.exists() and time.monotonic() < deadline:\n"
         "        time.sleep(0.01)\n"
         "    return generate(inputs, *rest)\n"
-        "def drain_marked():\n"
+        "def drain_marked(*args):\n"
         "    try:\n"
-        "        return drain()\n"
+        "        return drain(*args)\n"
         "    finally:\n"
-        "        marker.touch()\n"
-        "cli.generate_scene_records, cli._helper_drain = generate_logged, drain_marked\n"
-        "sys.exit(cli.main(['gen', '--input-root', sys.argv[3], '--out', sys.argv[4],\n"
-        "                   '--workers', '2']))\n")
+        "        if os.getpid() != parent:\n"
+        "            marker.touch()\n"
+        "            time.sleep(0.2)\n"
+        "cli.generate_scene_records, cli._drain = generate_logged, drain_marked\n"
+        "code = cli.main(['gen', '--input-root', sys.argv[3], '--out', sys.argv[4],\n"
+        "                 '--workers', '2'])\n"
+        + _NO_CHILD_LEFT +
+        "sys.exit(code)\n")
     out = tmp_path / "r.jsonl"
     run = _run_python(code, tmp_path / "helper-done", log, root, out)
     assert run.returncode == 2, run.stderr
     (line,) = run.stderr.splitlines()
     assert line.startswith("error: ") and line.endswith(": failed in a helper"), line
+    assert run.stdout.splitlines() == ["no child left"], run.stdout
     calls = log.read_text().splitlines()
     helper = [c for c in calls if c.startswith("helper ")]
     assert len(helper) == 1 and helper[0].split(" ", 1)[1] in line, calls
@@ -436,44 +452,89 @@ def test_gen_helper_error_is_one_line_and_stops_the_parent(tmp_path):
 
 def test_gen_dead_helper_fails_the_run(tmp_path):
     # The helper ends abruptly on the first scene it claims; the parent holds
-    # its own first scene until then, so a helper certainly claims one.
+    # its own first scene until the helper has ended (waitid's WNOWAIT leaves
+    # it to be reaped), so a helper certainly claims one and the parent's
+    # next poll certainly finds it dead.
     root = _small_corpus(tmp_path / "scenes")
     code = (
-        "import multiprocessing, os, sys, time\n"
+        "import os, sys, time\n"
         "from pathlib import Path\n"
-        "multiprocessing.set_start_method('fork')\n"
         "from sceneqa import cli\n"
-        "parent, marker = os.getpid(), Path(sys.argv[1])\n"
+        "parent, marker, generated = os.getpid(), Path(sys.argv[1]), []\n"
         "generate = cli.generate_scene_records\n"
         "def generate_or_die(inputs, *rest):\n"
         "    if os.getpid() != parent:\n"
         "        marker.touch()\n"
         "        os._exit(1)\n"
+        "    generated.append(inputs.scene_path)\n"
         "    deadline = time.monotonic() + 60\n"
         "    while not marker.exists() and time.monotonic() < deadline:\n"
         "        time.sleep(0.01)\n"
+        "    flags = os.WEXITED | os.WNOHANG | os.WNOWAIT\n"
+        "    while os.waitid(os.P_ALL, 0, flags) is None and time.monotonic() < deadline:\n"
+        "        time.sleep(0.01)\n"
         "    return generate(inputs, *rest)\n"
         "cli.generate_scene_records = generate_or_die\n"
-        "sys.exit(cli.main(['gen', '--input-root', sys.argv[2], '--out', sys.argv[3],\n"
-        "                   '--workers', '2']))\n")
+        "code = cli.main(['gen', '--input-root', sys.argv[2], '--out', sys.argv[3],\n"
+        "                 '--workers', '2'])\n"
+        "print(len(generated))\n"
+        + _NO_CHILD_LEFT +
+        "sys.exit(code)\n")
     run = _run_python(code, tmp_path / "helper-died", root, tmp_path / "r.jsonl")
     assert run.returncode == 4, run.stderr
     (line,) = run.stderr.splitlines()
     assert line == "error: a gen worker process ended abruptly (killed, or out of memory)", line
+    # the parent's first scene, claimed before the helper died, and no other
+    assert run.stdout.splitlines() == ["1", "no child left"], run.stdout
     assert sorted(os.listdir(tmp_path)) == ["helper-died", "scenes"]
 
 
-def test_gen_at_one_worker_does_not_load_multiprocessing(tmp_path):
-    root = _small_corpus(tmp_path / "scenes", n=2)
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_gen_does_not_load_multiprocessing(tmp_path, workers):
+    # The helpers are forked with os.fork, with no pool machinery in any process.
+    root = _small_corpus(tmp_path / "scenes", n=3)
     code = (
         "import sys\n"
         "from sceneqa.cli import main\n"
         "code = main(['gen', '--input-root', sys.argv[1], '--out', sys.argv[2],\n"
-        "             '--workers', '1', '--tasks', 'obj_count'])\n"
-        "print(code, 'multiprocessing' in sys.modules)\n")
+        "             '--workers', sys.argv[3], '--tasks', 'obj_count'])\n"
+        "print(code, [m for m in ('multiprocessing', 'concurrent.futures')\n"
+        "             if m in sys.modules])\n")
+    run = _run_python(code, root, tmp_path / "r.jsonl", workers)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []", run.stdout
+
+
+def test_gen_forks_a_single_threaded_parent_and_reaps_every_helper(tmp_path):
+    # A fork copies only the thread that calls it, so a lock another thread
+    # held would stay held in the helper for good.
+    root = _small_corpus(tmp_path / "scenes", n=3)
+    code = (
+        "import os, sys, threading\n"
+        "from sceneqa.cli import main\n"
+        "fork, threads = os.fork, []\n"
+        "def fork_counted():\n"
+        "    threads.append(threading.active_count())\n"
+        "    return fork()\n"
+        "os.fork = fork_counted\n"
+        "code = main(['gen', '--input-root', sys.argv[1], '--out', sys.argv[2],\n"
+        "             '--workers', '3', '--tasks', 'obj_count'])\n"
+        "print(code, threads)\n"
+        + _NO_CHILD_LEFT)
     run = _run_python(code, root, tmp_path / "r.jsonl")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 False", run.stdout
+    assert run.stdout.splitlines()[-2:] == ["0 [1, 1]", "no child left"], run.stdout
+
+
+def test_gen_workers_without_fork_is_input_error(scene_dir, tmp_path, capsys, monkeypatch):
+    generated = []
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "generate_scene_records", lambda *args: generated.append(args))
+    argv = ["gen", "--input-root", str(scene_dir.parent), "--out", str(tmp_path / "r.jsonl")]
+    assert main([*argv, "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --workers: ") and "os.fork" in err and err.count("\n") == 1
+    assert generated == [] and os.listdir(tmp_path) == ["scenes"]
 
 
 GENERATOR_MODULES = ("sceneqa.qa_spatial", "sceneqa.qa_temporal")
@@ -830,6 +891,37 @@ def test_bad_out_fails_before_generating(scene_dir, tmp_path, capsys, out):
     with pytest.raises(OSError) as opened:
         open(out, "w")
     assert err == f"error: {opened.value}\n"
+    assert not (tmp_path / "missing").exists() and not any((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/o.json"])
+@pytest.mark.parametrize("command", ["ingest", "eval", "stats"])
+def test_bad_out_fails_before_reading_input(tmp_path, capsys, monkeypatch, command, out):
+    records, preds = tmp_path / "r.jsonl", tmp_path / "p.jsonl"
+    assert main(["gen", "--input-root", str(_small_corpus(tmp_path / "scenes", n=1)),
+                 "--out", str(records), "--tasks", "obj_count"]) == 0
+    preds.write_text("")
+    argv = {"ingest": _ingest_inputs(tmp_path),
+            "eval": ["eval", "--records", str(records), "--predictions", str(preds)],
+            "stats": ["stats", "--records", str(records)]}[command]
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / out
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("parse_ply", "score_run", "read_jsonl", "iter_jsonl"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    assert capsys.readouterr() == ("", f"error: {opened.value}\n")
+    assert calls == []
     assert not (tmp_path / "missing").exists() and not any((tmp_path / "dir").iterdir())
 
 
