@@ -4,11 +4,10 @@ import os as _os
 
 # numpy's OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and
 # by default starts a pool of worker threads that busy-wait. gen makes no BLAS
-# call, the ones left are tiny (the frame loader's batched 3x3 rotation
-# checks, ingest's 2x2 covariances) and `gen --workers` parallelises with
-# processes, so load it
-# single-threaded unless the user chose a count. The environment is restored
-# exactly, so the children of a program that imports sceneqa see no change.
+# call, the ones left are tiny (ingest's 2x2 covariances) and `gen --workers`
+# parallelises with processes, so load it single-threaded unless the user
+# chose a count. The environment is restored exactly, so the children of a
+# program that imports sceneqa see no change.
 _blas_threads = _os.environ.get("OPENBLAS_NUM_THREADS")
 if _blas_threads is None:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -59,6 +59,7 @@ import numpy as np
 from . import graph as graph_mod
 from .errors import DanglingInstanceRef, DuplicateQid, InputError, SceneQaError, WorkerDied
 from .evaluate import Prediction, render_table, score_run
+from .frozen import Frozen, set_field
 from .metadata import (
     DEFAULT_MIN_POINTS,
     build_scene_metadata,
@@ -147,12 +148,17 @@ def read_records_jsonl(path):
 
 # --- generation pipeline ------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class SceneInputs:
-    scene_path: str
-    frames_path: str
-    cloud_path: str | None
-    trajectories_path: str | None
+class SceneInputs(Frozen):
+    """One scene's input files; the cloud and the trajectories are optional."""
+
+    __slots__ = _fields = ("scene_path", "frames_path", "cloud_path", "trajectories_path")
+
+    def __init__(self, scene_path: str, frames_path: str, cloud_path: str | None,
+                 trajectories_path: str | None):
+        set_field(self, "scene_path", scene_path)
+        set_field(self, "frames_path", frames_path)
+        set_field(self, "cloud_path", cloud_path)
+        set_field(self, "trajectories_path", trajectories_path)
 
 
 def discover_scenes(root) -> list[SceneInputs]:

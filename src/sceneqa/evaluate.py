@@ -9,11 +9,12 @@ overlap; unmatched or ambiguous predictions score zero and are flagged.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import AmbiguousMatch, DuplicateQid, NoMatch, NoNumberFound
+from .frozen import Frozen, set_field
 from .geometry import ordered_sum
 from .qa_records import ANSWER_NA, TASK_ORDER
 
@@ -23,22 +24,30 @@ THETA_GRID = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 # Every judgment's status, in report order.
 STATUSES = ("scored", "no_match", "ambiguous", "no_number", "missing")
 
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
-_LONE_LETTER_RE = re.compile(r"[\(\[]?([A-Da-d])[\)\]\.:,]?")
-_PUNCT_LETTER_RE = re.compile(r"(?:^|\s)[\(\[]?([A-Da-d])[\)\]\.:,?!](?=\s|$)")
-_BRACKET_LETTER_RE = re.compile(r"[\(\[]([A-Da-d])[\)\]]")
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)"
+_LONE_LETTER = r"[\(\[]?([A-Da-d])[\)\]\.:,]?"
+_PUNCT_LETTER = r"(?:^|\s)[\(\[]?([A-Da-d])[\)\]\.:,?!](?=\s|$)"
+_BRACKET_LETTER = r"[\(\[]([A-Da-d])[\)\]]"
 
 
-@dataclass(frozen=True)
-class Prediction:
-    qid: str
-    raw_text: str
+@functools.cache
+def _regex(pattern: str) -> re.Pattern:
+    """``pattern`` compiled on first use, so that only ``eval`` pays for it."""
+    return re.compile(pattern)
 
-    def __post_init__(self):
-        if not isinstance(self.qid, str) or not self.qid:
-            raise ValueError(f"qid must be a nonempty string, got {self.qid!r}")
-        if not isinstance(self.raw_text, str):
-            raise ValueError(f"raw_text must be a string, got {self.raw_text!r}")
+
+class Prediction(Frozen):
+    """A model's answer text to one question."""
+
+    __slots__ = _fields = ("qid", "raw_text")
+
+    def __init__(self, qid: str, raw_text: str):
+        if not isinstance(qid, str) or not qid:
+            raise ValueError(f"qid must be a nonempty string, got {qid!r}")
+        if not isinstance(raw_text, str):
+            raise ValueError(f"raw_text must be a string, got {raw_text!r}")
+        set_field(self, "qid", qid)
+        set_field(self, "raw_text", raw_text)
 
 
 def mra(pred: float, truth: float) -> float:
@@ -57,7 +66,7 @@ def extract_number(text: str) -> float:
     "1,200" yields 1. Raises NoNumberFound when the text has no numeral, or
     when the first one is beyond the float range.
     """
-    m = _NUMBER_RE.search(text)
+    m = _regex(_NUMBER).search(text)
     if m is None:
         raise NoNumberFound(f"no numeral in {text!r}")
     value = float(m.group(0))
@@ -87,12 +96,12 @@ def match_option(text: str, options) -> int:
     """
     options = list(options)
     letters = set()
-    m = _LONE_LETTER_RE.fullmatch(text.strip())
+    m = _regex(_LONE_LETTER).fullmatch(text.strip())
     if m:
         letters.add(m.group(1).upper())
-    for m in _PUNCT_LETTER_RE.finditer(text):
+    for m in _regex(_PUNCT_LETTER).finditer(text):
         letters.add(m.group(1).upper())
-    for m in _BRACKET_LETTER_RE.finditer(text):
+    for m in _regex(_BRACKET_LETTER).finditer(text):
         letters.add(m.group(1).upper())
     for i, token in enumerate(text.split()):
         if i > 0 and token in ("A", "B", "C", "D"):
@@ -121,14 +130,24 @@ def match_option(text: str, options) -> int:
     return winners[0]
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    per_task: dict      # task -> {"count": int, "score": float}
-    overall: float
-    per_question: tuple  # of judgment dicts, sorted by qid
-    weight_by_question: bool
-    status_counts: dict  # task -> {status: judgments with it}, every status listed
-    unknown_qid: int     # predictions whose qid names no record
+class EvalReport(Frozen):
+    """The scores of one run: ``per_task`` maps a task to ``{"count": int,
+    "score": float}``, ``per_question`` holds the judgment dicts sorted by
+    qid, ``status_counts`` maps a task to its judgments by status (every
+    status listed), and ``unknown_qid`` counts the predictions whose qid
+    names no record."""
+
+    __slots__ = _fields = ("per_task", "overall", "per_question", "weight_by_question",
+                           "status_counts", "unknown_qid")
+
+    def __init__(self, per_task: dict, overall: float, per_question: tuple,
+                 weight_by_question: bool, status_counts: dict, unknown_qid: int):
+        set_field(self, "per_task", per_task)
+        set_field(self, "overall", overall)
+        set_field(self, "per_question", per_question)
+        set_field(self, "weight_by_question", weight_by_question)
+        set_field(self, "status_counts", status_counts)
+        set_field(self, "unknown_qid", unknown_qid)
 
     def to_dict(self) -> dict:
         return {

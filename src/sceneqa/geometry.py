@@ -49,11 +49,11 @@ streams):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDirection
+from .frozen import Frozen, set_field
 
 # Centralized tolerances. Positional/orthonormality checks use ORTHO_TOL;
 # the iterative box-distance solver stops below STEP_TOL.
@@ -132,32 +132,27 @@ _CORNER_SIGNS = np.array([
 ], dtype=float)
 
 
-@dataclass(frozen=True)
-class OrientedBox3:
+class OrientedBox3(Frozen):
     """Oriented 3D box: center, full extents (meters) and box-to-world quaternion.
 
     The rotation ``matrix`` and the ``half`` extents are derived once at
     construction, and so are plain-float tuples of the centre, the half
     extents and the matrix (row-major), which the scalar kernels read. Every
-    array the box holds is a read-only copy.
+    array the box holds is a read-only copy. Boxes compare by their centre,
+    size and rotation.
     """
 
-    center: np.ndarray
-    size: np.ndarray
-    rotation: np.ndarray  # quaternion (w, x, y, z)
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    half: np.ndarray = field(init=False, repr=False, compare=False)
-    center_floats: tuple = field(init=False, repr=False, compare=False)
-    half_floats: tuple = field(init=False, repr=False, compare=False)
-    matrix_floats: tuple = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("center", "size", "rotation", "matrix", "half", "center_floats",
+                 "half_floats", "matrix_floats", "_key")
+    _fields = ("center", "size", "rotation")
 
-    def __post_init__(self):
-        # the checks compare plain floats: the same tests as elementwise on
-        # the arrays, without a ufunc call each
-        c, cl = _vec3(self.center, "center")
-        s, sl = _vec3(self.size, "size")
-        q = np.array(self.rotation, dtype=float)
+    def __init__(self, center: np.ndarray, size: np.ndarray, rotation: np.ndarray):
+        # rotation is the quaternion (w, x, y, z); the checks compare plain
+        # floats: the same tests as elementwise on the arrays, without a
+        # ufunc call each
+        c, cl = _vec3(center, "center")
+        s, sl = _vec3(size, "size")
+        q = np.array(rotation, dtype=float)
         if min(sl) <= 0:
             raise ValueError("size components must be strictly positive")
         if max(map(abs, cl)) > MAX_COORD or max(sl) > MAX_COORD:
@@ -172,16 +167,16 @@ class OrientedBox3:
             raise ValueError("rotation quaternion is not unit norm")
         matrix = _read_only(quat_to_matrix(q))
         half = _read_only(s / 2.0)
-        object.__setattr__(self, "center", _read_only(c))
-        object.__setattr__(self, "size", _read_only(s))
-        object.__setattr__(self, "rotation", _read_only(q))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "half", half)
-        object.__setattr__(self, "center_floats", tuple(cl))
-        object.__setattr__(self, "half_floats", tuple(half.tolist()))
-        object.__setattr__(self, "matrix_floats", tuple(matrix.ravel().tolist()))
+        set_field(self, "center", _read_only(c))
+        set_field(self, "size", _read_only(s))
+        set_field(self, "rotation", _read_only(q))
+        set_field(self, "matrix", matrix)
+        set_field(self, "half", half)
+        set_field(self, "center_floats", tuple(cl))
+        set_field(self, "half_floats", tuple(half.tolist()))
+        set_field(self, "matrix_floats", tuple(matrix.ravel().tolist()))
         # canonical argument order of box_box_distance
-        object.__setattr__(self, "_key", tuple(cl + sl + ql))
+        set_field(self, "_key", tuple(cl + sl + ql))
 
     def corners(self) -> np.ndarray:
         """The 8 corners in world coordinates, shape (8, 3), fixed order."""

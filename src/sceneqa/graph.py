@@ -6,32 +6,46 @@ call makes it, and derived facts are computed on first use and kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DanglingInstanceRef, TooFewFrames
+from .frozen import Frozen, set_field
 from .geometry import box_box_distance, world_to_camera
 from .metadata import FrameMetadata, SceneMetadata
 from .qa_records import GenConfig
 
 
-@dataclass(frozen=True)
-class SceneGraph:
-    scene: SceneMetadata
-    frames: FrameMetadata
-    visibility: dict        # frame_id -> frozenset of instance_id
-    first_seen: dict        # instance_id -> frame_id
-    category_first_seen: dict  # category -> frame_id
-    _objects_by_id: dict = field(repr=False)
-    _frames_by_id: dict = field(repr=False)
-    sample_frames: int = GenConfig.sample_frames
-    cloud: object = None    # LabeledPointCloud, when the scene has one
-    trajectories: tuple = ()
-    # per-scene memos, filled on first use; not part of the frozen state
-    _box_distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _camera_corners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class SceneGraph(Frozen):
+    """``visibility`` maps a frame_id to the frozenset of instance ids kept
+    in it, ``first_seen`` an instance_id to its first frame_id, and
+    ``category_first_seen`` a category to its first frame_id; ``cloud`` is
+    the scene's LabeledPointCloud, when it has one. Graphs compare by these
+    constructor fields, not by their memos."""
+
+    _fields = ("scene", "frames", "visibility", "first_seen", "category_first_seen",
+               "_objects_by_id", "_frames_by_id", "sample_frames", "cloud", "trajectories")
+    # per-scene memos, filled on first use and not part of the frozen state:
+    # two dicts, and __dict__ for the cached properties
+    __slots__ = _fields + ("_box_distances", "_camera_corners", "__dict__")
+
+    def __init__(self, scene: SceneMetadata, frames: FrameMetadata, visibility: dict,
+                 first_seen: dict, category_first_seen: dict, _objects_by_id: dict,
+                 _frames_by_id: dict, sample_frames: int = GenConfig.sample_frames,
+                 cloud=None, trajectories: tuple = ()):
+        set_field(self, "scene", scene)
+        set_field(self, "frames", frames)
+        set_field(self, "visibility", visibility)
+        set_field(self, "first_seen", first_seen)
+        set_field(self, "category_first_seen", category_first_seen)
+        set_field(self, "_objects_by_id", _objects_by_id)
+        set_field(self, "_frames_by_id", _frames_by_id)
+        set_field(self, "sample_frames", sample_frames)
+        set_field(self, "cloud", cloud)
+        set_field(self, "trajectories", trajectories)
+        set_field(self, "_box_distances", {})
+        set_field(self, "_camera_corners", {})
 
     @property
     def scene_id(self) -> str:

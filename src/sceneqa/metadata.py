@@ -35,7 +35,10 @@ loader is the one place that checks a pose. It checks each value once, as
 masks over one (F, 4, 4) pose stack and one (N, 4) bbox stack, and names
 the first failure from them; a missing key, a wrong type, an id out of
 order or a number that is not finite goes to the per-field walker, which
-names that field. The frames are read-only views into the stacks.
+names that field. The frames are read-only views into the stacks. The
+rotation checks take R^T R and det R entrywise over the stack, summed in
+the fixed order of the ``geometry`` docstring (``_gram``, ``_det``), so no
+BLAS or LAPACK kernel can move a verdict at ``ORTHO_TOL``.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyAfterFiltering, InputError, SchemaViolation
+from .frozen import Frozen, set_field
 from .geometry import MAX_COORD, ORTHO_TOL, OrientedBox3, quat_from_yaw
 from .ply_io import LabeledPointCloud
 
@@ -59,55 +62,78 @@ DEFAULT_MIN_POINTS = 50
 _SCAN_ROWS = 1 << 14
 
 
-@dataclass(frozen=True)
-class Intrinsics:
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    width: int
-    height: int
+class Intrinsics(Frozen):
+    """Pinhole intrinsics in pixels, with the image size."""
 
-    def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+    __slots__ = _fields = ("fx", "fy", "cx", "cy", "width", "height")
+
+    def __init__(self, fx: float, fy: float, cx: float, cy: float, width: int, height: int):
+        if fx <= 0 or fy <= 0:
             raise ValueError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
+        if width <= 0 or height <= 0:
             raise ValueError("image dimensions must be positive")
-        if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
+        if not (0 <= cx <= width and 0 <= cy <= height):
             raise ValueError("principal point must lie within the image")
+        set_field(self, "fx", fx)
+        set_field(self, "fy", fy)
+        set_field(self, "cx", cx)
+        set_field(self, "cy", cy)
+        set_field(self, "width", width)
+        set_field(self, "height", height)
 
 
-@dataclass(frozen=True)
-class ObjectInstance:
-    instance_id: int
-    category: str
-    box: OrientedBox3
+class ObjectInstance(Frozen):
+    __slots__ = _fields = ("instance_id", "category", "box")
+
+    def __init__(self, instance_id: int, category: str, box: OrientedBox3):
+        set_field(self, "instance_id", instance_id)
+        set_field(self, "category", category)
+        set_field(self, "box", box)
 
 
-@dataclass(frozen=True)
-class SceneMetadata:
-    scene_id: str
-    scene_extents: tuple  # (min: (3,) array, max: (3,) array)
-    room_center: np.ndarray
-    category_counts: dict
-    objects: tuple  # of ObjectInstance
+class SceneMetadata(Frozen):
+    """``scene_extents`` is (min, max), two (3,) arrays; ``objects`` a tuple
+    of ObjectInstance."""
+
+    __slots__ = _fields = ("scene_id", "scene_extents", "room_center", "category_counts",
+                           "objects")
+
+    def __init__(self, scene_id: str, scene_extents: tuple, room_center: np.ndarray,
+                 category_counts: dict, objects: tuple):
+        set_field(self, "scene_id", scene_id)
+        set_field(self, "scene_extents", scene_extents)
+        set_field(self, "room_center", room_center)
+        set_field(self, "category_counts", category_counts)
+        set_field(self, "objects", objects)
 
 
-@dataclass(frozen=True)
-class CameraFrame:
-    frame_id: int
-    rotation: np.ndarray  # (3, 3) camera-to-world rotation, read-only
-    position: np.ndarray  # (3,) camera center in world coordinates, read-only
-    color_path: str
-    depth_path: str
-    visible_objects: tuple  # of (instance_id, bbox_2d (4,) array)
+class CameraFrame(Frozen):
+    """``rotation`` is the (3, 3) camera-to-world rotation and ``position``
+    the (3,) camera center in world coordinates, both read-only;
+    ``visible_objects`` is a tuple of (instance_id, bbox_2d (4,) array)."""
+
+    __slots__ = _fields = ("frame_id", "rotation", "position", "color_path", "depth_path",
+                           "visible_objects")
+
+    def __init__(self, frame_id: int, rotation: np.ndarray, position: np.ndarray,
+                 color_path: str, depth_path: str, visible_objects: tuple):
+        set_field(self, "frame_id", frame_id)
+        set_field(self, "rotation", rotation)
+        set_field(self, "position", position)
+        set_field(self, "color_path", color_path)
+        set_field(self, "depth_path", depth_path)
+        set_field(self, "visible_objects", visible_objects)
 
 
-@dataclass(frozen=True)
-class FrameMetadata:
-    scene_id: str
-    intrinsics: Intrinsics
-    frames: tuple  # of CameraFrame, frame_id strictly increasing
+class FrameMetadata(Frozen):
+    """``frames`` is a tuple of CameraFrame, frame_id strictly increasing."""
+
+    __slots__ = _fields = ("scene_id", "intrinsics", "frames")
+
+    def __init__(self, scene_id: str, intrinsics: Intrinsics, frames: tuple):
+        set_field(self, "scene_id", scene_id)
+        set_field(self, "intrinsics", intrinsics)
+        set_field(self, "frames", frames)
 
 
 # --- strict JSON decoding helpers -------------------------------------------
@@ -296,6 +322,22 @@ def _columns(frames_doc: list):
     return ids, poses, colors, depths, visible, instance_ids, bboxes
 
 
+def _gram(rot: np.ndarray) -> np.ndarray:
+    """R^T R of each rotation of an (F, 3, 3) stack, entrywise:
+    ``(R0i*R0j + R1i*R1j) + R2i*R2j``."""
+    p = rot[:, :, :, None] * rot[:, :, None, :]  # p[f, k, i, j] = R[k][i] R[k][j]
+    return (p[:, 0] + p[:, 1]) + p[:, 2]
+
+
+def _det(rot: np.ndarray) -> np.ndarray:
+    """The determinant of each rotation of an (F, 3, 3) stack, by cofactors
+    along the first row: ``(R00*(R11*R22 - R12*R21) - R01*(R10*R22 -
+    R12*R20)) + R02*(R10*R21 - R11*R20)``."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.transpose(1, 2, 0)
+    return ((r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20))
+            + r02 * (r10 * r21 - r11 * r20))
+
+
 def _frames(frames_doc: list, intrinsics: Intrinsics) -> tuple:
     """The capture's frames, each value checked once as a mask over the
     stacked arrays; the walker names a field _columns rejects or a non-finite number."""
@@ -311,9 +353,9 @@ def _frames(frames_doc: list, intrinsics: Intrinsics) -> tuple:
     if not (np.isfinite(m).all() and np.isfinite(b).all()):
         _check_frames(frames_doc, intrinsics)  # raises
     rot, (x0, y0, x1, y1) = m[:, :3, :3], b.T
-    with np.errstate(all="ignore"):  # an overflow fails its check
-        ortho = np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2)) > ORTHO_TOL
-        det = np.abs(np.linalg.det(rot) - 1.0) > ORTHO_TOL
+    with np.errstate(all="ignore"):  # an overflow fails its check, as does inf - inf
+        ortho = ~(np.abs(_gram(rot) - np.eye(3)).max(axis=(1, 2)) <= ORTHO_TOL)
+        det = ~(np.abs(_det(rot) - 1.0) <= ORTHO_TOL)
     checks = (  # (mask, field, message): per frame in field order, then per detection
         (np.abs(m[:, 3] - np.array([0.0, 0.0, 0.0, 1.0])).max(axis=1) > ORTHO_TOL,
          "pose.rotation", "pose matrix last row must be (0, 0, 0, 1)"),

@@ -31,11 +31,11 @@ from __future__ import annotations
 import io
 import itertools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedHeader, TruncatedBody, UnsupportedEncoding
+from .frozen import Frozen, set_field
 from .geometry import MAX_COORD
 
 _SCALAR_TYPES = {
@@ -57,8 +57,7 @@ _SEMANTIC_NAMES = ("label", "semantic_label")
 _INSTANCE_NAMES = ("instance", "instance_label")
 
 
-@dataclass(frozen=True)
-class LabeledPointCloud:
+class LabeledPointCloud(Frozen):
     """Per-point positions, colors and semantic/instance ids.
 
     positions: (n, 3) float64, colors: (n, 3) uint8,
@@ -68,23 +67,26 @@ class LabeledPointCloud:
     points, yawed or not, has its centre and size within the box bound.
     """
 
-    positions: np.ndarray
-    colors: np.ndarray
-    semantic_labels: np.ndarray
-    instance_labels: np.ndarray
+    __slots__ = _fields = ("positions", "colors", "semantic_labels", "instance_labels")
 
-    def __post_init__(self):
-        n = len(self.positions)
+    def __init__(self, positions: np.ndarray, colors: np.ndarray,
+                 semantic_labels: np.ndarray, instance_labels: np.ndarray):
+        n = len(positions)
         if n == 0:
             raise ValueError("point cloud is empty")
         bound = MAX_COORD / 4
-        if not (-bound <= self.positions.min() and self.positions.max() <= bound):  # or NaN
+        if not (-bound <= positions.min() and positions.max() <= bound):  # or NaN
             raise ValueError(f"point cloud positions must be finite and within {bound:g} m")
-        if np.any(self.instance_labels < 0):
+        if np.any(instance_labels < 0):
             raise ValueError("instance labels must be >= 0")
-        for name in ("colors", "semantic_labels", "instance_labels"):
-            if len(getattr(self, name)) != n:
+        for name, column in (("colors", colors), ("semantic_labels", semantic_labels),
+                             ("instance_labels", instance_labels)):
+            if len(column) != n:
                 raise ValueError(f"{name} length does not match positions")
+        set_field(self, "positions", positions)
+        set_field(self, "colors", colors)
+        set_field(self, "semantic_labels", semantic_labels)
+        set_field(self, "instance_labels", instance_labels)
 
     def __len__(self):
         return len(self.positions)

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .frozen import Frozen, set_field
 
 # Canonical task order; also the sort order of generated record files.
 TASKS = (
@@ -61,19 +63,26 @@ MCA_OPTION_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class QaRecord:
-    qid: str
-    scene_id: str
-    task: str
-    answer_type: str  # "NA" | "MCA"
-    question: str
-    options: tuple | None
-    ground_truth: str
-    frame_refs: tuple
-    meta: dict = field(default_factory=dict)
+class QaRecord(Frozen):
+    """One question: ``answer_type`` is "NA" or "MCA", ``options`` a tuple
+    of strings or None, and ``meta`` a fresh ``{}`` when not given. Made
+    only when it passes ``validate_record``."""
 
-    def __post_init__(self):
+    __slots__ = _fields = ("qid", "scene_id", "task", "answer_type", "question", "options",
+                           "ground_truth", "frame_refs", "meta")
+
+    def __init__(self, qid: str, scene_id: str, task: str, answer_type: str, question: str,
+                 options: tuple | None, ground_truth: str, frame_refs: tuple,
+                 meta: dict | None = None):
+        set_field(self, "qid", qid)
+        set_field(self, "scene_id", scene_id)
+        set_field(self, "task", task)
+        set_field(self, "answer_type", answer_type)
+        set_field(self, "question", question)
+        set_field(self, "options", options)
+        set_field(self, "ground_truth", ground_truth)
+        set_field(self, "frame_refs", frame_refs)
+        set_field(self, "meta", {} if meta is None else meta)
         validate_record(self)
 
 

@@ -13,12 +13,12 @@ describes, so a mirrored or reversed route can never carry a stale label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, TooShort
+from .frozen import Frozen, set_field
 from .geometry import MAX_COORD, ordered_sum, planar_signed_angle, row_norms
 from .graph import SceneGraph
 from .metadata import read_jsonl
@@ -43,19 +43,18 @@ TEMPLATE_2 = (
 )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered floor-plane waypoints, each coordinate within
-    ``geometry.MAX_COORD``, and the steps between them with their lengths,
-    derived once. Consecutive waypoints must be distinct; a single-waypoint
-    path is representable but unclassifiable (TooShort)."""
+class Trajectory(Frozen):
+    """Ordered floor-plane waypoints, (m, 3), each coordinate within
+    ``geometry.MAX_COORD``, and the (m - 1, 3) steps between them with their
+    lengths, derived once. Consecutive waypoints must be distinct; a
+    single-waypoint path is representable but unclassifiable (TooShort).
+    Trajectories compare by their waypoints."""
 
-    waypoints: np.ndarray  # (m, 3)
-    steps: np.ndarray = field(init=False, repr=False, compare=False)  # (m - 1, 3)
-    step_lengths: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("waypoints", "steps", "step_lengths")
+    _fields = ("waypoints",)
 
-    def __post_init__(self):
-        w = np.array(self.waypoints, dtype=float)  # a copy: the derived steps cannot go stale
+    def __init__(self, waypoints: np.ndarray):
+        w = np.array(waypoints, dtype=float)  # a copy: the derived steps cannot go stale
         if w.ndim < 2:  # as np.atleast_2d
             w = w.reshape(1, -1)
         if w.shape[1] == 2:
@@ -68,18 +67,24 @@ class Trajectory:
         lengths = row_norms(steps).tolist()
         if any(length <= 1e-6 for length in lengths):
             raise ValueError("consecutive waypoints must be more than 1e-6 m apart")
-        for name, value in (("waypoints", w), ("steps", steps), ("step_lengths", tuple(lengths))):
-            object.__setattr__(self, name, value)
+        set_field(self, "waypoints", w)
+        set_field(self, "steps", steps)
+        set_field(self, "step_lengths", tuple(lengths))
 
     def __len__(self):
         return len(self.waypoints)
 
 
-@dataclass(frozen=True)
-class ClassifiedRoute:
-    kind: str  # "TurnLeft" | "TurnRight" | "TurnBack"
-    anchors: tuple  # (src, mid, tgt) positions, each (3,)
-    turn_angle_deg: float
+class ClassifiedRoute(Frozen):
+    """``kind`` is "TurnLeft", "TurnRight" or "TurnBack"; ``anchors`` the
+    (src, mid, tgt) positions, each (3,)."""
+
+    __slots__ = _fields = ("kind", "anchors", "turn_angle_deg")
+
+    def __init__(self, kind: str, anchors: tuple, turn_angle_deg: float):
+        set_field(self, "kind", kind)
+        set_field(self, "anchors", anchors)
+        set_field(self, "turn_angle_deg", turn_angle_deg)
 
 
 def _arclength_midpoint(t: Trajectory) -> np.ndarray:

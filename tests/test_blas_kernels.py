@@ -11,7 +11,9 @@ Each child prints a digest of the ``float.hex`` of every ``vector_norm``,
 ``closest_point_on_box``, ``box_box_distance`` and ``object_in_camera``
 value and every ``classify_camera_motion`` label on seeded inputs, and the
 sha256 of a ``gen`` records file over a 3-scene synthetic corpus; every
-kernel must print the same.
+kernel must print the same. So must the frame loader's verdict on rotations
+whose deviation from orthonormal, or from determinant +1, lands just inside
+and just outside ``ORTHO_TOL``.
 """
 
 import json
@@ -25,9 +27,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synth import make_rect_cloud, make_scene, make_single_turn_waypoints, write_scene_dir
+from synth import (make_rect_cloud, make_scene, make_single_turn_waypoints, upright_pose_matrix,
+                   write_scene_dir)
+from test_metadata import minimal_frames
 import sceneqa
-from sceneqa.geometry import OrientedBox3, quat_from_yaw, quat_to_matrix
+from sceneqa.geometry import ORTHO_TOL, OrientedBox3, quat_from_yaw, quat_to_matrix
 
 SRC = str(Path(sceneqa.__file__).parents[1])
 KERNELS = ("Prescott", "Haswell", "Nehalem", "SkylakeX")
@@ -93,6 +97,24 @@ print(json.dumps(result, sort_keys=True))
 """
 
 
+ROTATION_CHILD = """
+import json, pickle, sys
+from sceneqa.errors import SchemaViolation
+from sceneqa.metadata import frame_metadata_from_dict
+
+with open(sys.argv[1], "rb") as fh:
+    docs = pickle.load(fh)
+verdicts = []
+for doc in docs:
+    try:
+        frame_metadata_from_dict(doc)
+        verdicts.append("accepted")
+    except SchemaViolation as exc:
+        verdicts.append(str(exc))
+print(json.dumps(verdicts))
+"""
+
+
 def _unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
@@ -131,12 +153,40 @@ def _corpus(root: Path, rng):
         write_scene_dir(root, scene, frames, cloud, trajectories)
 
 
-def _run(kernel, inputs_path, corpus, out):
+def _near_tolerance_frames() -> list:
+    """Frame documents whose second rotation is R diag(1 + scales), the
+    scales walking its orthonormality error, or its |det - 1|, across
+    ORTHO_TOL in steps of about 4 ulps of 1."""
+    docs = []
+    for kind in ("ortho", "det"):
+        for k in range(-12, 13):
+            t = ORTHO_TOL * (1.0 + k * 1e-6)
+            m = upright_pose_matrix([1.0, 2.0, 1.5], 0.7, 0.1)
+            m[:3, :3] *= 1.0 + np.array((t / 2, -t / 2, 0.0) if kind == "ortho" else (t / 3,) * 3)
+            doc = minimal_frames()
+            doc["frames"][1]["pose_c2w"] = m.reshape(-1).tolist()
+            docs.append(doc)
+    return docs
+
+
+def _fixed_order_deviations(pose) -> tuple:
+    """max |R^T R - I| and |det R - 1| of a pose's rotation, on plain floats
+    by the loader's formulas: the same IEEE operations in the same order."""
+    r = [pose[0:3], pose[4:7], pose[8:11]]
+    ortho = max(abs((r[0][i] * r[0][j] + r[1][i] * r[1][j]) + r[2][i] * r[2][j] - (i == j))
+                for i in range(3) for j in range(3))
+    det = ((r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0]))
+           + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+    return ortho, abs(det - 1.0)
+
+
+def _run(kernel, script, *args):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     if kernel is not None:
         env["OPENBLAS_CORETYPE"] = kernel
-    return subprocess.run([sys.executable, "-c", CHILD, str(inputs_path), str(corpus), str(out)],
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           capture_output=True, text=True, timeout=120, env=env)
 
 
@@ -149,7 +199,7 @@ def test_gen_bits_are_the_same_under_every_openblas_kernel(tmp_path):
 
     results, skipped = {}, []
     for kernel in (None, *KERNELS):
-        run = _run(kernel, inputs_path, tmp_path / "corpus", tmp_path / f"{kernel}.jsonl")
+        run = _run(kernel, CHILD, inputs_path, tmp_path / "corpus", tmp_path / f"{kernel}.jsonl")
         if kernel is not None and run.returncode < 0:
             skipped.append(kernel)  # killed by a signal: the CPU lacks the kernel's instructions
             continue
@@ -161,4 +211,35 @@ def test_gen_bits_are_the_same_under_every_openblas_kernel(tmp_path):
                  for kernel, got in results.items() if got != want}
     assert not differing, f"differs from the default kernel: {differing}"
     if len(results) < 2:
+        pytest.skip(f"the CPU runs none of the kernels {', '.join(skipped)}")
+
+
+def test_rotation_verdicts_are_the_same_under_every_openblas_kernel(tmp_path):
+    docs = _near_tolerance_frames()
+    deviations = [_fixed_order_deviations(doc["frames"][1]["pose_c2w"]) for doc in docs]
+    # each kind of probe straddles the tolerance
+    for kind in (0, 1):
+        assert min(d[kind] for d in deviations) < ORTHO_TOL < max(d[kind] for d in deviations)
+    path = "frames[1].pose.rotation"
+    want = [f"{path}: rotation is not orthonormal" if ortho > ORTHO_TOL
+            else f"{path}: rotation determinant is not +1" if det > ORTHO_TOL
+            else "accepted" for ortho, det in deviations]
+    assert {"accepted", f"{path}: rotation is not orthonormal",
+            f"{path}: rotation determinant is not +1"} <= set(want)
+    docs_path = tmp_path / "frames.pickle"
+    with open(docs_path, "wb") as fh:
+        pickle.dump(docs, fh)
+
+    ran, skipped = [], []
+    for kernel in (None, *KERNELS):
+        run = _run(kernel, ROTATION_CHILD, docs_path)
+        if kernel is not None and run.returncode < 0:
+            skipped.append(kernel)  # killed by a signal: the CPU lacks the kernel's instructions
+            continue
+        assert run.returncode == 0, f"{kernel or 'default'}: {run.stderr}"
+        got = json.loads(run.stdout.splitlines()[-1])
+        assert got == want, f"{kernel or 'default'}: " + ", ".join(
+            f"probe {i}: {g!r}, not {w!r}" for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        ran.append(kernel)
+    if len(ran) < 2:
         pytest.skip(f"the CPU runs none of the kernels {', '.join(skipped)}")

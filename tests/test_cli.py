@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import json
 import os
@@ -19,7 +18,8 @@ from sceneqa import cli, errors, qa_spatial, qa_temporal
 from sceneqa.cli import discover_scenes, main, read_records_jsonl, task_generators
 from sceneqa.geometry import OrientedBox3
 from sceneqa.graph import build_graph
-from sceneqa.metadata import ObjectInstance, load_frame_metadata, load_scene_metadata
+from sceneqa.metadata import (FrameMetadata, ObjectInstance, SceneMetadata, load_frame_metadata,
+                              load_scene_metadata)
 from sceneqa.ply_io import parse_ply, write_ply
 from sceneqa.qa_records import TASKS, GenConfig, make_qid, validate_record
 from sceneqa.route_plan import load_trajectories
@@ -736,7 +736,7 @@ def test_gen_needs_an_input_root(tmp_path, capsys):
 
 def test_gen_single_frame_capture_skips_temporal_tasks(tmp_path):
     scene, frames = make_scene(seed=2026, scene_id="oneframe")
-    frames = dataclasses.replace(frames, frames=frames.frames[:1])
+    frames = FrameMetadata(frames.scene_id, frames.intrinsics, frames.frames[:1])
     root = tmp_path / "scenes"
     write_scene_dir(root, scene, frames)
     out = tmp_path / "r.jsonl"
@@ -754,9 +754,9 @@ def test_gen_never_writes_zero_truth(tmp_path, capsys):
     lo, hi = scene.scene_extents
     tiny = ObjectInstance(999, "button",
                           OrientedBox3([1.0, 1.0, 0.5], [0.004, 0.003, 0.002], [1, 0, 0, 0]))
-    scene = dataclasses.replace(
-        scene, scene_extents=(lo, np.array([lo[0], hi[1], hi[2]])),
-        objects=scene.objects + (tiny,),
+    scene = SceneMetadata(
+        scene.scene_id, scene_extents=(lo, np.array([lo[0], hi[1], hi[2]])),
+        room_center=scene.room_center, objects=scene.objects + (tiny,),
         category_counts={**scene.category_counts, "button": 1})
     root = tmp_path / "scenes"
     write_scene_dir(root, scene, frames)
