@@ -18,50 +18,49 @@ finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 del _os, _numpy, _blas_threads
 
-from .errors import SceneQaError
-from .geometry import (
-    OrientedBox3,
-    box_box_distance,
-    closest_point_on_box,
-    planar_signed_angle,
-    world_to_camera,
-)
-from .graph import SceneGraph, build_graph, sample_frame_sequence
-from .metadata import (
-    FrameMetadata,
-    Intrinsics,
-    ObjectInstance,
-    SceneMetadata,
-    derive_instance_boxes,
-    load_frame_metadata,
-    load_scene_metadata,
-)
-from .ply_io import LabeledPointCloud, parse_ply
-from .qa_records import GenConfig, QaRecord, validate_record
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FrameMetadata",
-    "GenConfig",
-    "Intrinsics",
-    "LabeledPointCloud",
-    "ObjectInstance",
-    "OrientedBox3",
-    "QaRecord",
-    "SceneGraph",
-    "SceneMetadata",
-    "SceneQaError",
-    "box_box_distance",
-    "build_graph",
-    "closest_point_on_box",
-    "derive_instance_boxes",
-    "load_frame_metadata",
-    "load_scene_metadata",
-    "parse_ply",
-    "planar_signed_angle",
-    "sample_frame_sequence",
-    "validate_record",
-    "world_to_camera",
-    "__version__",
-]
+# Each exported name -> the module that defines it. A name is imported on
+# first use (PEP 562), not here: importing a submodule such as sceneqa.cli
+# runs this file, so every module named below would otherwise load with each
+# command, including the graph, record and route modules that ingest never
+# calls.
+_EXPORTS = {
+    "FrameMetadata": "metadata",
+    "GenConfig": "qa_records",
+    "Intrinsics": "metadata",
+    "LabeledPointCloud": "ply_io",
+    "ObjectInstance": "metadata",
+    "OrientedBox3": "geometry",
+    "QaRecord": "qa_records",
+    "SceneGraph": "graph",
+    "SceneMetadata": "metadata",
+    "SceneQaError": "errors",
+    "box_box_distance": "geometry",
+    "build_graph": "graph",
+    "closest_point_on_box": "geometry",
+    "derive_instance_boxes": "metadata",
+    "load_frame_metadata": "metadata",
+    "load_scene_metadata": "metadata",
+    "parse_ply": "ply_io",
+    "planar_signed_angle": "geometry",
+    "sample_frame_sequence": "graph",
+    "validate_record": "qa_records",
+    "world_to_camera": "geometry",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later reads find it without this call
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

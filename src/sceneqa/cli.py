@@ -25,13 +25,19 @@ record.
 Every generated artifact starts with a header line ``{"_header": {...}}``
 carrying the resolved configuration; readers in this package skip it.
 
-A run pays only for its own command. Every command imports the package
-(numpy, the metadata, PLY, graph and record modules), ``evaluate`` and
-``route_plan``; only ``gen`` imports the generator modules ``qa_spatial``
-and ``qa_temporal``, before it starts any helper, and only ``fusion-check``
-imports ``fusion``. ``main`` registers ``gc.freeze`` as an exit hook, once
-per process, so the interpreter's collections at exit skip the objects the
-run leaves instead of walking them; nothing is frozen while a command runs.
+A run pays only for its own command: each imports only the modules it
+runs. Every command imports numpy and the metadata and PLY modules;
+``ingest`` needs nothing more. ``eval`` adds the record module and
+``evaluate``, ``stats`` the record module alone. ``gen`` imports the record,
+graph, ``route_plan`` and generator (``qa_spatial``, ``qa_temporal``)
+modules before it starts any helper, so the helpers share them, and only
+``fusion-check`` imports ``fusion``. The five functions that tests and the
+benchmark's tracer replace as attributes of this module (``_DEFERRED``) are
+bound here on first use, by ``_bind`` or, for a read from outside, by the
+module ``__getattr__``; a replacement set before then is kept. ``main``
+registers ``gc.freeze`` as an exit hook, once per process, so the
+interpreter's collections at exit skip the objects the run leaves instead
+of walking them; nothing is frozen while a command runs.
 The price is that an object still in a reference cycle at exit is never
 finalized, so every output is closed and every staging directory removed
 before ``main`` returns.
@@ -42,9 +48,9 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
-import dataclasses
 import errno
 import gc
+import importlib
 import json
 import os
 import pickle
@@ -56,9 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import graph as graph_mod
 from .errors import DanglingInstanceRef, DuplicateQid, InputError, SceneQaError, WorkerDied
-from .evaluate import Prediction, render_table, score_run
 from .frozen import Frozen, set_field
 from .metadata import (
     DEFAULT_MIN_POINTS,
@@ -72,13 +76,42 @@ from .metadata import (
     write_json,
 )
 from .ply_io import parse_ply
-from .qa_records import TASKS, GenConfig, record_from_dict, record_to_dict
-from .route_plan import gen_route_plan, load_trajectories
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EVAL = 3
 EXIT_WORKER = 4
+
+# The functions that callers replace as attributes of this module, by the
+# module that defines each; see _bind.
+_DEFERRED = {
+    "load_trajectories": "route_plan",
+    "gen_route_plan": "route_plan",
+    "score_run": "evaluate",
+    "record_to_dict": "qa_records",
+    "record_from_dict": "qa_records",
+}
+
+
+def _bind(*names):
+    """Bind each of ``names`` in this module to its defining module's
+    function, importing that module, unless the name is bound already: a
+    replacement set on ``cli`` stays. Each command binds what it calls before
+    it calls it, so only the commands that run a module load it, and a call
+    then finds the function as a plain global, with no forwarder between."""
+    namespace = globals()
+    for name in names:
+        if name not in namespace:
+            module = importlib.import_module(f".{_DEFERRED[name]}", __package__)
+            namespace[name] = getattr(module, name)
+
+
+def __getattr__(name):
+    """``cli.<name>`` read from outside before any command bound it."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 def _load(path, loader):
@@ -143,6 +176,7 @@ def write_records_jsonl(path, spools, header: dict):
 
 def read_records_jsonl(path):
     """Returns (header dict or None, list of validated QaRecords)."""
+    _bind("record_from_dict")
     return read_jsonl(path, record_from_dict)
 
 
@@ -190,6 +224,7 @@ def task_generators() -> dict:
     generator modules are imported here, so only gen loads them."""
     from . import qa_spatial, qa_temporal
 
+    _bind("gen_route_plan")
     return {**qa_spatial.SPATIAL_GENERATORS, **qa_temporal.TEMPORAL_GENERATORS,
             "route_plan": lambda g, cfg: gen_route_plan(g, g.trajectories, cfg)[0]}
 
@@ -200,6 +235,10 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
     ``(scene_id, record count, text)``: the JSON lines sorted by (task order,
     qid) and joined. With ``dump_dir`` the graph is written there too, as
     ``<scene_id>.json``, so the scene_id must be a single file name."""
+    from . import graph
+    from .qa_records import TASKS
+
+    _bind("load_trajectories", "record_to_dict")
     scene = _load(inputs.scene_path, load_scene_metadata)
     if dump_dir is not None and (scene.scene_id in (".", "..") or "/" in scene.scene_id
                                  or "\0" in scene.scene_id):
@@ -216,13 +255,13 @@ def generate_scene_records(inputs: SceneInputs, cfg: GenConfig, tasks,
         trajectories = [t for sid, t in load_trajectories(inputs.trajectories_path)
                         if sid == scene.scene_id]
     try:
-        g = graph_mod.build_graph(scene, frames, cfg.min_bbox_area_px, cfg.sample_frames,
-                                  cloud, trajectories)
+        g = graph.build_graph(scene, frames, cfg.min_bbox_area_px, cfg.sample_frames,
+                              cloud, trajectories)
     except DanglingInstanceRef as exc:
         raise InputError(f"{inputs.frames_path}: {exc}") from None
 
     if dump_dir is not None:
-        write_json(Path(dump_dir) / f"{scene.scene_id}.json", graph_mod.graph_to_dict(g))
+        write_json(Path(dump_dir) / f"{scene.scene_id}.json", graph.graph_to_dict(g))
 
     generators = task_generators()
     lines = []
@@ -447,6 +486,8 @@ def cmd_ingest(args) -> int:
 
 def _resolve_config(args) -> tuple[GenConfig, list, int]:
     """Layer the generator config: defaults < config file < CLI flags."""
+    from .qa_records import TASKS, GenConfig
+
     values = {}
     tasks, tasks_source = list(TASKS), None
     workers, workers_source = 1, None
@@ -489,6 +530,8 @@ def _resolve_config(args) -> tuple[GenConfig, list, int]:
 
 
 def cmd_gen(args) -> int:
+    import dataclasses
+
     cfg, tasks, workers = _resolve_config(args)
     task_generators()  # loaded before any fork, so the helpers share them
     scene_inputs = discover_scenes(args.input_root)
@@ -516,6 +559,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluate import Prediction, render_table
+
+    _bind("score_run")
     if args.out:
         _check_out(args.out)
     _, records = read_records_jsonl(args.records)
@@ -530,6 +576,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .qa_records import TASKS
+
+    _bind("record_from_dict")
     if args.out:
         _check_out(args.out)
     counts, total = {}, 0
@@ -549,6 +598,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_fusion_check(args) -> int:
+    import dataclasses
+
     from . import fusion
 
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)

@@ -427,6 +427,11 @@ def load_frame_metadata(path) -> FrameMetadata:
         return frame_metadata_from_dict(json.load(fh))
 
 
+# the JSON name of each type that json.loads returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
 def iter_jsonl(path, parse, on_header=None):
     """Yield ``parse(doc)`` per non-blank line of a JSONL file, reading one
     line at a time; the value of a ``{"_header": ...}`` line goes to
@@ -435,7 +440,8 @@ def iter_jsonl(path, parse, on_header=None):
     read, a header's ``record_count`` (the last header's, if several have
     one) must equal the number of other lines, or InputError names the file
     and both counts: the file was cut short or added to. A ``record_count``
-    that is not a non-negative int (a bool is none) is an InputError too."""
+    that is not a non-negative int (a bool is none) is an InputError too, as
+    is a line whose value is not a JSON object."""
     want, seen = None, 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -444,8 +450,11 @@ def iter_jsonl(path, parse, on_header=None):
                 if not line:
                     continue
                 doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise InputError(f"{path}:{lineno}: expected a JSON object, "
+                                     f"got {_JSON_TYPES[type(doc)]}")
                 if "_header" in doc:
-                    header = doc["_header"]  # a line that is not an object fails here
+                    header = doc["_header"]
                     if on_header is not None:
                         on_header(header)
                     if isinstance(header, dict) and "record_count" in header:

@@ -537,24 +537,38 @@ def test_gen_workers_without_fork_is_input_error(scene_dir, tmp_path, capsys, mo
     assert generated == [] and os.listdir(tmp_path) == ["scenes"]
 
 
+# The modules each command must leave unloaded: ingest needs no graph, record,
+# route, scoring or generator code; eval and stats read records but build no
+# graph; only gen imports the generator modules, and only fusion-check fusion.
 GENERATOR_MODULES = ("sceneqa.qa_spatial", "sceneqa.qa_temporal")
+NOT_GEN = ("sceneqa.graph", "sceneqa.route_plan", *GENERATOR_MODULES, "sceneqa.fusion")
+UNLOADED = {
+    "ingest": (*NOT_GEN, "sceneqa.qa_records", "sceneqa.evaluate", "dataclasses"),
+    "eval": NOT_GEN,
+    "stats": (*NOT_GEN, "sceneqa.evaluate"),
+    "gen": ("sceneqa.evaluate", "sceneqa.fusion"),
+}
 
 
-@pytest.mark.parametrize("command", ["ingest", "eval", "stats"])
+@pytest.mark.parametrize("command", sorted(UNLOADED))
 def test_only_gen_loads_the_generator_modules(tmp_path, command):
-    records, preds = tmp_path / "r.jsonl", tmp_path / "p.jsonl"
-    assert main(["gen", "--input-root", str(_small_corpus(tmp_path / "scenes", n=1)),
-                 "--out", str(records), "--tasks", "obj_count"]) == 0
-    _, recs = read_records_jsonl(records)
-    preds.write_text("".join(json.dumps({"qid": r.qid, "raw_text": "3"}) + "\n" for r in recs))
+    scenes, records, preds = tmp_path / "scenes", tmp_path / "r.jsonl", tmp_path / "p.jsonl"
+    gen = ["gen", "--input-root", str(_small_corpus(scenes, n=1)), "--out", str(records),
+           "--tasks", "obj_count"]
+    if command != "gen":
+        assert main(gen) == 0
+        _, recs = read_records_jsonl(records)
+        preds.write_text("".join(json.dumps({"qid": r.qid, "raw_text": "3"}) + "\n"
+                                 for r in recs))
     argv = {"ingest": [*_ingest_inputs(tmp_path), "--out", str(tmp_path / "meta.json")],
             "eval": ["eval", "--records", str(records), "--predictions", str(preds)],
-            "stats": ["stats", "--records", str(records)]}[command]
+            "stats": ["stats", "--records", str(records)],
+            "gen": gen}[command]
     code = (
         "import json, sys\n"
         "from sceneqa.cli import main\n"
         "code = main(json.loads(sys.argv[1]))\n"
-        f"print(code, [m for m in {GENERATOR_MODULES!r} if m in sys.modules])\n")
+        f"print(code, [m for m in {UNLOADED[command]!r} if m in sys.modules])\n")
     run = _run_python(code, json.dumps(argv))
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 []", run.stdout
@@ -563,12 +577,14 @@ def test_only_gen_loads_the_generator_modules(tmp_path, command):
 def test_gen_loads_the_generator_modules_before_the_fan_out(tmp_path):
     # Loaded before the helpers fork, the modules' pages are shared with them.
     root = _small_corpus(tmp_path / "scenes", n=2)
+    gen_modules = ("sceneqa.graph", "sceneqa.qa_records", "sceneqa.route_plan",
+                   *GENERATOR_MODULES)
     code = (
         "import sys\n"
         "from sceneqa import cli\n"
         "fan_out, seen = cli._fan_out, []\n"
         "def fan_out_logged(*args):\n"
-        f"    seen.append([m in sys.modules for m in {GENERATOR_MODULES!r}])\n"
+        f"    seen.append([m for m in {gen_modules!r} if m not in sys.modules])\n"
         "    return fan_out(*args)\n"
         "cli._fan_out = fan_out_logged\n"
         "code = cli.main(['gen', '--input-root', sys.argv[1], '--out', sys.argv[2],\n"
@@ -576,7 +592,77 @@ def test_gen_loads_the_generator_modules_before_the_fan_out(tmp_path):
         "print(code, seen)\n")
     run = _run_python(code, root, tmp_path / "r.jsonl")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 [[True, True]]", run.stdout
+    assert run.stdout.splitlines()[-1] == "0 [[]]", run.stdout
+
+
+# The functions that tests and the benchmark's tracer replace as cli
+# attributes, by defining module; cli binds them on first use.
+DEFERRED = {"load_trajectories": "route_plan", "gen_route_plan": "route_plan",
+            "score_run": "evaluate", "record_to_dict": "qa_records",
+            "record_from_dict": "qa_records"}
+
+
+def test_deferred_names_read_from_cli_are_the_defining_functions():
+    code = (
+        "import importlib\n"
+        "from sceneqa import cli\n"
+        f"deferred = {DEFERRED!r}\n"
+        "print(sorted(n for n, m in deferred.items()\n"
+        "             if getattr(cli, n) is not getattr(importlib.import_module(\n"
+        "                 'sceneqa.' + m), n)))\n")
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]", run.stdout
+    assert cli._DEFERRED == DEFERRED
+
+
+def test_a_replacement_set_on_cli_before_main_is_what_the_commands_call(scene_dir, tmp_path):
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("")
+    code = (
+        "import importlib, sys\n"
+        "from sceneqa import cli\n"
+        "calls = set()\n"
+        "def counted(name, fn):\n"
+        "    def call(*args, **kwargs):\n"
+        "        calls.add(name)\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return call\n"
+        f"fakes = {{n: counted(n, getattr(importlib.import_module('sceneqa.' + m), n))\n"
+        f"         for n, m in {DEFERRED!r}.items()}}\n"
+        "for name, fake in fakes.items():\n"
+        "    setattr(cli, name, fake)\n"
+        "root, records, preds = sys.argv[1:]\n"
+        "codes = [cli.main(['gen', '--input-root', root, '--out', records]),\n"
+        "         cli.main(['eval', '--records', records, '--predictions', preds]),\n"
+        "         cli.main(['stats', '--records', records])]\n"
+        "cli._bind(*fakes)\n"
+        "print(codes, sorted(calls), all(getattr(cli, n) is f for n, f in fakes.items()))\n")
+    run = _run_python(code, scene_dir.parent, tmp_path / "r.jsonl", preds)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"[0, 0, 0] {sorted(DEFERRED)} True", run.stdout
+
+
+@pytest.mark.parametrize("module", [cli, sceneqa], ids=["cli", "sceneqa"])
+def test_an_unknown_name_is_attribute_error(module):
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
+
+
+def test_every_package_export_is_the_defining_modules_object():
+    code = (
+        "import sys\n"
+        "import sceneqa\n"
+        "exports = [n for n in sceneqa.__all__ if n != '__version__']\n"
+        "loaded = [m for m in ('sceneqa.graph', 'sceneqa.qa_records') if m in sys.modules]\n"
+        "wrong = [n for n in exports if getattr(sceneqa, n) is not getattr(\n"
+        "    sys.modules[getattr(sceneqa, n).__module__], n)]\n"
+        "print(loaded, wrong, sorted(set(sceneqa.__all__) - set(dir(sceneqa))),\n"
+        "      len(exports), sceneqa.__version__)\n")
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[] [] [] 21 0.1.0", run.stdout
 
 
 def test_main_adds_one_exit_hook_and_freezes_nothing_while_running(tmp_path):
@@ -1348,6 +1434,34 @@ def test_malformed_prediction_is_input_error(tmp_path, capsys, pred, fragment):
     assert main(["eval", "--records", str(records), "--predictions", str(preds)]) == 2
     err = capsys.readouterr().err
     assert f"{preds}:2" in err and fragment in err, err
+
+
+@pytest.mark.parametrize("line,kind", [
+    ("[1, 2]", "array"), ("null", "null"), ('"no _header here"', "string"),
+    ("5", "number"), ("true", "boolean"),
+], ids=["array", "null", "string_with_header", "number", "boolean"])
+@pytest.mark.parametrize("target", ["eval_records", "stats_records", "predictions",
+                                    "trajectories"])
+def test_jsonl_line_that_is_not_an_object_is_input_error(tmp_path, capsys, target, line,
+                                                         kind):
+    records, preds = tmp_path / "records.jsonl", tmp_path / "preds.jsonl"
+    write_jsonl(records, [{"_header": {}}])
+    write_jsonl(preds, [{"qid": GOOD_RECORD["qid"], "raw_text": "2"}])
+    argv = ["eval", "--records", str(records), "--predictions", str(preds)]
+    if target == "stats_records":
+        argv = ["stats", "--records", str(records)]
+    elif target == "trajectories":
+        write_scene_dir(tmp_path / "scenes", *make_scene(seed=3200, scene_id="m00"))
+        records = tmp_path / "scenes" / "m00" / "trajectories.jsonl"
+        write_jsonl(records, [{"scene_id": "m00", "waypoints": [[0, 0], [2, 0]]}])
+        argv = ["gen", "--input-root", str(tmp_path / "scenes"), "--out",
+                str(tmp_path / "r.jsonl"), "--tasks", "route_plan"]
+    bad = preds if target == "predictions" else records
+    with open(bad, "a") as fh:
+        fh.write(line + "\n")  # line 2
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {bad}:2: expected a JSON object, "
+                                       f"got {kind}\n")
 
 
 @pytest.mark.parametrize("edit,fragment", [
