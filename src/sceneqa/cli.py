@@ -62,7 +62,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DanglingInstanceRef, DuplicateQid, InputError, SceneQaError, WorkerDied
+from .errors import (DanglingInstanceRef, DuplicateQid, EmptyAfterFiltering, InputError,
+                     SceneQaError, WorkerDied)
 from .frozen import Frozen, set_field
 from .metadata import (
     DEFAULT_MIN_POINTS,
@@ -473,9 +474,11 @@ def cmd_ingest(args) -> int:
     except (AttributeError, ValueError) as exc:
         raise InputError(f"{args.label_map}: expected an object keyed by integer "
                          f"label ids ({exc})") from None
-    instances, dropped = derive_instance_boxes(cloud, label_map,
-                                               min_points=args.min_points,
-                                               oriented=args.oriented)
+    try:
+        instances, dropped = derive_instance_boxes(cloud, label_map, min_points=args.min_points,
+                                                   oriented=args.oriented)
+    except EmptyAfterFiltering as exc:
+        raise InputError(f"{args.ply}: --min-points: {exc}") from None
     meta = build_scene_metadata(args.scene_id, instances, cloud.positions)
     with _publish(args.out) as staged:
         save_scene_metadata(staged, meta)

@@ -1,7 +1,12 @@
 """Exception hierarchy for the whole package.
 
-Every error raised on a contract boundary derives from SceneQaError so
-callers (and the CLI) can catch one base class and map it to an exit code.
+An error crosses a contract boundary; a per-candidate outcome is a value.
+Bad input, a broken invariant or a dead worker raises a SceneQaError, so
+that callers (and the CLI) can catch one base class and map it to an exit
+code. A trajectory that yields no route question, or a prediction with no
+number or option to score, is an expected result, not an error: the
+function returns its reason (``route_plan.ROUTE_SKIPS``) or status
+(``evaluate.STATUSES``).
 """
 
 import copyreg
@@ -75,33 +80,7 @@ class TooFewFrames(SceneQaError):
     """Graph does not contain enough frames for the requested operation."""
 
 
-# --- route planning ---------------------------------------------------------
-
-class MultiTurn(SceneQaError):
-    """Trajectory contains more than one qualifying turn; skipped."""
-
-
-class TooShort(SceneQaError):
-    """Trajectory has too few waypoints to classify."""
-
-
-class NoNearbyObject(SceneQaError):
-    """An anchor point could not be labeled; signals route discard."""
-
-
 # --- evaluation -------------------------------------------------------------
-
-class NoNumberFound(SceneQaError):
-    """No decimal numeral could be extracted from a prediction."""
-
-
-class NoMatch(SceneQaError):
-    """Prediction text matches no answer option."""
-
-
-class AmbiguousMatch(SceneQaError):
-    """Prediction text matches more than one answer option equally well."""
-
 
 class DuplicateQid(SceneQaError):
     """A predictions file contains the same question id twice."""

@@ -13,7 +13,7 @@ import functools
 import math
 import re
 
-from .errors import AmbiguousMatch, DuplicateQid, NoMatch, NoNumberFound
+from .errors import DuplicateQid
 from .frozen import Frozen, set_field
 from .geometry import ordered_sum
 from .qa_records import ANSWER_NA, TASK_ORDER
@@ -59,20 +59,18 @@ def mra(pred: float, truth: float) -> float:
     return passed / len(THETA_GRID)
 
 
-def extract_number(text: str) -> float:
+def extract_number(text: str) -> float | None:
     """First decimal numeral in the text (optional sign and decimal point).
 
     No unit conversion is attempted and commas are not digit grouping:
-    "1,200" yields 1. Raises NoNumberFound when the text has no numeral, or
-    when the first one is beyond the float range.
+    "1,200" yields 1. Returns None when the text has no numeral, or when the
+    first one is beyond the float range.
     """
     m = _regex(_NUMBER).search(text)
     if m is None:
-        raise NoNumberFound(f"no numeral in {text!r}")
+        return None
     value = float(m.group(0))
-    if math.isinf(value):
-        raise NoNumberFound(f"numeral beyond the float range in {text!r}")
-    return value
+    return None if math.isinf(value) else value
 
 
 def _normalize(text: str) -> str:
@@ -83,8 +81,9 @@ def _tokens(text: str):
     return set(_normalize(text).split())
 
 
-def match_option(text: str, options) -> int:
-    """Index of the option the text selects.
+def match_option(text: str, options) -> int | str:
+    """Index of the option the text selects, or the status "no_match" or
+    "ambiguous" when it selects none or several.
 
     Priority: (1) an option letter A-D -- the whole text, punctuated or
     bracketed anywhere ("B.", "(c)", "answer: D"), or a bare uppercase
@@ -92,7 +91,7 @@ def match_option(text: str, options) -> int:
     article, and bare lowercase letters are always ignored). (2) a unique
     option whose normalized form appears in the normalized text; (3) the
     unique option with maximal token overlap, winning by at least one
-    token. Raises NoMatch / AmbiguousMatch.
+    token.
     """
     options = list(options)
     letters = set()
@@ -108,7 +107,7 @@ def match_option(text: str, options) -> int:
             letters.add(token)
     letters = {l for l in letters if ord(l) - ord("A") < len(options)}
     if len(letters) > 1:
-        raise AmbiguousMatch(f"several option letters in {text!r}")
+        return "ambiguous"
     if len(letters) == 1:
         return ord(letters.pop()) - ord("A")
 
@@ -123,11 +122,9 @@ def match_option(text: str, options) -> int:
     overlaps = [len(text_tokens & _tokens(opt)) for opt in options]
     best = max(overlaps)
     if best == 0:
-        raise NoMatch(f"{text!r} matches no option")
+        return "no_match"
     winners = [i for i, v in enumerate(overlaps) if v == best]
-    if len(winners) > 1:
-        raise AmbiguousMatch(f"{text!r} matches several options equally")
-    return winners[0]
+    return "ambiguous" if len(winners) > 1 else winners[0]
 
 
 class EvalReport(Frozen):
@@ -187,23 +184,21 @@ def score_run(records, preds, weight_by_question: bool = False) -> EvalReport:
         pred = by_qid.get(rec.qid)
         if pred is not None:
             if rec.answer_type == ANSWER_NA:
-                try:
-                    value = extract_number(pred.raw_text)
+                value = extract_number(pred.raw_text)
+                if value is None:
+                    j["status"] = "no_number"
+                else:
                     j["parsed"] = value
                     j["score"] = mra(value, float(rec.ground_truth))
                     j["status"] = "scored"
-                except NoNumberFound:
-                    j["status"] = "no_number"
             else:
-                try:
-                    idx = match_option(pred.raw_text, rec.options)
+                idx = match_option(pred.raw_text, rec.options)
+                if isinstance(idx, str):
+                    j["status"] = idx
+                else:
                     j["matched"] = rec.options[idx]
                     j["score"] = 1.0 if rec.options[idx] == rec.ground_truth else 0.0
                     j["status"] = "scored"
-                except NoMatch:
-                    j["status"] = "no_match"
-                except AmbiguousMatch:
-                    j["status"] = "ambiguous"
         judgments.append(j)
 
     per_task, status_counts = {}, {}

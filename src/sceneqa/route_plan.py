@@ -4,7 +4,7 @@ A trajectory is a floor-plane waypoint polyline. Heading changes at interior
 waypoints are clustered (junctions closer than a small window merge, sub-
 noise-floor jitter is ignored); a single cluster whose accumulated change
 exceeds the turn threshold makes the route a TurnLeft/TurnRight, none makes
-it a TurnBack, and more than one is rejected as MultiTurn.
+it a TurnBack, and more than one makes it unusable ("multi_turn").
 
 The two question templates are fixed text with SRC/MID/TGT slots; answers
 are always re-derived from the traversal the rendered text actually
@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DegenerateDirection, MultiTurn, NoNearbyObject, TooShort
+from .errors import DegenerateDirection
 from .frozen import Frozen, set_field
 from .geometry import MAX_COORD, ordered_sum, planar_signed_angle, row_norms
 from .graph import SceneGraph
@@ -25,6 +25,10 @@ from .metadata import read_jsonl
 from .qa_records import ANSWER_MCA, GenConfig, QaRecord, TaskRecords
 
 ROUTE_OPTIONS = ("turn back", "turn left", "turn right")
+
+# Why a trajectory yields no record, returned by the stage that finds it.
+ROUTE_SKIPS = ("too_short", "multi_turn", "degenerate_direction", "no_objects",
+               "anchor_too_far", "shared_anchor", "no_turn_named")
 
 TEMPLATE_1 = (
     "You are a robot beginning at the {src} facing the {mid}. You want to "
@@ -47,7 +51,7 @@ class Trajectory(Frozen):
     """Ordered floor-plane waypoints, (m, 3), each coordinate within
     ``geometry.MAX_COORD``, and the (m - 1, 3) steps between them with their
     lengths, derived once. Consecutive waypoints must be distinct; a
-    single-waypoint path is representable but unclassifiable (TooShort).
+    single-waypoint path is representable but unclassifiable ("too_short").
     Trajectories compare by their waypoints."""
 
     __slots__ = ("waypoints", "steps", "step_lengths")
@@ -97,17 +101,21 @@ def _arclength_midpoint(t: Trajectory) -> np.ndarray:
     return t.waypoints[-1]
 
 
-def classify_trajectory(t: Trajectory, cfg: GenConfig) -> ClassifiedRoute:
+def classify_trajectory(t: Trajectory, cfg: GenConfig) -> ClassifiedRoute | str:
     """Classify a trajectory as one logical turn or a turn-back route.
 
-    Raises TooShort for paths with fewer than two waypoints and MultiTurn
-    when more than one accumulated heading change exceeds the threshold.
+    Returns "too_short" for fewer than two waypoints, "degenerate_direction"
+    for a step with no floor-plane component, and "multi_turn" when more than
+    one accumulated heading change exceeds the threshold.
     """
     w = t.waypoints
     if len(w) < 2:
-        raise TooShort(f"trajectory has {len(w)} waypoint(s)")
+        return "too_short"
 
-    deltas = [planar_signed_angle(a, b) for a, b in zip(t.steps, t.steps[1:])]
+    try:
+        deltas = [planar_signed_angle(a, b) for a, b in zip(t.steps, t.steps[1:])]
+    except DegenerateDirection:
+        return "degenerate_direction"
 
     # Cluster significant junctions that sit within the jitter window.
     clusters = []  # (first_junction, last_junction)
@@ -123,7 +131,7 @@ def classify_trajectory(t: Trajectory, cfg: GenConfig) -> ClassifiedRoute:
     qualifying = [turn for turn in turns if abs(turn[2]) > cfg.turn_threshold_deg]
 
     if len(qualifying) > 1:
-        raise MultiTurn(f"{len(qualifying)} qualifying turns")
+        return "multi_turn"
 
     if len(qualifying) == 1:
         first, last, angle = qualifying[0]
@@ -140,22 +148,23 @@ def label_anchors(route: ClassifiedRoute, objects, centers: np.ndarray,
     """Category of the nearest of the K objects (planar distance to their
     (K, 2) ``centers``; the first in scene order of equals) per anchor.
 
-    Raises NoNearbyObject when an anchor has no object within range or when
-    two anchors resolve to the same instance (either way the route is
-    unusable for question text).
+    Returns "no_objects" for a scene without objects, "anchor_too_far" when
+    an anchor's nearest object is farther than ``max_anchor_dist_m``, and
+    "shared_anchor" when two anchors resolve to the same instance: either
+    way the route is unusable for question text.
     """
     if not objects:
-        raise NoNearbyObject("scene has no objects")
+        return "no_objects"
     labels = []
     used = []
     for anchor in route.anchors:
         dists = row_norms(centers - anchor[:2])
         k = int(np.argmin(dists))
         if dists[k] > max_anchor_dist_m:
-            raise NoNearbyObject(f"nearest object is {dists[k]:.2f} m away")
+            return "anchor_too_far"
         best = objects[k]
         if best.instance_id in used:
-            raise NoNearbyObject(f"two anchors share instance {best.instance_id}")
+            return "shared_anchor"
         used.append(best.instance_id)
         labels.append(best.category)
     return tuple(labels)
@@ -178,7 +187,7 @@ def classify_turn_action(facing_dir, move_dir, cfg: GenConfig):
 
 
 def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
-                    out: TaskRecords) -> QaRecord:
+                    out: TaskRecords) -> QaRecord | str:
     """Instantiate the route templates for a classified, labeled route, add
     the record to ``out`` and return it.
 
@@ -188,8 +197,9 @@ def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
     set, for turns sharper than the alternative threshold (facing the end,
     moving back to the start). The ground truth is re-derived from whichever
     traversal the rendered text describes. A route whose re-derived action
-    names no turn, or not its own turn under Template 1, raises
-    NoNearbyObject and adds nothing.
+    names no turn, or not its own turn under Template 1, adds nothing and
+    returns "no_turn_named"; one whose traversal has a direction with no
+    floor-plane component returns "degenerate_direction".
     """
     src_pos, mid_pos, tgt_pos = route.anchors
     src_lbl, mid_lbl, tgt_lbl = labels
@@ -199,24 +209,41 @@ def render_route_qa(route: ClassifiedRoute, labels, cfg: GenConfig,
         # Agent stands at mid facing the start anchor, then moves to the end:
         # template slots are swapped so the text matches that traversal.
         question = TEMPLATE_2.format(mid=mid_lbl, tgt=src_lbl, src=tgt_lbl)
-        truth = classify_turn_action(src_pos - mid_pos, tgt_pos - mid_pos, cfg)
+        facing, move = src_pos - mid_pos, tgt_pos - mid_pos
         meta["template"] = "Template2"
     elif cfg.route_alternative_mode and abs(route.turn_angle_deg) > cfg.alt_turn_threshold_deg:
         question = TEMPLATE_2.format(mid=mid_lbl, tgt=tgt_lbl, src=src_lbl)
-        truth = classify_turn_action(tgt_pos - mid_pos, src_pos - mid_pos, cfg)
+        facing, move = tgt_pos - mid_pos, src_pos - mid_pos
         meta["template"] = "Template2"
         meta["primary_action"] = "turn left" if route.kind == "TurnLeft" else "turn right"
     else:
         question = TEMPLATE_1.format(src=src_lbl, mid=mid_lbl, tgt=tgt_lbl)
-        truth = classify_turn_action(mid_pos - src_pos, tgt_pos - mid_pos, cfg)
+        facing, move = mid_pos - src_pos, tgt_pos - mid_pos
         meta["template"] = "Template1"
+    try:
+        truth = classify_turn_action(facing, move, cfg)
+    except DegenerateDirection:
+        return "degenerate_direction"
 
     expected = {"TurnLeft": "turn left", "TurnRight": "turn right",
                 "TurnBack": "turn back"}[route.kind]
     if truth is None or (meta["template"] == "Template1" and truth != expected):
-        raise NoNearbyObject("re-derived action does not name a turn; route unusable")
+        return "no_turn_named"
 
     return out.add(ANSWER_MCA, question, truth, options=ROUTE_OPTIONS, meta=meta)
+
+
+def route_outcome(traj: Trajectory, objects, centers: np.ndarray, cfg: GenConfig,
+                  out: TaskRecords) -> QaRecord | str:
+    """Classify, label and render one trajectory: the record it adds to
+    ``out``, or the reason in ``ROUTE_SKIPS`` that it adds none."""
+    route = classify_trajectory(traj, cfg)
+    if isinstance(route, str):
+        return route
+    labels = label_anchors(route, objects, centers, cfg.max_anchor_dist_m)
+    if isinstance(labels, str):
+        return labels
+    return render_route_qa(route, labels, cfg, out)
 
 
 def gen_route_plan(g: SceneGraph, trajectories, cfg: GenConfig):
@@ -227,12 +254,7 @@ def gen_route_plan(g: SceneGraph, trajectories, cfg: GenConfig):
     out = TaskRecords(g.scene_id, "route_plan", cfg)
     skipped = 0
     for traj in out.until_full(trajectories):
-        try:
-            route = classify_trajectory(traj, cfg)
-            labels = label_anchors(route, objects, centers, cfg.max_anchor_dist_m)
-            render_route_qa(route, labels, cfg, out)
-        except (MultiTurn, TooShort, NoNearbyObject, DegenerateDirection):
-            skipped += 1
+        skipped += isinstance(route_outcome(traj, objects, centers, cfg, out), str)
     return out.records, skipped
 
 

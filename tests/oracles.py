@@ -27,7 +27,6 @@ from sceneqa.errors import (
     DegenerateDirection,
     EmptyAfterFiltering,
     MalformedHeader,
-    NoNearbyObject,
     SchemaViolation,
     TruncatedBody,
     UnsupportedEncoding,
@@ -540,11 +539,16 @@ def former_object_in_camera(g, frame_id, instance_id) -> np.ndarray:
     return np.stack([former_world_to_camera(c, fr.rotation, fr.position) for c in corners])
 
 
+class ReferenceLabelError(Exception):
+    """Raised by ``reference_label_anchors`` where ``label_anchors`` returns a
+    reason; its message says which way the route was rejected."""
+
+
 def reference_label_anchors(route, g, max_anchor_dist_m):
     """The former ``route_plan.label_anchors``: ``min`` over the scene objects
     per anchor, so the first of equally near objects wins."""
     if not g.scene.objects:
-        raise NoNearbyObject("scene has no objects")
+        raise ReferenceLabelError("scene has no objects")
     labels = []
     used = []
     for anchor in route.anchors:
@@ -554,9 +558,9 @@ def reference_label_anchors(route, g, max_anchor_dist_m):
         )
         dist = reference_norm(best.box.center[:2] - anchor[:2])
         if dist > max_anchor_dist_m:
-            raise NoNearbyObject(f"nearest object is {dist:.2f} m away")
+            raise ReferenceLabelError(f"nearest object is {dist:.2f} m away")
         if best.instance_id in used:
-            raise NoNearbyObject(f"two anchors share instance {best.instance_id}")
+            raise ReferenceLabelError(f"two anchors share instance {best.instance_id}")
         used.append(best.instance_id)
         labels.append(best.category)
     return tuple(labels)

@@ -1214,6 +1214,22 @@ def test_ingest_min_points_drops_a_smaller_instance(tmp_path, capsys):
     assert [o.instance_id for o in load_scene_metadata(tmp_path / "o.json").objects] == [3]
 
 
+def test_ingest_with_no_instance_left_names_the_ply_and_the_flag(tmp_path, capsys):
+    cloud = make_cluster_cloud(11, [(3, 4, [0, 0, 0.5], [1, 1, 1], 120),
+                                    (9, 7, [4, 0, 0.5], [1, 1, 1], 80)])
+    ply = tmp_path / "scan.ply"
+    write_ply(ply, cloud, binary=True)
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"4": "chair", "7": "table"}))
+    out = tmp_path / "out" / "scene_metadata.json"
+    out.parent.mkdir()
+    assert main(["ingest", "--ply", str(ply), "--label-map", str(labels), "--scene-id", "scan0",
+                 "--out", str(out), "--min-points", "121"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ply}: --min-points: no instance has at least 121 points\n")
+    assert os.listdir(out.parent) == []
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("coord", [1e160, 1e300])
 def test_gen_overflowing_truth_names_the_scene_file(tmp_path, workers, coord):

@@ -9,8 +9,10 @@ the records is known, so that a convention slip shows without an oracle.
 - A mirror x -> -x: every left/right truth swaps, the signed angles in
   ``meta`` change sign, and every other byte stays as it was.
 
-All three run on the corpus of ``test_golden_records.write_golden_corpus`` at
-seed 1, which has every task, a cloud and trajectories in each scene.
+All three run on two corpora at seed 1: that of
+``test_golden_records.write_golden_corpus``, which has every task, a cloud and
+trajectories in each of its 3 scenes, and the 60-scene gen_geom benchmark
+corpus, which has trajectories and no cloud (the last test).
 """
 
 import json
@@ -36,10 +38,17 @@ def generate(root, out) -> bytes:
 
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory):
-    """(scenes root, records file bytes) of the untransformed corpus."""
+    """(scenes root, records file bytes) of the untransformed golden corpus."""
     tmp = tmp_path_factory.mktemp("metamorphic")
     root = write_golden_corpus(tmp / "scenes")
     return root, generate(root, tmp / "records.jsonl")
+
+
+@pytest.fixture(scope="module")
+def gen_geom(gen_geom_corpus, tmp_path_factory):
+    """(scenes root, records file bytes) of the untransformed gen_geom corpus."""
+    out = tmp_path_factory.mktemp("metamorphic") / "records.jsonl"
+    return gen_geom_corpus, generate(gen_geom_corpus, out)
 
 
 def read_json(path):
@@ -65,6 +74,8 @@ def transform_corpus(src, dst, scene_fn, frames_fn, waypoint_fn=None, position_f
                 doc["waypoints"] = [waypoint_fn(w) for w in doc["waypoints"]]
             lines.append(json.dumps(doc) + "\n")
         (out / "trajectories.jsonl").write_text("".join(lines))
+        if not (scene_dir / "cloud.ply").exists():
+            continue
         cloud = parse_ply(scene_dir / "cloud.ply")
         if position_fn is not None:
             cloud = LabeledPointCloud(position_fn(cloud.positions), cloud.colors,
@@ -227,3 +238,14 @@ def test_a_mirror_swaps_every_left_right_truth_and_nothing_else(golden, tmp_path
             swapped[doc["task"]] = swapped.get(doc["task"], 0) + 1
     # not vacuous: each task with a left/right answer swapped some of its truths
     assert sorted(swapped) == ["cam_move_dir", "obj_obj_rel_pos", "rel_dir", "route_plan"]
+
+
+# --- the same relations on the gen_geom benchmark corpus --------------------------------
+
+@pytest.mark.parametrize("relation", [
+    test_an_exact_quarter_yaw_leaves_every_record_byte_identical,
+    test_relabelled_instance_ids_change_only_the_ids_in_meta,
+    test_a_mirror_swaps_every_left_right_truth_and_nothing_else,
+], ids=["quarter_yaw", "relabelled_ids", "mirror"])
+def test_each_relation_holds_on_the_gen_geom_corpus(relation, gen_geom, tmp_path):
+    relation(gen_geom, tmp_path)

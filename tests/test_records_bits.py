@@ -11,7 +11,6 @@ import importlib.util
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,19 +140,12 @@ def test_a_failed_line_leaves_no_circular_reference_marks():
     assert cli._dump_line({"a": [1]}) == _reference_dump_line({"a": [1]})
 
 
-def test_dump_line_on_every_line_of_the_benchmark_records(tmp_path, monkeypatch):
+def test_dump_line_on_every_line_of_the_benchmark_records(tmp_path, gen_geom_corpus):
     """The gen_geom benchmark corpus at seed 1: every line, header included,
     re-encodes to itself."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    scenes = tmp_path / "scenes"
-    workloads.build_scene_corpus(scenes, 1, workloads.TAG_GEN_GEOM, 60)
     out = tmp_path / "records.jsonl"
-    assert cli.main(["gen", "--input-root", str(scenes), "--out", str(out), "--seed", "1",
-                     "--workers", "1"]) == 0
+    assert cli.main(["gen", "--input-root", str(gen_geom_corpus), "--out", str(out),
+                     "--seed", "1", "--workers", "1"]) == 0
     lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
     assert len(lines) == 14_517
     for line in lines:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -7,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_label_anchors
+from oracles import ReferenceLabelError, reference_label_anchors
 from synth import make_single_turn_waypoints
-from sceneqa.errors import InputError, MultiTurn, NoNearbyObject, TooShort
+from sceneqa import route_plan
+from sceneqa.cli import discover_scenes
+from sceneqa.errors import InputError
 from sceneqa.graph import build_graph
-from sceneqa.metadata import frame_metadata_from_dict, scene_metadata_from_dict
+from sceneqa.metadata import (frame_metadata_from_dict, load_frame_metadata, load_scene_metadata,
+                              scene_metadata_from_dict)
 from sceneqa.qa_records import ANSWER_NA, GenConfig, TaskRecords, validate_record
 from sceneqa.route_plan import (
+    ROUTE_SKIPS,
     ClassifiedRoute,
     Trajectory,
     classify_trajectory,
@@ -21,6 +26,7 @@ from sceneqa.route_plan import (
     label_anchors,
     load_trajectories,
     render_route_qa,
+    route_outcome,
 )
 
 CFG = GenConfig(seed=0)
@@ -144,8 +150,7 @@ def test_multi_turn_rejected():
     # well outside the jitter-merge window
     points = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (2, 4, 0), (2, 6, 0),
               (2, 8, 0), (4, 8, 0), (6, 8, 0)]
-    with pytest.raises(MultiTurn):
-        classify_trajectory(traj(points), CFG)
+    assert classify_trajectory(traj(points), CFG) == "multi_turn"
 
 
 def test_adjacent_opposite_turns_merge_to_turn_back():
@@ -157,8 +162,13 @@ def test_adjacent_opposite_turns_merge_to_turn_back():
 
 
 def test_too_short():
-    with pytest.raises(TooShort):
-        classify_trajectory(Trajectory(np.array([[1.0, 1.0, 0.0]])), CFG)
+    assert classify_trajectory(Trajectory(np.array([[1.0, 1.0, 0.0]])), CFG) == "too_short"
+
+
+def test_a_vertical_step_is_a_degenerate_direction():
+    # the middle step rises straight up: it has no heading on the floor
+    points = [(0, 0, 0), (2, 0, 0), (2, 0, 1), (4, 0, 1)]
+    assert classify_trajectory(traj(points), CFG) == "degenerate_direction"
 
 
 def test_jitter_merged_into_one_turn():
@@ -202,16 +212,20 @@ def test_label_anchors_too_far():
                           obj(2, "table", [9.5, 9.0, 0.3]),
                           obj(3, "door", [9.0, 9.5, 0.3])])
     route = classify_trajectory(traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]), CFG)
-    with pytest.raises(NoNearbyObject):
-        anchor_labels(route, g)
+    assert anchor_labels(route, g) == "anchor_too_far"
 
 
 def test_label_anchors_shared_instance_discarded():
     g = scene_graph_with([obj(1, "chair", [1.0, 0.0, 0.3]),
                           obj(2, "door", [2.1, 2.2, 0.3])])
     route = classify_trajectory(traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]), CFG)
-    with pytest.raises(NoNearbyObject):
-        anchor_labels(route, g)  # src and mid both nearest to the chair
+    # src and mid both nearest to the chair
+    assert anchor_labels(route, g) == "shared_anchor"
+
+
+def test_label_anchors_in_a_scene_without_objects():
+    route = classify_trajectory(traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]), CFG)
+    assert anchor_labels(route, scene_graph_with([])) == "no_objects"
 
 
 def test_label_anchors_ties_and_range_edge():
@@ -222,6 +236,8 @@ def test_label_anchors_ties_and_range_edge():
     route = classify_trajectory(traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]), CFG)
     assert anchor_labels(route, g) == ("sofa", "table", "door")
     assert reference_label_anchors(route, g, CFG.max_anchor_dist_m) == ("sofa", "table", "door")
+    # a range a hair under 2 m leaves the turn point's table out of range
+    assert anchor_labels(route, g, math.nextafter(2.0, 0.0)) == "anchor_too_far"
 
 
 @st.composite
@@ -241,18 +257,22 @@ def anchored_scenes(draw):
     return ClassifiedRoute("TurnLeft", anchors, 90.0), scene_graph_with(objects), float(max_dist)
 
 
+# The reference's message for each way it rejects a route -> the reason returned.
+REFERENCE_REASONS = {"scene has no objects": "no_objects",
+                     "nearest object is ": "anchor_too_far",
+                     "two anchors share instance ": "shared_anchor"}
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(case=anchored_scenes())
 def test_label_anchors_equals_reference(case):
     route, g, max_dist = case
     try:
         want = reference_label_anchors(route, g, max_dist)
-    except NoNearbyObject as exc:
-        with pytest.raises(NoNearbyObject) as got:
-            anchor_labels(route, g, max_dist)
-        assert str(got.value) == str(exc)
-    else:
-        assert anchor_labels(route, g, max_dist) == want
+    except ReferenceLabelError as exc:
+        [want] = [reason for prefix, reason in REFERENCE_REASONS.items()
+                  if str(exc).startswith(prefix)]
+    assert anchor_labels(route, g, max_dist) == want
 
 
 # --- template rendering -----------------------------------------------------------
@@ -314,8 +334,12 @@ def test_render_route_qa_numbers_its_records_in_the_task_records():
     # collinear anchors re-derive no turn: rejected, and nothing is added
     straight = ClassifiedRoute("TurnLeft", tuple(np.array([[0.0, 0, 0], [2, 0, 0], [4, 0, 0]])),
                                40.0)
-    with pytest.raises(NoNearbyObject):
-        render_route_qa(straight, ("table", "sofa", "door"), CFG, out)
+    assert render_route_qa(straight, ("table", "sofa", "door"), CFG, out) == "no_turn_named"
+    # the turn point straight above the start: no heading to face
+    upright = ClassifiedRoute("TurnLeft", tuple(np.array([[0.0, 0, 0], [0, 0, 1], [2, 2, 1]])),
+                              90.0)
+    assert render_route_qa(upright, ("table", "sofa", "door"), CFG, out) == \
+        "degenerate_direction"
     second = render_route_qa(left_route(), ("table", "sofa", "door"), CFG, out)
     assert out.records == [first, second]
     assert [r.qid for r in out.records] == ["route:route_plan:0000", "route:route_plan:0001"]
@@ -340,13 +364,91 @@ def test_gen_route_plan_skips_bad_trajectories():
     trajectories = [
         traj([(0, 0, 0), (2, 0, 0), (2, 2, 0)]),            # good
         Trajectory(np.array([[0.0, 0.0, 0.0]])),            # too short
-        traj([(0, 0, 0), (2, 0, 0), (2, 2, 0), (2.2, 2, 0),
-              (4, 2, 0), (4, 4, 0)]),                       # multi turn
+        traj([(0, 0, 0), (2, 0, 0), (2, 2, 0), (2, 4, 0), (2, 6, 0),
+              (2, 8, 0), (4, 8, 0), (6, 8, 0)]),            # multi turn
         traj([(8, 8, 0), (9, 8, 0), (9, 9, 0)]),            # anchors too far
     ]
     records, skipped = gen_route_plan(g, trajectories, CFG)
     assert len(records) == 1 and skipped == 3
     assert records[0].ground_truth == "turn left"
+
+
+NEAR_TURN = [obj(1, "sofa", [0.1, 0.38, 0.3]), obj(2, "table", [2.0, 0.3, 0.3]),
+             obj(3, "door", [2.1, 2.2, 0.3])]
+TURN = [(0, 0, 0), (2, 0, 0), (2, 2, 0)]
+# two opposite corners 6 m apart, outside the jitter-merge window
+MULTI_TURN = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (2, 4, 0), (2, 6, 0), (2, 8, 0), (4, 8, 0),
+              (6, 8, 0)]
+
+
+def circling_path():
+    """Most of a circle of radius 1.5 m in 4 degree steps, each under the
+    noise floor: a turn-back route whose start and end lie 20 degrees apart
+    as seen from its midpoint, inside the forward cone."""
+    angles = np.radians(np.arange(0, 324, 4))
+    return np.column_stack([1.5 * np.cos(angles), 1.5 * np.sin(angles), np.zeros(len(angles))])
+
+
+def skip_case(reason):
+    """(waypoints, scene objects) of a trajectory that ``route_outcome``
+    drops for ``reason``."""
+    if reason == "no_turn_named":  # an object on each anchor
+        anchors = classify_trajectory(traj(circling_path()), CFG).anchors
+        return circling_path(), [obj(k, category, [a[0], a[1], 0.3]) for k, (category, a)
+                                 in enumerate(zip(("sofa", "table", "door"), anchors))]
+    return {
+        "too_short": ([(0.1, 0.38, 0.0)], NEAR_TURN),
+        "multi_turn": (MULTI_TURN, NEAR_TURN),
+        "degenerate_direction": ([(0, 0, 0), (2, 0, 0), (2, 0, 1), (2, 2, 1)], NEAR_TURN),
+        "no_objects": (TURN, []),
+        "anchor_too_far": ([(8, 8, 0), (9, 8, 0), (9, 9, 0)], NEAR_TURN),
+        "shared_anchor": (TURN, [obj(1, "chair", [1.0, 0.0, 0.3]),
+                                 obj(2, "door", [2.1, 2.2, 0.3])]),
+    }[reason]
+
+
+def route_outcome_in(objects, points, cfg=CFG):
+    """``route_outcome`` of one trajectory in a scene of ``objects``, and the
+    records it added."""
+    g = scene_graph_with(objects)
+    centers = np.array([o.box.center[:2] for o in g.scene.objects])
+    out = TaskRecords("route", "route_plan", cfg)
+    return route_outcome(traj(points), g.scene.objects, centers, cfg, out), out.records
+
+
+@pytest.mark.parametrize("reason", ROUTE_SKIPS)
+def test_route_outcome_names_why_a_trajectory_is_dropped(reason):
+    points, objects = skip_case(reason)
+    assert route_outcome_in(objects, points) == (reason, [])
+
+
+def test_route_outcome_of_a_usable_trajectory_is_its_record():
+    rec, records = route_outcome_in(NEAR_TURN, TURN)
+    assert records == [rec] and rec.ground_truth == "turn left"
+
+
+def test_gen_geom_corpus_route_outcomes(gen_geom_corpus, monkeypatch):
+    """The gen_geom benchmark corpus at seed 1: of its 1,200 trajectories,
+    341 make records, and every other one is dropped for an anchor."""
+    outcomes = collections.Counter()
+    counted = route_plan.route_outcome
+
+    def counting(*args):
+        outcome = counted(*args)
+        outcomes[outcome if isinstance(outcome, str) else "record"] += 1
+        return outcome
+
+    monkeypatch.setattr(route_plan, "route_outcome", counting)
+    cfg = GenConfig(seed=1)
+    records, skipped = 0, 0
+    for inputs in discover_scenes(gen_geom_corpus):
+        trajectories = [t for _, t in load_trajectories(inputs.trajectories_path)]
+        g = build_graph(load_scene_metadata(inputs.scene_path),
+                        load_frame_metadata(inputs.frames_path), trajectories=trajectories)
+        got, n = gen_route_plan(g, g.trajectories, cfg)
+        records, skipped = records + len(got), skipped + n
+    assert (records, skipped) == (341, 859)
+    assert outcomes == {"record": 341, "anchor_too_far": 588, "shared_anchor": 271}
 
 
 # --- TaskRecords.until_full ------------------------------------------------------------
